@@ -215,18 +215,13 @@ def cmd_eval(args) -> int:
     batch = args.batch_size if args.batch_size else cfg.batch_size
     windows = _checked(make_batches, eval_ids, batch, cfg.bptt_len)
 
-    reports = []
-    exclude = {vocab.unk_id}
-    if {"bleu4", "wmd", "ppl"} & set(wanted):
-        reports += evaluate_model(model, windows, emb, "quality",
-                                  prefix_len=args.prefix_len, split_name=args.split,
-                                  config_id=args.checkpoint, exclude=exclude)
-    if {"self_bleu4", "self_wmd"} & set(wanted):
-        more = evaluate_model(model, windows, emb, "diversity",
-                              prefix_len=args.prefix_len, split_name=args.split,
-                              config_id=args.checkpoint, exclude=exclude)
-        seen = {r.metric for r in reports}
-        reports += [r for r in more if r.metric not in seen]
+    quality = bool({"bleu4", "wmd"} & set(wanted))
+    diversity = bool({"self_bleu4", "self_wmd"} & set(wanted))
+    mode = {(False, False): "ppl", (True, False): "quality",
+            (False, True): "diversity", (True, True): "both"}[quality, diversity]
+    reports = evaluate_model(model, windows, emb, mode,
+                             prefix_len=args.prefix_len, split_name=args.split,
+                             config_id=args.checkpoint, exclude={vocab.unk_id})
 
     rows = []
     for rep in reports:

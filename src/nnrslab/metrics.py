@@ -16,7 +16,7 @@ from scipy.optimize import linprog
 from scipy.special import rel_entr
 
 from .embeddings import EmbeddingMatrix
-from .model import step
+from .model import advance, step
 from .trainer import validate
 
 _BLEU_EPS = 1e-9  # numerator floor for zero n-gram matches
@@ -243,12 +243,16 @@ def reports_from_csv(path):
 
 
 def _greedy_continuations(model, inputs: np.ndarray, prefix_len: int) -> np.ndarray:
-    """Teacher-force a prefix, then greedy-decode to the window end."""
+    """Teacher-force a prefix, then greedy-decode to the window end.
+
+    Prefix steps before the last run the cells only; the output layer
+    is first needed at the last prefix position.
+    """
     batch, width = inputs.shape
     state = model.zero_state(batch)
-    log_probs = None
-    for t in range(prefix_len):
-        log_probs, state, _ = step(model, inputs[:, t], state)
+    for t in range(prefix_len - 1):
+        state = advance(model, inputs[:, t], state)
+    log_probs, state, _ = step(model, inputs[:, prefix_len - 1], state)
     out = []
     for i in range(width - prefix_len + 1):
         nxt = log_probs.argmax(axis=1).astype(np.int64)
@@ -256,6 +260,9 @@ def _greedy_continuations(model, inputs: np.ndarray, prefix_len: int) -> np.ndar
         if i + 1 < width - prefix_len + 1:
             log_probs, state, _ = step(model, nxt, state)
     return np.stack(out, axis=1)
+
+
+EVAL_MODES = ("ppl", "quality", "diversity", "both")
 
 
 def evaluate_model(model, split, emb: EmbeddingMatrix, mode: str,
@@ -266,31 +273,34 @@ def evaluate_model(model, split, emb: EmbeddingMatrix, mode: str,
     Each window is continued greedily after a teacher-forced prefix
     (default: half the window). quality mode scores the continuations
     against the true ones (BLEU-4, WMD); diversity mode scores them
-    against each other (self-BLEU-4, self-WMD). Teacher-forced
+    against each other (self-BLEU-4, self-WMD); both mode does both
+    from one decode; ppl mode decodes nothing. Teacher-forced
     perplexity is always reported. Metrics left undefined on every
     window (empty WMD intersections, size-1 batches) are omitted
     rather than reported non-finite.
     """
-    if mode not in ("diversity", "quality"):
-        raise ValueError("mode must be 'diversity' or 'quality'")
+    if mode not in EVAL_MODES:
+        raise ValueError("mode must be one of %s" % ", ".join(EVAL_MODES))
     if not split:
         raise ValueError("empty split")
 
     reports = [ScoreReport("ppl", split_name, validate(model, split), config_id)]
+    quality = mode in ("quality", "both")
+    diversity = mode in ("diversity", "both")
     bleus, wmds, self_bleus, self_wmds = [], [], [], []
-    for inputs, targets in split:
+    for inputs, targets in split if quality or diversity else ():
         width = inputs.shape[1]
         p = prefix_len if prefix_len is not None else max(1, width // 2)
         p = min(max(1, p), width)
         gen = _greedy_continuations(model, inputs, p)
         refs = targets[:, p - 1:]
-        if mode == "quality":
+        if quality:
             for b in range(inputs.shape[0]):
                 bleus.append(bleu4(list(gen[b]), [list(refs[b])]))
                 score = wmd_score(gen[b], refs[b], emb, exclude)
                 if score is not None:
                     wmds.append(score)
-        else:
+        if diversity:
             sb = self_bleu4([list(gen[b]) for b in range(gen.shape[0])])
             if sb is not None:
                 self_bleus.append(sb)

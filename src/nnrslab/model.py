@@ -13,12 +13,22 @@ Fused gate blocks are ordered [input, forget, cell, output] along the
 4H axis. Forward accepts either token ids (embedding lookup) or raw
 (B, d) vectors per step, the latter carrying centroid-style inputs;
 backward then reports the gradient wrt those vectors.
+
+Only the recurrence runs per timestep: both LSTM cells in the forward,
+and in backward the dz @ Wh^T carries plus layer 2's dz @ Wx^T. Work
+outside the recurrence runs once per BPTT window on (T*B, .) arrays
+stacked in (t, b) row order: the output projection and log-softmax in
+forward_window (validation, evaluation), and in backward the output
+layer, every weight gradient, layer 1's input gradients and the
+embedding scatter. The training forward still calls step once per
+timestep, because a scheduled-sampling input at step t is the model's
+own prediction from step t - 1.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 
 @dataclass
@@ -93,12 +103,13 @@ def _lookup(model: LstmLm, x):
     return vec, None
 
 
-def step(model: LstmLm, x, state):
-    """One timestep. Returns (log_probs (B,|V|), new_state, cache)."""
+def _cells(model: LstmLm, xvec, state, layers=None):
+    """Both LSTM cells for one timestep. Returns (top h, new_state).
+
+    With a `layers` list, appends each layer's backward cache to it.
+    """
     p = model.params
     h = model.hidden
-    xvec, ids = _lookup(model, x)
-    cache = {"x": xvec, "ids": ids, "layers": []}
     inp = xvec
     new_state = []
     for layer, (h_prev, c_prev) in zip((1, 2), state):
@@ -110,17 +121,60 @@ def step(model: LstmLm, x, state):
         c = f * c_prev + i * g
         tc = np.tanh(c)
         hh = o * tc
-        cache["layers"].append(
-            {"inp": inp, "h_prev": h_prev, "c_prev": c_prev,
-             "i": i, "f": f, "g": g, "o": o, "c": c, "tc": tc}
-        )
+        if layers is not None:
+            layers.append(
+                {"inp": inp, "h_prev": h_prev, "c_prev": c_prev,
+                 "i": i, "f": f, "g": g, "o": o, "c": c, "tc": tc}
+            )
         new_state.append((hh, c))
         inp = hh
-    logits = inp @ p["W_out"] + p["b_out"]
-    log_probs = logits - logsumexp(logits, axis=1, keepdims=True)
-    cache["top"] = inp
+    return inp, new_state
+
+
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of a 2-D array, computed in place."""
+    logits -= logits.max(axis=1, keepdims=True)
+    logits -= np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    return logits
+
+
+def _output_layer(model: LstmLm, top: np.ndarray) -> np.ndarray:
+    """Log-probs (N, |V|) from top hidden rows (N, H)."""
+    return _log_softmax(top @ model.params["W_out"] + model.params["b_out"])
+
+
+def step(model: LstmLm, x, state):
+    """One timestep. Returns (log_probs (B,|V|), new_state, cache)."""
+    xvec, ids = _lookup(model, x)
+    cache = {"x": xvec, "ids": ids, "layers": []}
+    top, new_state = _cells(model, xvec, state, cache["layers"])
+    log_probs = _output_layer(model, top)
+    cache["top"] = top
     cache["log_probs"] = log_probs
     return log_probs, new_state, cache
+
+
+def advance(model: LstmLm, x, state):
+    """Cells-only timestep: the new state, without the output layer."""
+    return _cells(model, _lookup(model, x)[0], state)[1]
+
+
+def forward_window(model: LstmLm, inputs, state):
+    """Inference over one (B, T) id window, state carried.
+
+    Runs only the cells per timestep, then one (T*B, H) x (H, |V|)
+    projection. Returns (log_probs (T, B, |V|), final_state); no
+    backward cache is built.
+    """
+    inputs = np.asarray(inputs)
+    batch, width = inputs.shape
+    xvecs, _ = _lookup(model, inputs.T)
+    xvecs = xvecs.reshape(width, batch, model.dim)
+    tops = np.empty((width, batch, model.hidden))
+    for t in range(width):
+        tops[t], state = _cells(model, xvecs[t], state)
+    log_probs = _output_layer(model, tops.reshape(width * batch, model.hidden))
+    return log_probs.reshape(width, batch, model.vocab_size), state
 
 
 class ForwardCache:
@@ -219,55 +273,75 @@ def backward(model: LstmLm, cache: ForwardCache, targets) -> dict:
     Gradients wrt the raw input vectors land in cache.input_grads
     (T, B, d); steps fed by ids additionally scatter that gradient
     into the embedding rows.
+
+    Per timestep, in reverse, only the recurrence runs: the gate
+    derivatives, dz @ Wh^T for both layers and layer 2's dz @ Wx^T,
+    with each layer's dz stored in a (T, B, 4H) array. Everything else
+    is one product per window on rows stacked in (t, b) order: the
+    output layer (dlogits, W_out, b_out, dh_top) before the loop; the
+    Wx, Wh and b gradients of both layers, layer 1's input gradients
+    and the embedding scatter after it.
     """
     p = model.params
     h = model.hidden
     targets = np.asarray(targets, dtype=np.int64)
-    t_len = len(cache.steps)
+    steps = cache.steps
+    t_len = len(steps)
     b = cache.batch_size
-    n = float(t_len * b)
+    rows = t_len * b
+    grads = {}
 
-    grads = {key: np.zeros_like(val) for key, val in p.items()}
-    input_grads = np.zeros((t_len, b, model.dim))
+    # output layer: softmax minus one-hot, over the whole window
+    dlogits = cache.log_probs().reshape(rows, model.vocab_size)
+    np.exp(dlogits, out=dlogits)
+    dlogits[np.arange(rows), targets.T.reshape(-1)] -= 1.0
+    dlogits /= float(rows)
+    tops = np.concatenate([sc["top"] for sc in steps])
+    grads["W_out"] = tops.T @ dlogits
+    grads["b_out"] = dlogits.sum(axis=0)
+    dh_top = (dlogits @ p["W_out"].T).reshape(t_len, b, h)
+    del dlogits
+
+    wh_t = {layer: np.ascontiguousarray(p["lstm%d_Wh" % layer].T) for layer in (1, 2)}
+    wx2_t = np.ascontiguousarray(p["lstm2_Wx"].T)
+    dz_all = {layer: np.empty((t_len, b, 4 * h)) for layer in (1, 2)}
     # carried (dh, dc) per layer, from the later timestep
-    carry = [(np.zeros((b, h)), np.zeros((b, h))) for _ in range(2)]
+    carry = {layer: (np.zeros((b, h)), np.zeros((b, h))) for layer in (1, 2)}
 
     for t in range(t_len - 1, -1, -1):
-        sc = cache.steps[t]
-        dlogits = np.exp(sc["log_probs"])
-        dlogits[np.arange(b), targets[:, t]] -= 1.0
-        dlogits /= n
-        grads["W_out"] += sc["top"].T @ dlogits
-        grads["b_out"] += dlogits.sum(axis=0)
-        dh_top = dlogits @ p["W_out"].T
-
-        dinp = dh_top
+        dinp = dh_top[t]
         for layer in (2, 1):
-            lc = sc["layers"][layer - 1]
-            dh_carry, dc_carry = carry[layer - 1]
+            lc = steps[t]["layers"][layer - 1]
+            dh_carry, dc_carry = carry[layer]
             dh = dinp + dh_carry
             i, f, g, o, tc = lc["i"], lc["f"], lc["g"], lc["o"], lc["tc"]
-            do = dh * tc
             dc = dh * o * (1.0 - tc * tc) + dc_carry
-            df = dc * lc["c_prev"]
-            di = dc * g
-            dg = dc * i
-            dz = np.concatenate(
-                [di * i * (1.0 - i), df * f * (1.0 - f),
-                 dg * (1.0 - g * g), do * o * (1.0 - o)], axis=1,
-            )
-            grads["lstm%d_Wx" % layer] += lc["inp"].T @ dz
-            grads["lstm%d_Wh" % layer] += lc["h_prev"].T @ dz
-            grads["lstm%d_b" % layer] += dz.sum(axis=0)
-            carry[layer - 1] = (dz @ p["lstm%d_Wh" % layer].T, dc * f)
-            dinp = dz @ p["lstm%d_Wx" % layer].T
+            dz = dz_all[layer][t]
+            dz[:, :h] = dc * g * i * (1.0 - i)
+            dz[:, h:2 * h] = dc * lc["c_prev"] * f * (1.0 - f)
+            dz[:, 2 * h:3 * h] = dc * i * (1.0 - g * g)
+            dz[:, 3 * h:] = dh * tc * o * (1.0 - o)
+            if t:
+                carry[layer] = (dz @ wh_t[layer], dc * f)
+            if layer == 2:
+                dinp = dz @ wx2_t
 
-        input_grads[t] = dinp
-        if sc["ids"] is not None:
-            np.add.at(grads["embed"], sc["ids"], dinp)
+    for layer in (1, 2):
+        layers = [sc["layers"][layer - 1] for sc in steps]
+        dz = dz_all[layer].reshape(rows, 4 * h)
+        grads["lstm%d_Wx" % layer] = np.concatenate([lc["inp"] for lc in layers]).T @ dz
+        grads["lstm%d_Wh" % layer] = np.concatenate([lc["h_prev"] for lc in layers]).T @ dz
+        grads["lstm%d_b" % layer] = dz.sum(axis=0)
+    input_grads = (dz_all[1].reshape(rows, 4 * h) @ p["lstm1_Wx"].T).reshape(t_len, b, model.dim)
+
+    grads["embed"] = np.zeros_like(p["embed"])
+    fed = [t for t, sc in enumerate(steps) if sc["ids"] is not None]
+    if fed:
+        ids = np.concatenate([steps[t]["ids"] for t in fed])
+        np.add.at(grads["embed"], ids, input_grads[fed].reshape(-1, model.dim))
 
     cache.input_grads = input_grads
-    return grads
+    return {key: grads[key] for key in p}
 
 
 def grad_global_norm(grads: dict) -> float:

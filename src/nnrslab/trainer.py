@@ -30,7 +30,7 @@ from .model import (
     LstmLm,
     backward,
     cosine_lr,
-    forward_cached,
+    forward_window,
     greedy_or_sample_predict,
     loss_from_cache,
     sgd_step,
@@ -296,7 +296,8 @@ def validate(model: LstmLm, val_batches) -> float:
     """Teacher-forced perplexity over a window list, state carried.
 
     exp(total NLL / total tokens); never touches parameters and never
-    applies a sampling policy.
+    applies a sampling policy. Each window runs the cells per step and
+    the output layer once (model.forward_window).
     """
     if not val_batches:
         raise ValueError("empty validation split")
@@ -306,10 +307,10 @@ def validate(model: LstmLm, val_batches) -> float:
     for inputs, targets in val_batches:
         if state is None:
             state = model.zero_state(inputs.shape[0])
-        cache = forward_cached(model, inputs, state)
-        total_nll += loss_from_cache(cache, targets) * targets.size
+        log_probs, state = forward_window(model, inputs, state)
+        picked = np.take_along_axis(log_probs, targets.T[:, :, None], axis=2)
+        total_nll -= picked.sum()
         total_tokens += targets.size
-        state = cache.final_state
     return float(np.exp(total_nll / total_tokens))
 
 
@@ -426,11 +427,21 @@ class _Trace:
         self._fh.close()
 
 
+def _feedback(log_probs, sample: bool, rng) -> np.ndarray:
+    """SS inputs from the previous step's (B, |V|) log-probs: the argmax
+    per row (ties to the smaller id), or one categorical draw per row."""
+    if not sample:
+        return log_probs.argmax(axis=1).astype(np.int64)  # exp is monotone
+    probs = np.exp(log_probs)
+    return np.array([greedy_or_sample_predict(row, sample=True, rng=rng) for row in probs],
+                    dtype=np.int64)
+
+
 def _train_epoch(model, state, cfg, table, gumbel, train_batches, lr,
                  velocity, trace, epoch):
     """One pass over the training windows. Returns (train nll, gsns grad parts)."""
     hidden = None
-    prev_probs = None  # last step's output distributions, for SS feedback
+    prev_log_probs = None  # last step's output, for SS feedback
     total_nll = 0.0
     total_tokens = 0
     gsns_grad = np.zeros_like(gumbel.log_alpha) if gumbel is not None else None
@@ -446,17 +457,12 @@ def _train_epoch(model, state, cfg, table, gumbel, train_batches, lr,
         for t in range(width):
             teachers = inputs[:, t]
             src = int(mask[t])
-            if src == Source.PREDICTION and prev_probs is None:
+            if src == Source.PREDICTION and prev_log_probs is None:
                 src = int(Source.TEACHER)  # nothing to feed back yet
             if src == Source.TEACHER:
                 xs = teachers
             elif src == Source.PREDICTION:
-                if cfg.predict_sample:
-                    xs = np.array(
-                        [greedy_or_sample_predict(prev_probs[b], sample=True, rng=state.rng)
-                         for b in range(batch)], dtype=np.int64)
-                else:
-                    xs = prev_probs.argmax(axis=1).astype(np.int64)
+                xs = _feedback(prev_log_probs, cfg.predict_sample, state.rng)
             else:  # Source.NEIGHBOR
                 xs = np.empty(batch, dtype=np.int64)
                 if gumbel is not None:
@@ -468,9 +474,7 @@ def _train_epoch(model, state, cfg, table, gumbel, train_batches, lr,
                 else:
                     for b in range(batch):
                         xs[b] = sample_neighbor(table, int(teachers[b]), state.rng)
-            log_probs, hidden, cache = step(model, xs, hidden)
-            if state.epsilon > 0.0:
-                prev_probs = np.exp(log_probs)
+            prev_log_probs, hidden, cache = step(model, xs, hidden)
             caches.append(cache)
             if trace is not None:
                 trace.rows(epoch, step_idx, t, src, teachers, xs)

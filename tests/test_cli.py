@@ -215,6 +215,14 @@ class TestEval:
         assert values["ppl"] < 1.3
         assert 0.0 <= values["wmd"] <= 1.0
 
+        ppl_only = tmp_path / "ppl.csv"
+        assert main(["eval", "--checkpoint", str(out_dir / "checkpoint.bin"),
+                     "--out", str(ppl_only), "--metrics", "ppl"]) == 0
+        capsys.readouterr()
+        with open(ppl_only, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["metric"], float(r["value"])) for r in rows] == [("ppl", values["ppl"])]
+
     def test_unknown_metric_is_usage_error(self, tmp_path, capsys):
         code = main(["eval", "--checkpoint", "x.bin", "--out",
                      str(tmp_path / "r.csv"), "--metrics", "rouge"])

@@ -18,11 +18,13 @@ from nnrslab.metrics import (
     self_wmd,
     wmd_score,
 )
-from nnrslab.model import LstmLm
+import nnrslab.metrics as metrics_mod
+from nnrslab.model import LstmLm, step
 from nnrslab.trainer import (
     TrainConfig,
     make_batches,
     rng_streams,
+    validate,
     run_training,
     _load_run_inputs,
 )
@@ -296,6 +298,42 @@ class TestEvaluateModel:
         for mode in ("quality", "diversity"):
             for rep in evaluate_model(model, windows, emb, mode):
                 assert np.isfinite(rep.value)
+
+    def test_both_mode_equals_quality_then_diversity(self, memorized):
+        model, vocab, emb, windows = memorized
+        kw = dict(prefix_len=3, exclude={vocab.unk_id})
+        quality = evaluate_model(model, windows, emb, "quality", **kw)
+        diversity = evaluate_model(model, windows, emb, "diversity", **kw)
+        both = evaluate_model(model, windows, emb, "both", **kw)
+        assert both == quality + [r for r in diversity if r.metric != "ppl"]
+
+    def test_ppl_mode_does_not_decode(self, memorized, monkeypatch):
+        model, _, emb, windows = memorized
+
+        def no_decode(*_args):
+            raise AssertionError("ppl mode decoded")
+
+        monkeypatch.setattr(metrics_mod, "_greedy_continuations", no_decode)
+        reports = evaluate_model(model, windows, emb, "ppl")
+        assert reports == [ScoreReport("ppl", "valid", validate(model, windows), "")]
+
+    def test_continuations_match_stepwise_reference(self, memorized):
+        # reference: every prefix position goes through the full step
+        _, vocab, _, windows = memorized
+        model = LstmLm.init(len(vocab), 16, 32, np.random.default_rng(5))
+        inputs = windows[0][0]
+        width = inputs.shape[1]
+        for prefix in (1, 4, width):
+            state = model.zero_state(inputs.shape[0])
+            for t in range(prefix):
+                log_probs, state, _ = step(model, inputs[:, t], state)
+            expected = []
+            for i in range(width - prefix + 1):
+                expected.append(log_probs.argmax(axis=1))
+                log_probs, state, _ = step(model, expected[-1], state)
+            np.testing.assert_array_equal(
+                metrics_mod._greedy_continuations(model, inputs, prefix),
+                np.stack(expected, axis=1))
 
     def test_mode_validation(self, memorized):
         model, _, emb, windows = memorized

@@ -167,6 +167,41 @@ class TestBackward:
         backward(model, cache, rng.integers(0, 6, size=(2, 3)))
         assert cache.input_grads.shape == (3, 2, 3)
 
+    def test_input_grads_match_finite_differences(self, rng):
+        # raw-vector inputs: input_grads is dL/dx, which the GSNS
+        # straight-through update reads
+        model = _small_model(rng)
+        vecs = [rng.normal(size=(2, 3)) for _ in range(4)]
+        targets = rng.integers(0, 6, size=(2, 4))
+        cache = forward_cached(model, vecs)
+        grads = backward(model, cache, targets)
+        np.testing.assert_array_equal(grads["embed"], 0.0)
+        h = 1e-5
+        fd = np.zeros((4, 2, 3))
+        for t, vec in enumerate(vecs):
+            for idx in np.ndindex(vec.shape):
+                orig = vec[idx]
+                vec[idx] = orig + h
+                plus = loss_from_cache(forward_cached(model, vecs), targets)
+                vec[idx] = orig - h
+                minus = loss_from_cache(forward_cached(model, vecs), targets)
+                vec[idx] = orig
+                fd[(t,) + idx] = (plus - minus) / (2.0 * h)
+        assert max_rel_error({"x": cache.input_grads}, {"x": fd}) < 1e-4
+
+    def test_finite_differences_batch_with_repeated_ids(self, rng):
+        # B=3, T=5: rows are stacked in (t, b) order, and a token
+        # repeated within a timestep scatters twice into one embed row
+        model = _small_model(rng, vocab=6, dim=3, hidden=4)
+        inputs = rng.integers(0, 6, size=(3, 5))
+        inputs[:, 2] = [4, 1, 4]
+        inputs[:, 4] = 5
+        targets = rng.integers(0, 6, size=(3, 5))
+        cache = forward_cached(model, inputs)
+        analytic = backward(model, cache, targets)
+        fd = finite_difference_grads(model, inputs, targets)
+        assert max_rel_error(analytic, fd) < 1e-4
+
 
 class TestSgdStep:
     def test_zero_grads_noop(self, rng):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import nnrslab.trainer as trainer_mod
-from nnrslab.model import LstmLm, forward_cached
+from nnrslab.model import LstmLm, forward_cached, loss_from_cache, step
 from nnrslab.neighbors import build_neighbor_table, clamp_tau, default_k
 from nnrslab.schedules import Schedule
 from nnrslab.trainer import (
@@ -159,6 +159,21 @@ class TestValidate:
         expected = float(np.exp(total_nll / total_tok))
         assert validate(model, batches) == pytest.approx(expected, rel=1e-12)
 
+    def test_matches_cached_forward_on_multiwindow_split(self, rng):
+        # B=3, T=7 over 71 ids: 23 steps per stream, last window 1 step
+        model = LstmLm.init(11, 4, 6, rng)
+        batches = make_batches(rng.integers(0, 11, size=71), 3, 7)
+        assert len(batches) > 2 and batches[-1][1].shape[1] < 7
+        total_nll, total_tok = 0.0, 0
+        state = model.zero_state(3)
+        for inputs, targets in batches:
+            cache = forward_cached(model, inputs, state)
+            total_nll += loss_from_cache(cache, targets) * targets.size
+            total_tok += targets.size
+            state = cache.final_state
+        expected = float(np.exp(total_nll / total_tok))
+        assert validate(model, batches) == pytest.approx(expected, rel=1e-12)
+
     def test_does_not_mutate_parameters(self, rng):
         model = LstmLm.init(9, 4, 6, rng)
         before = {k: v.copy() for k, v in model.params.items()}
@@ -169,6 +184,33 @@ class TestValidate:
     def test_empty_split_errors(self, rng):
         with pytest.raises(ValueError):
             validate(LstmLm.zeros(5, 2, 3), [])
+
+
+class TestFeedback:
+    def test_greedy_matches_argmax_of_probs(self, rng):
+        model = LstmLm.init(50, 4, 6, rng)
+        log_probs, _, _ = step(model, rng.integers(0, 50, size=64), model.zero_state(64))
+        got = trainer_mod._feedback(log_probs, False, None)
+        np.testing.assert_array_equal(got, np.exp(log_probs).argmax(axis=1))
+        assert got.dtype == np.int64
+
+    def test_greedy_ties_pick_lower_id(self):
+        log_probs = np.log(np.array([
+            [0.1, 0.4, 0.1, 0.4],
+            [0.25, 0.25, 0.25, 0.25],
+            [0.1, 0.1, 0.4, 0.4],
+        ]))
+        got = trainer_mod._feedback(log_probs, False, None)
+        np.testing.assert_array_equal(got, [1, 0, 2])
+        np.testing.assert_array_equal(got, np.exp(log_probs).argmax(axis=1))
+        zero = LstmLm.zeros(9, 2, 3)
+        uniform, _, _ = step(zero, np.arange(4), zero.zero_state(4))
+        np.testing.assert_array_equal(trainer_mod._feedback(uniform, False, None), 0)
+
+    def test_sampling_draws_from_probs(self):
+        log_probs = np.log(np.array([[1e-12, 1.0, 1e-12], [1e-12, 1e-12, 1.0]]))
+        got = trainer_mod._feedback(log_probs, True, np.random.default_rng(0))
+        np.testing.assert_array_equal(got, [1, 2])
 
 
 class TestRunTraining:
