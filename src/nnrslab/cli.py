@@ -66,21 +66,52 @@ def _sha256(path) -> str:
 
 
 class _DirLock:
-    """O_EXCL lockfile; concurrent runs must use distinct out dirs."""
+    """O_EXCL lockfile holding the owner's pid; concurrent runs must use
+    distinct out dirs.
+
+    A lock whose pid names no running process (a killed run) is stale
+    and is replaced. A live or unreadable pid refuses the directory. Two
+    runs that find the same stale lock at the same moment can both take
+    it over; the lock guards against mistakes, not against races.
+    """
 
     def __init__(self, out_dir):
         self.path = os.path.join(out_dir, ".lock")
 
     def __enter__(self):
-        try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise UsageError(
-                "output directory is locked (%s exists); another run may be active" % self.path
-            ) from None
+        for retry in (False, True):
+            try:
+                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                break
+            except FileExistsError:
+                if retry or not self._remove_if_stale():
+                    raise UsageError(
+                        "output directory is locked (%s exists); another run may be active"
+                        % self.path
+                    ) from None
         os.write(fd, ("%d\n" % os.getpid()).encode("ascii"))
         os.close(fd)
         return self
+
+    def _remove_if_stale(self) -> bool:
+        try:
+            with open(self.path, encoding="ascii") as fh:
+                pid = int(fh.read().strip())
+        except (OSError, ValueError):
+            return False
+        if pid <= 0:
+            return False
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            try:
+                os.unlink(self.path)
+            except FileNotFoundError:
+                pass
+            return True
+        except OSError:  # PermissionError: alive, owned by another user
+            return False
+        return False
 
     def __exit__(self, *exc_info):
         try:

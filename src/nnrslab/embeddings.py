@@ -17,7 +17,8 @@ class EmbeddingMatrix:
     """|V| x d embedding block with cached row norms.
 
     `zero_rows` flags rows whose raw L2 norm is zero; these are excluded
-    from neighbor candidacy instead of erroring.
+    from neighbor candidacy instead of erroring. Rows holding inf or NaN
+    are rejected: they would turn whole neighbor rows into NaN.
     """
 
     vectors: np.ndarray
@@ -30,6 +31,9 @@ class EmbeddingMatrix:
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim != 2:
             raise ValueError("embedding matrix must be 2-D")
+        bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+        if bad.size:
+            raise ValueError("embedding row %d has a non-finite value" % bad[0])
         norms = np.linalg.norm(vectors, axis=1)
         zero = frozenset(int(i) for i in np.flatnonzero(norms == 0.0))
         return cls(vectors=vectors, dim=vectors.shape[1], norms=norms, zero_rows=zero)
@@ -45,12 +49,13 @@ def load_embeddings(path, vocab, dim: int, fallback_seed: int = 0) -> EmbeddingM
     uniformly from [-0.5/d, 0.5/d) with a generator seeded by
     `fallback_seed`; draws happen in vocabulary-id order, so the result is
     run-to-run identical for a fixed file, vocabulary and seed. Raises
-    ValueError with the offending line number on malformed lines, and on
-    any dimensionality mismatch.
+    ValueError with the offending line number on malformed lines and on
+    lines holding inf or NaN, and on any dimensionality mismatch.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     found: dict[int, np.ndarray] = {}
+    line_of: dict[int, int] = {}
     with open(path, encoding="utf-8") as fh:
         lines = fh.readlines()
     start = 0
@@ -81,6 +86,7 @@ def load_embeddings(path, vocab, dim: int, fallback_seed: int = 0) -> EmbeddingM
             found[wid] = np.array([float(v) for v in values], dtype=np.float64)
         except ValueError as exc:
             raise ValueError("malformed embedding line %d: %s" % (lineno, exc)) from exc
+        line_of[wid] = lineno
 
     rng = np.random.default_rng(fallback_seed)
     vectors = np.empty((len(vocab), dim), dtype=np.float64)
@@ -89,6 +95,10 @@ def load_embeddings(path, vocab, dim: int, fallback_seed: int = 0) -> EmbeddingM
             vectors[wid] = found[wid]
         else:
             vectors[wid] = rng.uniform(-0.5 / dim, 0.5 / dim, size=dim)
+    bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+    if bad.size:  # only file rows can be non-finite; report the earliest line
+        raise ValueError("non-finite value in embedding line %d"
+                         % min(line_of[int(w)] for w in bad))
     return EmbeddingMatrix.from_vectors(vectors)
 
 

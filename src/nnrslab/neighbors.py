@@ -8,6 +8,12 @@ Low tau concentrates mass on the closest neighbor; high tau flattens
 toward uniform. tau is kept inside [0.5, 10] so the distribution is
 never degenerate in either direction.
 
+The neighbor build never holds the |V| x |V| similarity matrix: it
+scores one block of rows at a time against every valid row, so working
+memory is O(rows * |V|) with a block of about 2^20 similarities. The
+block shape depends only on the number of valid rows, which keeps
+reruns byte-identical (matrix-product bits depend on operand shape).
+
 The transition table is the replacement-sampling baseline: per word,
 the top-k successors by corpus bigram count, renormalized.
 """
@@ -24,6 +30,10 @@ TAU_MIN = 0.5
 TAU_MAX = 10.0
 
 _ROW_SUM_TOL = 1e-9
+
+# Similarities scored per block in build_neighbor_table (8 MiB of float64).
+# Fixed, not tunable: sims bits depend on the block shape.
+_BLOCK_ELEMS = 1 << 20
 
 
 def clamp_tau(tau: float) -> float:
@@ -99,28 +109,44 @@ def build_neighbor_table(emb: EmbeddingMatrix, k: int, tau: float = 1.0) -> Neig
 
     Only words with nonzero embedding rows are neighbor candidates;
     `k` must leave every valid word at least k candidates besides itself.
+
+    Rows are scored in blocks of max(1, _BLOCK_ELEMS // m) against all m
+    valid rows, so memory is O(rows * m), never O(m^2). Per row, every
+    candidate at or above the k-th largest similarity is kept, so all
+    ties at the k-th value survive to the final order: similarity
+    descending, ties to the smaller id.
     """
     n = len(emb)
     valid = np.flatnonzero(emb.norms > 0.0)
-    if k < 1 or k >= valid.size:
+    m = valid.size
+    if k < 1 or k >= m:
         raise ValueError(
-            "k must satisfy 1 <= k < number of valid rows (%d), got %d" % (valid.size, k)
+            "k must satisfy 1 <= k < number of valid rows (%d), got %d" % (m, k)
         )
     if not TAU_MIN <= tau <= TAU_MAX:
         raise ValueError("tau must be in [%g, %g], got %g" % (TAU_MIN, TAU_MAX, tau))
 
     unit = emb.vectors[valid] / emb.norms[valid, None]
-    sim = np.clip(unit @ unit.T, -1.0, 1.0)
-
     ids = np.tile(np.arange(n, dtype=np.int64)[:, None], (1, k))
     sims = np.zeros((n, k), dtype=np.float64)
-    for row, wid in enumerate(valid):
-        cand = np.delete(valid, row)
-        scores = np.delete(sim[row], row)
-        # lexsort: primary key similarity descending, ties to smaller id
-        order = np.lexsort((cand, -scores))[:k]
-        ids[wid] = cand[order]
-        sims[wid] = scores[order]
+    step = max(1, _BLOCK_ELEMS // m)
+    slots = np.arange(k)
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        s = unit[lo:hi] @ unit.T
+        np.clip(s, -1.0, 1.0, out=s)
+        local = np.arange(hi - lo)
+        s[local, lo + local] = -np.inf  # self is never a candidate; k < m keeps kth finite
+        kth = np.partition(s, m - k, axis=1)[:, m - k]
+        flat = np.flatnonzero(s >= kth[:, None])  # far cheaper than 2-D nonzero
+        row, col = np.divmod(flat, m)
+        cand = s.ravel()[flat]
+        order = np.lexsort((col, -cand, row))
+        # row is ascending and each row keeps >= k candidates: row r's
+        # ordered run starts where r first appears in row
+        take = order[np.searchsorted(row, local)[:, None] + slots]
+        ids[valid[lo:hi]] = valid[col[take]]
+        sims[valid[lo:hi]] = cand[take]
 
     probs = _softmax_rows(sims / tau)
     return NeighborTable(
@@ -162,36 +188,40 @@ def centroid(table: NeighborTable, emb: EmbeddingMatrix, word: int,
 
 
 def build_transition_table(corpus_ids, vocab, k: int) -> TransitionTable:
-    """Top-k bigram successors per word from a training id stream."""
+    """Top-k bigram successors per word from a training id stream.
+
+    Successors are ranked by count descending, ties to the smaller id;
+    probs are each kept count over the kept row total.
+    """
     corpus_ids = np.asarray(corpus_ids, dtype=np.int64)
     if corpus_ids.size == 0:
         raise ValueError("empty corpus")
     if k < 1:
         raise ValueError("k must be >= 1, got %d" % k)
     n = len(vocab)
-    successors: list[dict[int, int]] = [dict() for _ in range(n)]
-    for prev, nxt in zip(corpus_ids[:-1], corpus_ids[1:]):
-        row = successors[prev]
-        row[int(nxt)] = row.get(int(nxt), 0) + 1
+    if corpus_ids.min() < 0 or corpus_ids.max() >= n:
+        raise ValueError("corpus ids must lie in [0, %d)" % n)
+    codes, counts = np.unique(corpus_ids[:-1] * n + corpus_ids[1:], return_counts=True)
+    prev, succ = np.divmod(codes, n)
+    order = np.lexsort((succ, -counts, prev))
+    prev, succ, counts = prev[order], succ[order], counts[order]
+    rank = np.arange(prev.size) - np.searchsorted(prev, prev)
+    keep = rank < k
+    prev, succ, counts, rank = prev[keep], succ[keep], counts[keep], rank[keep]
 
     ids = np.tile(np.arange(n, dtype=np.int64)[:, None], (1, k))
     probs = np.zeros((n, k), dtype=np.float64)
-    for wid, row in enumerate(successors):
-        if not row:
-            probs[wid, 0] = 1.0  # self-loop fallback
-            continue
-        top = sorted(row.items(), key=lambda it: (-it[1], it[0]))[:k]
-        total = sum(c for _, c in top)
-        for slot, (succ, count) in enumerate(top):
-            ids[wid, slot] = succ
-            probs[wid, slot] = count / total
+    totals = np.bincount(prev, weights=counts, minlength=n)  # integer-valued, exact
+    ids[prev, rank] = succ
+    probs[prev, rank] = counts / totals[prev]
+    probs[totals == 0, 0] = 1.0  # self-loop fallback
     return TransitionTable(k=k, ids=ids, probs=probs)
 
 
 def _check_row_sums(probs: np.ndarray, what: str) -> None:
     sums = probs.sum(axis=1)
     worst = float(np.abs(sums - 1.0).max())
-    if worst > _ROW_SUM_TOL:
+    if not worst <= _ROW_SUM_TOL:  # NaN rows fail too
         raise ValueError("%s row sums off by %.3g (tolerance %g)" % (what, worst, _ROW_SUM_TOL))
 
 
@@ -224,21 +254,18 @@ def save_table_csv(path, table) -> None:
     Transition tables have no similarity column and omit it.
     """
     has_sims = isinstance(table, NeighborTable)
+    n, k = table.ids.shape
+    cols = [np.repeat(np.arange(n), k).tolist(), table.ids.ravel().tolist()]
+    if has_sims:
+        cols.append(map(repr, table.sims.ravel().tolist()))
+    cols.append(map(repr, table.probs.ravel().tolist()))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         if has_sims:
             writer.writerow(["word_id", "neighbor_id", "sim", "prob"])
         else:
             writer.writerow(["word_id", "neighbor_id", "prob"])
-        for wid in range(len(table)):
-            for slot in range(table.k):
-                if has_sims:
-                    writer.writerow([wid, table.ids[wid, slot],
-                                     repr(float(table.sims[wid, slot])),
-                                     repr(float(table.probs[wid, slot]))])
-                else:
-                    writer.writerow([wid, table.ids[wid, slot],
-                                     repr(float(table.probs[wid, slot]))])
+        writer.writerows(zip(*cols))
 
 
 def load_table_csv(path, tau: float = 1.0):

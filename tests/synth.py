@@ -119,3 +119,29 @@ def brute_force_topk(vectors: np.ndarray, k: int):
             ids[w, slot] = u
             sims[w, slot] = s
     return ids, sims
+
+
+def reference_transition_table(corpus_ids, n: int, k: int):
+    """Reference top-k bigram successors with a dict of counts per word.
+
+    Same contract as the package builder (count descending, ties to the
+    smaller id, probs over the kept row total, self-loop rows for words
+    never followed, self-id padding at probability 0), one bigram at a
+    time.
+    """
+    successors = [dict() for _ in range(n)]
+    for prev, nxt in zip(corpus_ids[:-1], corpus_ids[1:]):
+        row = successors[int(prev)]
+        row[int(nxt)] = row.get(int(nxt), 0) + 1
+    ids = np.tile(np.arange(n, dtype=np.int64)[:, None], (1, k))
+    probs = np.zeros((n, k), dtype=np.float64)
+    for wid, row in enumerate(successors):
+        if not row:
+            probs[wid, 0] = 1.0
+            continue
+        top = sorted(row.items(), key=lambda it: (-it[1], it[0]))[:k]
+        total = sum(c for _, c in top)
+        for slot, (succ, count) in enumerate(top):
+            ids[wid, slot] = succ
+            probs[wid, slot] = count / total
+    return ids, probs

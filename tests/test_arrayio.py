@@ -1,0 +1,39 @@
+"""Byte-stable, crash-safe array archives."""
+
+import numpy as np
+import pytest
+
+from nnrslab.arrayio import load_arrays, save_arrays
+
+
+def test_round_trip_and_byte_stable(tmp_path):
+    arrays = dict(b=np.arange(6).reshape(2, 3), a=np.linspace(0.0, 1.0, 5))
+    first, second = tmp_path / "one.bin", tmp_path / "two.bin"
+    save_arrays(first, **arrays)
+    save_arrays(second, **arrays)
+    assert first.read_bytes() == second.read_bytes()
+    back = load_arrays(first)
+    assert sorted(back) == ["a", "b"]
+    np.testing.assert_array_equal(back["b"], arrays["b"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["one.bin", "two.bin"]
+
+
+def test_failed_save_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "ckpt.bin"
+    save_arrays(path, a=np.zeros(3), b=np.ones(3))
+    before = path.read_bytes()
+    real = np.lib.format.write_array
+    calls = []
+
+    def fail_second(fh, array, *args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:  # the first member is already in the archive
+            raise OSError("disk full")
+        return real(fh, array, *args, **kwargs)
+
+    monkeypatch.setattr(np.lib.format, "write_array", fail_second)
+    with pytest.raises(OSError, match="disk full"):
+        save_arrays(path, a=np.full(3, 7.0), b=np.full(3, 8.0))
+    assert len(calls) == 2
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 
@@ -102,8 +103,41 @@ class TestIndex:
     def test_locked_dir_is_usage_error(self, corpus, embeddings, tmp_path, capsys):
         out = tmp_path / "index"
         out.mkdir()
-        (out / ".lock").write_text("123\n")
+        (out / ".lock").write_text("%d\n" % os.getpid())  # a live owner
         assert self._run(corpus, embeddings, out) == 2
+        capsys.readouterr()
+
+    def test_unreadable_lock_is_usage_error(self, corpus, embeddings, tmp_path, capsys):
+        out = tmp_path / "index"
+        out.mkdir()
+        for text in ("not a pid\n", "", "0\n", "-1\n"):
+            (out / ".lock").write_text(text)
+            assert self._run(corpus, embeddings, out) == 2
+            assert (out / ".lock").read_text() == text
+        capsys.readouterr()
+
+    def test_lock_of_other_users_process_is_usage_error(self, corpus, embeddings, tmp_path,
+                                                        capsys, monkeypatch):
+        out = tmp_path / "index"
+        out.mkdir()
+        (out / ".lock").write_text("4242\n")
+
+        def kill(pid, sig):
+            raise PermissionError("not permitted")  # alive, owned by someone else
+
+        monkeypatch.setattr(cli_mod.os, "kill", kill)
+        assert self._run(corpus, embeddings, out) == 2
+        capsys.readouterr()
+
+    def test_stale_lock_is_replaced(self, corpus, embeddings, tmp_path, capsys):
+        out = tmp_path / "index"
+        out.mkdir()
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        assert child.wait(timeout=60) == 0  # reaped: its pid names no process
+        (out / ".lock").write_text("%d\n" % child.pid)
+        assert self._run(corpus, embeddings, out) == 0
+        assert not (out / ".lock").exists()
+        assert (out / "neighbors.bin").exists()
         capsys.readouterr()
 
 

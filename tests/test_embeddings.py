@@ -40,6 +40,19 @@ class TestLoadEmbeddings:
         with pytest.raises(ValueError, match="line 2"):
             load_embeddings(path, vocab, dim=2)
 
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    def test_non_finite_line_reports_number(self, tmp_path, bad):
+        vocab = build_vocabulary(["a", "b", "c"], min_count=1)
+        path = _write(tmp_path / "e.txt", "2 2\na 1 0\nb 1 %s\nc 0 %s\n" % (bad, bad))
+        with pytest.raises(ValueError, match="line 3"):
+            load_embeddings(path, vocab, dim=2)
+
+    def test_non_finite_out_of_vocab_line_ignored(self, tmp_path):
+        vocab = build_vocabulary(["a"], min_count=1)
+        path = _write(tmp_path / "e.txt", "a 1 0\nzz nan 1\n")
+        emb = load_embeddings(path, vocab, dim=2)
+        assert np.isfinite(emb.vectors).all()
+
     def test_fallback_rows_deterministic(self, tmp_path):
         vocab = build_vocabulary(["a", "b"], min_count=1)
         path = _write(tmp_path / "e.txt", "a 1 0\n")
@@ -99,6 +112,14 @@ class TestNormalizeRows:
         once = normalize_rows(emb)
         twice = normalize_rows(once)
         np.testing.assert_allclose(twice.vectors, once.vectors, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_from_vectors_rejects_non_finite_rows(self, bad):
+        vecs = np.ones((4, 3))
+        vecs[2, 1] = bad
+        vecs[3, 0] = bad
+        with pytest.raises(ValueError, match="row 2 "):
+            EmbeddingMatrix.from_vectors(vecs)
 
     def test_from_vectors_requires_2d(self):
         with pytest.raises(ValueError):

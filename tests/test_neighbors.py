@@ -1,10 +1,14 @@
 """Neighbor and transition tables: construction, sampling, serialization."""
 
+import csv
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import nnrslab.neighbors as neighbors_mod
 from nnrslab.embeddings import EmbeddingMatrix
 from nnrslab.neighbors import (
     NeighborTable,
@@ -23,7 +27,30 @@ from nnrslab.neighbors import (
     save_table_csv,
 )
 from nnrslab.vocab import build_vocabulary
-from synth import brute_force_topk
+from synth import brute_force_topk, reference_transition_table
+
+
+@st.composite
+def quarter_cosine_embeddings(draw):
+    """Rows with exactly four +-1 entries (norm 2) or all zeros.
+
+    Every cosine is an exact multiple of 1/4 in any summation order, so
+    ties are exact and the table can be compared bit for bit.
+    """
+    dim = draw(st.integers(4, 7))
+    n = draw(st.integers(2, 16))
+    vectors = np.zeros((n, dim))
+    for row in range(n):
+        if draw(st.integers(0, 4)) == 0:
+            continue  # zero row, flagged
+        cols = draw(st.lists(st.integers(0, dim - 1), min_size=4, max_size=4, unique=True))
+        vectors[row, cols] = draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                                           min_size=4, max_size=4))
+    valid = int((np.abs(vectors).sum(axis=1) > 0).sum())
+    assume(valid >= 2)
+    k = draw(st.integers(1, valid - 1))
+    block_rows = draw(st.integers(1, 3))
+    return vectors, k, block_rows * valid
 
 
 class TestCosine:
@@ -72,12 +99,39 @@ class TestBuildNeighborTable:
         assert table.ids[0, 0] == 1 and table.sims[0, 0] == 1.0
         assert table.ids[1, 0] == 0 and table.sims[1, 0] == 1.0
 
+    def test_sims_clipped_to_one(self):
+        # with OpenBLAS's Haswell kernels the duplicates' cosine rounds to
+        # 1.0000000000000002 before the clip
+        v = [0.9034701816518086, 0.09401229776087457, -0.7434992493538084]
+        emb = EmbeddingMatrix.from_vectors(np.array([v, v, [1.0, 0.0, 0.0]]))
+        table = build_neighbor_table(emb, k=1)
+        np.testing.assert_array_equal(table.sims[:2, 0], [1.0, 1.0])
+
     def test_matches_brute_force(self, rng):
         emb = EmbeddingMatrix.from_vectors(rng.normal(size=(50, 16)))
         table = build_neighbor_table(emb, k=6)
         ids, sims = brute_force_topk(emb.vectors, 6)
         np.testing.assert_array_equal(table.ids, ids)
         np.testing.assert_allclose(table.sims, sims, atol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(quarter_cosine_embeddings())
+    def test_blocked_build_matches_brute_force_exactly(self, case):
+        vectors, k, block_elems = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neighbors_mod, "_BLOCK_ELEMS", block_elems)  # 1-3 rows per block
+            table = build_neighbor_table(EmbeddingMatrix.from_vectors(vectors), k)
+        ids, sims = brute_force_topk(vectors, k)
+        np.testing.assert_array_equal(table.ids, ids)
+        np.testing.assert_array_equal(table.sims, sims)
+
+    def test_block_size_keeps_ids(self, rng, monkeypatch):
+        emb = EmbeddingMatrix.from_vectors(rng.normal(size=(40, 8)))
+        whole = build_neighbor_table(emb, k=5)
+        monkeypatch.setattr(neighbors_mod, "_BLOCK_ELEMS", 3 * 40)
+        blocked = build_neighbor_table(emb, k=5)
+        np.testing.assert_array_equal(blocked.ids, whole.ids)
+        np.testing.assert_allclose(blocked.sims, whole.sims, rtol=0, atol=1e-15)
 
     def test_k_bounds(self, rng):
         emb = EmbeddingMatrix.from_vectors(rng.normal(size=(5, 3)))
@@ -256,6 +310,25 @@ class TestBuildTransitionTable:
         a = vocab.id("a")
         assert table.ids[a, 0] == min(vocab.id("b"), vocab.id("c"))
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=60),
+        st.integers(1, 4))))
+    def test_matches_dict_reference(self, case):
+        n, corpus, k = case  # small vocabularies make count ties common
+        vocab = ["w%d" % i for i in range(n)]
+        table = build_transition_table(corpus, vocab, k)
+        ids, probs = reference_transition_table(corpus, n, k)
+        np.testing.assert_array_equal(table.ids, ids)
+        np.testing.assert_array_equal(table.probs, probs)
+
+    def test_out_of_range_ids_error(self):
+        vocab = self._vocab(["a", "b"])
+        for bad in ([0, len(vocab), 1], [0, -1, 1]):
+            with pytest.raises(ValueError, match="corpus ids"):
+                build_transition_table(bad, vocab, k=1)
+
     def test_row_sums(self, rng):
         vocab = self._vocab(["t%d" % i for i in range(20)])
         ids = rng.integers(0, len(vocab), size=500)
@@ -294,6 +367,44 @@ class TestSerialization:
         save_table(path, broken)
         with pytest.raises(ValueError, match="row sums"):
             load_table(path)
+
+    def test_load_rejects_nan_rows(self, tmp_path, rng):
+        emb = EmbeddingMatrix.from_vectors(rng.normal(size=(8, 3)))
+        table = build_neighbor_table(emb, k=2)
+        probs = table.probs.copy()
+        probs[3] = np.nan
+        path = tmp_path / "nan.bin"
+        save_table(path, dataclasses.replace(table, probs=probs))
+        with pytest.raises(ValueError, match="row sums"):
+            load_table(path)
+
+    @staticmethod
+    def _rowwise_csv(path, table):
+        """The one-writerow-per-slot writer the CSV bytes are pinned to."""
+        has_sims = isinstance(table, NeighborTable)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["word_id", "neighbor_id", "sim", "prob"] if has_sims
+                            else ["word_id", "neighbor_id", "prob"])
+            for wid in range(len(table)):
+                for slot in range(table.k):
+                    row = [wid, table.ids[wid, slot]]
+                    if has_sims:
+                        row.append(repr(float(table.sims[wid, slot])))
+                    row.append(repr(float(table.probs[wid, slot])))
+                    writer.writerow(row)
+
+    def test_csv_bytes_match_rowwise_writer(self, tmp_path, rng):
+        vecs = rng.normal(size=(25, 6))
+        vecs[4] = 0.0  # flagged placeholder row
+        neigh = build_neighbor_table(EmbeddingMatrix.from_vectors(vecs), k=4, tau=0.7)
+        vocab = build_vocabulary(["t%d" % i for i in range(15)], min_count=1)
+        trans = build_transition_table(rng.integers(0, 15, size=200), vocab, k=3)
+        for name, table in (("n", neigh), ("t", trans)):
+            fast, slow = tmp_path / (name + "_fast.csv"), tmp_path / (name + "_slow.csv")
+            save_table_csv(fast, table)
+            self._rowwise_csv(slow, table)
+            assert fast.read_bytes() == slow.read_bytes()
 
     def test_csv_round_trip(self, tmp_path, rng):
         emb = EmbeddingMatrix.from_vectors(rng.normal(size=(9, 5)))
