@@ -12,8 +12,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.special import rel_entr
 
 from .embeddings import EmbeddingMatrix
 from .model import advance, step
@@ -82,6 +80,8 @@ def _similarity_matrix(pred_ids, target_ids, emb: EmbeddingMatrix) -> np.ndarray
 
 def _exact_transport_similarity(sims: np.ndarray) -> float:
     """Maximum-similarity optimal transport with uniform token mass."""
+    from scipy.optimize import linprog  # only this exact variant needs scipy
+
     n, m = sims.shape
     a_eq = np.zeros((n + m, n * m))
     for i in range(n):
@@ -175,6 +175,8 @@ class ToyChain:
 
 
 def _kl(p, q) -> float:
+    from scipy.special import rel_entr  # only the KL diagnostic needs scipy
+
     return float(rel_entr(p, q).sum())
 
 

@@ -14,21 +14,28 @@ Fused gate blocks are ordered [input, forget, cell, output] along the
 (B, d) vectors per step, the latter carrying centroid-style inputs;
 backward then reports the gradient wrt those vectors.
 
-Only the recurrence runs per timestep: both LSTM cells in the forward,
-and in backward the dz @ Wh^T carries plus layer 2's dz @ Wx^T. Work
-outside the recurrence runs once per BPTT window on (T*B, .) arrays
-stacked in (t, b) row order: the output projection and log-softmax in
-forward_window (validation, evaluation), and in backward the output
-layer, every weight gradient, layer 1's input gradients and the
-embedding scatter. The training forward still calls step once per
-timestep, because a scheduled-sampling input at step t is the model's
-own prediction from step t - 1.
+Forward paths run layer by layer over a span of timesteps whose
+inputs are all known: one input projection per layer over the span's
+(T*B, .) rows stacked in (t, b) order, the recurrence per step (_cell,
+shared by every path), then one output projection and log-softmax.
+Training (forward_segment) cuts each BPTT window before every
+scheduled-sampling step, whose input is the model's own prediction
+from the step before; validation and evaluation (forward_window) run
+whole windows. The results land in a ForwardCache of (T, B, .) arrays.
+step is the one-step API, used for decoding and as the reference the
+window paths are tested against bit for bit.
+
+backward runs only the recurrence per timestep (layer 2's reverse pass,
+then layer 1's); the output layer, every weight gradient, the input
+gradients and the embedding scatter are one product each per window.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
+
+from .neighbors import categorical_draws
 
 
 @dataclass
@@ -89,46 +96,58 @@ class LstmLm:
                 for _ in range(2)]
 
 
-def _lookup(model: LstmLm, x):
-    """Resolve a step input to (vectors, ids-or-None)."""
+def _step_input(model: LstmLm, x):
+    """One step's input as (ids (B,), None) or (None, vectors (B, d))."""
     x = np.asarray(x)
     if np.issubdtype(x.dtype, np.integer):
-        ids = x.reshape(-1)
-        if ids.size and (ids.min() < 0 or ids.max() >= model.vocab_size):
-            raise ValueError("token id out of range [0, %d)" % model.vocab_size)
-        return model.params["embed"][ids], ids
+        return x.reshape(-1), None
     vec = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if vec.shape[1] != model.dim:
         raise ValueError("input vector dim %d != %d" % (vec.shape[1], model.dim))
-    return vec, None
+    return None, vec
 
 
-def _cells(model: LstmLm, xvec, state, layers=None):
-    """Both LSTM cells for one timestep. Returns (top h, new_state).
+def _check_ids(model: LstmLm, ids: np.ndarray) -> None:
+    if ids.size and (ids.min() < 0 or ids.max() >= model.vocab_size):
+        raise ValueError("token id out of range [0, %d)" % model.vocab_size)
 
-    With a `layers` list, appends each layer's backward cache to it.
+
+@functools.lru_cache(maxsize=None)
+def _gate_affine(hidden: int):
+    """Per-gate (scale, offset), each (4, 1, H), over [i, f, g, o].
+
+    tanh(z * s) * s + a is the logistic sigmoid where s = a = 0.5
+    (sigmoid(z) = (1 + tanh(z / 2)) / 2, and halving is exact) and tanh
+    where s = 1, a = 0, so all four gates take four whole-block ops.
     """
-    p = model.params
-    h = model.hidden
-    inp = xvec
-    new_state = []
-    for layer, (h_prev, c_prev) in zip((1, 2), state):
-        z = inp @ p["lstm%d_Wx" % layer] + h_prev @ p["lstm%d_Wh" % layer] + p["lstm%d_b" % layer]
-        i = expit(z[:, :h])
-        f = expit(z[:, h:2 * h])
-        g = np.tanh(z[:, 2 * h:3 * h])
-        o = expit(z[:, 3 * h:])
-        c = f * c_prev + i * g
-        tc = np.tanh(c)
-        hh = o * tc
-        if layers is not None:
-            layers.append(
-                {"inp": inp, "h_prev": h_prev, "c_prev": c_prev,
-                 "i": i, "f": f, "g": g, "o": o, "c": c, "tc": tc}
-            )
-        new_state.append((hh, c))
-        inp = hh
-    return inp, new_state
+    scale = np.full((4, 1, hidden), 0.5)
+    offset = np.full((4, 1, hidden), 0.5)
+    scale[2] = 1.0
+    offset[2] = 0.0
+    return scale, offset
+
+
+def _cell(z, h_prev, c_prev, wh, gates, c, tc, h):
+    """One LSTM cell update for one timestep.
+
+    z (B, 4H) holds the input projection x @ Wx + b and is overwritten.
+    Fills gates (4, B, H) with the activated [i, f, g, o] blocks, each a
+    contiguous (B, H) array, then the new cell state c, tanh(c) as tc,
+    and the new hidden state h. Every forward path runs this, so all
+    share the addition order (x @ Wx + b) + h_prev @ Wh.
+    """
+    batch, hid = h.shape
+    scale, offset = _gate_affine(hid)
+    z += h_prev @ wh
+    np.multiply(z.reshape(batch, 4, hid).transpose(1, 0, 2), scale, out=gates)
+    np.tanh(gates, out=gates)
+    gates *= scale
+    gates += offset
+    i, f, g, o = gates
+    np.multiply(f, c_prev, out=c)
+    c += i * g
+    np.tanh(c, out=tc)
+    np.multiply(o, tc, out=h)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -138,92 +157,189 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
-def _output_layer(model: LstmLm, top: np.ndarray) -> np.ndarray:
-    """Log-probs (N, |V|) from top hidden rows (N, H)."""
-    return _log_softmax(top @ model.params["W_out"] + model.params["b_out"])
+class ForwardCache:
+    """A forward pass over T timesteps of B rows, as (T, B, .) arrays.
+
+    ids (T, B), or None for raw-vector inputs; x (T, B, d) the input
+    vectors. Per layer (index 0 and 1): gates (T, 4, B, H) the activated
+    [i, f, g, o] blocks, tc (T, B, H) tanh of the cell state, and h and c
+    (T + 1, B, H) with row 0 the initial state. log_probs (T, B, |V|).
+    final_state is the state after the last step run; input_grads
+    (T, B, d) is filled by backward.
+
+    ForwardCache(steps, final_state, batch_size) joins consecutive caches
+    returned by `step` into one window cache.
+    """
+
+    def __init__(self, steps, final_state, batch_size):
+        steps = list(steps)
+        if not steps:
+            raise ValueError("need at least one timestep")
+        fed = [s.ids is not None for s in steps]
+        if any(fed) and not all(fed):
+            raise ValueError("steps mix token ids and raw vectors")
+        self.ids = np.concatenate([s.ids for s in steps]) if fed[0] else None
+        self.x = np.concatenate([s.x for s in steps])
+        self.gates = [np.concatenate([s.gates[k] for s in steps]) for k in (0, 1)]
+        self.tc = [np.concatenate([s.tc[k] for s in steps]) for k in (0, 1)]
+        self.h = [np.concatenate([steps[0].h[k][:1]] + [s.h[k][1:] for s in steps])
+                  for k in (0, 1)]
+        self.c = [np.concatenate([steps[0].c[k][:1]] + [s.c[k][1:] for s in steps])
+                  for k in (0, 1)]
+        self.log_probs = np.concatenate([s.log_probs for s in steps])
+        self.final_state = final_state
+        self.batch_size = batch_size
+        self.input_grads = None
+
+    @classmethod
+    def window(cls, model: LstmLm, state, ids=None, x=None) -> "ForwardCache":
+        """Empty cache for ids (T, B) or raw vectors x (T, B, d), with
+        `state` in row 0; nothing is run yet. Copies its inputs."""
+        if ids is not None:
+            ids = np.array(ids, dtype=np.int64)
+            _check_ids(model, ids)
+            t_len, batch = ids.shape
+        else:
+            x = np.array(x, dtype=np.float64)
+            t_len, batch = x.shape[:2]
+        cache = cls.__new__(cls)
+        cache.ids = ids
+        cache.x = np.empty((t_len, batch, model.dim)) if x is None else x
+        cache.gates = [np.empty((t_len, 4, batch, model.hidden)) for _ in (0, 1)]
+        cache.tc = [np.empty((t_len, batch, model.hidden)) for _ in (0, 1)]
+        cache.h, cache.c = [], []
+        for h0, c0 in state:
+            for rows, first in ((cache.h, h0), (cache.c, c0)):
+                arr = np.empty((t_len + 1, batch, model.hidden))
+                arr[0] = first
+                rows.append(arr)
+        cache.log_probs = np.empty((t_len, batch, model.vocab_size))
+        cache.final_state = state
+        cache.batch_size = batch
+        cache.input_grads = None
+        return cache
+
+    def __len__(self):
+        return self.x.shape[0]
+
+
+def _layers(model: LstmLm, cache: ForwardCache, lo: int, hi: int, output: bool = True):
+    """Run timesteps lo..hi-1 of `cache` layer by layer.
+
+    Per layer: one input projection over the n * B rows of all n steps,
+    then the recurrence per step; then one output projection and
+    log-softmax over all rows. Leaves the state after step hi - 1 in
+    cache.final_state.
+    """
+    p = model.params
+    rows = (hi - lo) * cache.batch_size
+    if cache.ids is not None:
+        cache.x[lo:hi] = p["embed"][cache.ids[lo:hi]]
+    inp = cache.x[lo:hi]
+    for layer, (gates, h, c, tc) in enumerate(zip(cache.gates, cache.h, cache.c, cache.tc), 1):
+        z = inp.reshape(rows, -1) @ p["lstm%d_Wx" % layer]
+        z += p["lstm%d_b" % layer]
+        z = z.reshape(hi - lo, cache.batch_size, -1)
+        wh = p["lstm%d_Wh" % layer]
+        for t in range(lo, hi):
+            _cell(z[t - lo], h[t], c[t], wh, gates[t], c[t + 1], tc[t], h[t + 1])
+        inp = h[lo + 1:hi + 1]
+    if output:
+        logits = cache.log_probs[lo:hi].reshape(rows, -1)
+        np.matmul(inp.reshape(rows, -1), p["W_out"], out=logits)
+        logits += p["b_out"]
+        _log_softmax(logits)
+    cache.final_state = [(h[hi], c[hi]) for h, c in zip(cache.h, cache.c)]
+    return cache
+
+
+def _step_cache(model: LstmLm, x, state) -> ForwardCache:
+    ids, vec = _step_input(model, x)
+    if ids is not None:
+        return ForwardCache.window(model, state, ids=ids[None])
+    return ForwardCache.window(model, state, x=vec[None])
 
 
 def step(model: LstmLm, x, state):
-    """One timestep. Returns (log_probs (B,|V|), new_state, cache)."""
-    xvec, ids = _lookup(model, x)
-    cache = {"x": xvec, "ids": ids, "layers": []}
-    top, new_state = _cells(model, xvec, state, cache["layers"])
-    log_probs = _output_layer(model, top)
-    cache["top"] = top
-    cache["log_probs"] = log_probs
-    return log_probs, new_state, cache
+    """One timestep. Returns (log_probs (B,|V|), new_state, cache).
+
+    The one-step API for decoding and the reference the window paths
+    are tested against; the cache is a one-step ForwardCache.
+    """
+    cache = _layers(model, _step_cache(model, x, state), 0, 1)
+    return cache.log_probs[0], cache.final_state, cache
 
 
 def advance(model: LstmLm, x, state):
     """Cells-only timestep: the new state, without the output layer."""
-    return _cells(model, _lookup(model, x)[0], state)[1]
+    return _layers(model, _step_cache(model, x, state), 0, 1, output=False).final_state
+
+
+def forward_segment(model: LstmLm, cache: ForwardCache, lo: int, hi: int) -> ForwardCache:
+    """Training forward of timesteps lo..hi-1, whose ids are all set.
+
+    Every step's bits equal those of `step` on the same input and state:
+    a row of a stacked matrix product equals the per-step product. At
+    B = 1 numpy hands a one-row product to BLAS's matrix-vector kernel,
+    whose bits differ from a matrix-matrix row, so there the steps run
+    one at a time.
+    """
+    if cache.batch_size > 1:
+        return _layers(model, cache, lo, hi)
+    for t in range(lo, hi):
+        _layers(model, cache, t, t + 1)
+    return cache
 
 
 def forward_window(model: LstmLm, inputs, state):
     """Inference over one (B, T) id window, state carried.
 
-    Runs only the cells per timestep, then one (T*B, H) x (H, |V|)
-    projection. Returns (log_probs (T, B, |V|), final_state); no
-    backward cache is built.
+    Returns (log_probs (T, B, |V|), final_state), from one input
+    projection per layer and one output projection for the window.
     """
-    inputs = np.asarray(inputs)
-    batch, width = inputs.shape
-    xvecs, _ = _lookup(model, inputs.T)
-    xvecs = xvecs.reshape(width, batch, model.dim)
-    tops = np.empty((width, batch, model.hidden))
-    for t in range(width):
-        tops[t], state = _cells(model, xvecs[t], state)
-    log_probs = _output_layer(model, tops.reshape(width * batch, model.hidden))
-    return log_probs.reshape(width, batch, model.vocab_size), state
+    ids = np.asarray(inputs).T
+    cache = _layers(model, ForwardCache.window(model, state, ids=ids), 0, ids.shape[0])
+    return cache.log_probs, cache.final_state
 
 
-class ForwardCache:
-    """Everything backward needs: per-step caches plus window shape."""
-
-    def __init__(self, steps, final_state, batch_size):
-        self.steps = steps
-        self.final_state = final_state
-        self.batch_size = batch_size
-        self.input_grads = None  # filled by backward
-
-    def __len__(self):
-        return len(self.steps)
-
-    def log_probs(self) -> np.ndarray:
-        return np.stack([s["log_probs"] for s in self.steps])
-
-
-def _as_step_inputs(inputs):
-    """Normalize forward input to (list of per-step arrays, squeeze?)."""
+def _window_inputs(model: LstmLm, inputs):
+    """Normalize forward input to (ids (T, B) or None, x (T, B, d) or
+    None, squeeze?). Accepts a 1-D id sequence, (B, T) ids, or a list of
+    per-step id arrays or raw (B, d) vectors."""
     if isinstance(inputs, (list, tuple)):
-        return list(inputs), False
+        steps = [_step_input(model, x) for x in inputs]
+        if not steps:
+            raise ValueError("need at least one timestep")
+        fed = [ids is not None for ids, _ in steps]
+        if all(fed):
+            return np.stack([ids for ids, _ in steps]), None, False
+        if any(fed):
+            raise ValueError("steps mix token ids and raw vectors")
+        return None, np.stack([vec for _, vec in steps]), False
     arr = np.asarray(inputs)
-    if arr.ndim == 1:  # single sequence of ids
-        return [arr[t:t + 1] for t in range(arr.shape[0])], True
+    if arr.ndim == 1 and np.issubdtype(arr.dtype, np.integer):  # single sequence of ids
+        return arr[:, None], None, True
     if arr.ndim == 2 and np.issubdtype(arr.dtype, np.integer):  # (B, T) ids
-        return [arr[:, t] for t in range(arr.shape[1])], False
+        return arr.T, None, False
     raise ValueError("inputs must be a 1-D/2-D id array or a per-step list")
 
 
 def forward_cached(model: LstmLm, inputs, init_state=None) -> ForwardCache:
-    steps_in, _ = _as_step_inputs(inputs)
-    if not steps_in:
+    """Layer-wise forward over a whole window, kept for backward."""
+    ids, x, _ = _window_inputs(model, inputs)
+    width, batch = (ids if ids is not None else x).shape[:2]
+    if width == 0:
         raise ValueError("need at least one timestep")
-    first, _ = _lookup(model, steps_in[0])
-    state = model.zero_state(first.shape[0]) if init_state is None else init_state
-    caches = []
-    for x in steps_in:
-        _, state, cache = step(model, x, state)
-        caches.append(cache)
-    return ForwardCache(caches, state, first.shape[0])
+    state = model.zero_state(batch) if init_state is None else init_state
+    return _layers(model, ForwardCache.window(model, state, ids=ids, x=x), 0, width)
 
 
 def forward(model: LstmLm, inputs, init_state=None):
     """Probability distributions per step: (T, |V|) for a single
     sequence, (T, B, |V|) for a batch. Also returns the final state."""
-    steps_in, squeeze = _as_step_inputs(inputs)
-    cache = forward_cached(model, steps_in, init_state)
-    probs = np.exp(cache.log_probs())
+    _, _, squeeze = _window_inputs(model, inputs)
+    cache = forward_cached(model, inputs, init_state)
+    probs = np.exp(cache.log_probs)
     if squeeze:
         probs = probs[:, 0, :]
     return probs, cache.final_state
@@ -259,88 +375,90 @@ def loss(distributions, targets) -> float:
 def loss_from_cache(cache: ForwardCache, targets) -> float:
     """Mean NLL straight from cached log-probs (no exp/log round trip)."""
     targets = np.asarray(targets, dtype=np.int64)
-    total = 0.0
-    for t, sc in enumerate(cache.steps):
-        lp = sc["log_probs"]
-        total += lp[np.arange(lp.shape[0]), targets[:, t]].sum()
-    return float(-total / targets.size)
+    rows = cache.log_probs.reshape(targets.size, -1)
+    return float(-rows[np.arange(targets.size), targets.T.reshape(-1)].sum() / targets.size)
+
+
+def _reverse_recurrence(cache: ForwardCache, layer: int, dh_in: np.ndarray,
+                        wh: np.ndarray) -> np.ndarray:
+    """Gate pre-activation gradients dz (T, B, 4H) of one layer.
+
+    dh_in (T, B, H) is dL/dh arriving from above at each step. The gate
+    factors that do not depend on the carried (dh, dc) are computed for
+    the whole window first, so the reverse loop runs six elementwise
+    ops and one product per step.
+    """
+    t_len, _, batch, hid = cache.gates[layer].shape
+    i, f, g, o = (cache.gates[layer][:, k, :, None, :] for k in range(4))  # (T, B, 1, H)
+    tc = cache.tc[layer][:, :, None, :]
+    dc_dh = o * (1.0 - tc * tc)
+    cell_factors = np.concatenate(
+        [g * i * (1.0 - i), cache.c[layer][:-1, :, None, :] * f * (1.0 - f), i * (1.0 - g * g)],
+        axis=2,
+    )
+    out_factor = tc * o * (1.0 - o)
+    dz = np.empty((t_len, batch, 4, hid))
+    dz_cell, dz_out = dz[:, :, :3], dz[:, :, 3:]
+    dz_rows = dz.reshape(t_len, batch, 4 * hid)
+    dh_in = dh_in.reshape(t_len, batch, 1, hid)
+    wh_t = np.ascontiguousarray(wh.T)
+    dh_carry = np.zeros((batch, 1, hid))
+    dc_carry = np.zeros((batch, 1, hid))
+    for t in range(t_len - 1, -1, -1):
+        dh = dh_in[t] + dh_carry
+        dc = dh * dc_dh[t]
+        dc += dc_carry
+        np.multiply(cell_factors[t], dc, out=dz_cell[t])
+        np.multiply(out_factor[t], dh, out=dz_out[t])
+        if t:
+            np.matmul(dz_rows[t], wh_t, out=dh_carry[:, 0])
+            np.multiply(dc, f[t], out=dc_carry)
+    return dz_rows
 
 
 def backward(model: LstmLm, cache: ForwardCache, targets) -> dict:
     """Exact BPTT gradients of the mean NLL wrt every parameter.
 
     Truncation boundary: the window's initial state is a constant.
-    Gradients wrt the raw input vectors land in cache.input_grads
-    (T, B, d); steps fed by ids additionally scatter that gradient
-    into the embedding rows.
+    Gradients wrt the input vectors land in cache.input_grads (T, B, d);
+    a cache fed by ids additionally scatters them into the embedding rows.
 
-    Per timestep, in reverse, only the recurrence runs: the gate
-    derivatives, dz @ Wh^T for both layers and layer 2's dz @ Wx^T,
-    with each layer's dz stored in a (T, B, 4H) array. Everything else
-    is one product per window on rows stacked in (t, b) order: the
-    output layer (dlogits, W_out, b_out, dh_top) before the loop; the
-    Wx, Wh and b gradients of both layers, layer 1's input gradients
-    and the embedding scatter after it.
+    Only the recurrence runs per timestep, layer 2's whole reverse pass
+    before layer 1's. Everything else is one product per window on rows
+    stacked in (t, b) order: the output layer (dlogits, W_out, b_out and
+    dL/dh of layer 2), then per layer the Wx, Wh and b gradients and
+    dL/d(input), which is layer 1's dL/dh or the input gradient.
     """
     p = model.params
-    h = model.hidden
+    hid = model.hidden
     targets = np.asarray(targets, dtype=np.int64)
-    steps = cache.steps
-    t_len = len(steps)
-    b = cache.batch_size
+    t_len, b = len(cache), cache.batch_size
     rows = t_len * b
     grads = {}
 
     # output layer: softmax minus one-hot, over the whole window
-    dlogits = cache.log_probs().reshape(rows, model.vocab_size)
-    np.exp(dlogits, out=dlogits)
+    dlogits = np.exp(cache.log_probs.reshape(rows, model.vocab_size))
     dlogits[np.arange(rows), targets.T.reshape(-1)] -= 1.0
     dlogits /= float(rows)
-    tops = np.concatenate([sc["top"] for sc in steps])
-    grads["W_out"] = tops.T @ dlogits
+    grads["W_out"] = cache.h[1][1:].reshape(rows, hid).T @ dlogits
     grads["b_out"] = dlogits.sum(axis=0)
-    dh_top = (dlogits @ p["W_out"].T).reshape(t_len, b, h)
+    dh_in = (dlogits @ p["W_out"].T).reshape(t_len, b, hid)
     del dlogits
 
-    wh_t = {layer: np.ascontiguousarray(p["lstm%d_Wh" % layer].T) for layer in (1, 2)}
-    wx2_t = np.ascontiguousarray(p["lstm2_Wx"].T)
-    dz_all = {layer: np.empty((t_len, b, 4 * h)) for layer in (1, 2)}
-    # carried (dh, dc) per layer, from the later timestep
-    carry = {layer: (np.zeros((b, h)), np.zeros((b, h))) for layer in (1, 2)}
-
-    for t in range(t_len - 1, -1, -1):
-        dinp = dh_top[t]
-        for layer in (2, 1):
-            lc = steps[t]["layers"][layer - 1]
-            dh_carry, dc_carry = carry[layer]
-            dh = dinp + dh_carry
-            i, f, g, o, tc = lc["i"], lc["f"], lc["g"], lc["o"], lc["tc"]
-            dc = dh * o * (1.0 - tc * tc) + dc_carry
-            dz = dz_all[layer][t]
-            dz[:, :h] = dc * g * i * (1.0 - i)
-            dz[:, h:2 * h] = dc * lc["c_prev"] * f * (1.0 - f)
-            dz[:, 2 * h:3 * h] = dc * i * (1.0 - g * g)
-            dz[:, 3 * h:] = dh * tc * o * (1.0 - o)
-            if t:
-                carry[layer] = (dz @ wh_t[layer], dc * f)
-            if layer == 2:
-                dinp = dz @ wx2_t
-
-    for layer in (1, 2):
-        layers = [sc["layers"][layer - 1] for sc in steps]
-        dz = dz_all[layer].reshape(rows, 4 * h)
-        grads["lstm%d_Wx" % layer] = np.concatenate([lc["inp"] for lc in layers]).T @ dz
-        grads["lstm%d_Wh" % layer] = np.concatenate([lc["h_prev"] for lc in layers]).T @ dz
+    layer_inputs = (cache.x, cache.h[0][1:])
+    for layer in (2, 1):
+        k = layer - 1
+        dz = _reverse_recurrence(cache, k, dh_in, p["lstm%d_Wh" % layer]).reshape(rows, 4 * hid)
+        inp = layer_inputs[k].reshape(rows, -1)
+        grads["lstm%d_Wx" % layer] = inp.T @ dz
+        grads["lstm%d_Wh" % layer] = cache.h[k][:-1].reshape(rows, hid).T @ dz
         grads["lstm%d_b" % layer] = dz.sum(axis=0)
-    input_grads = (dz_all[1].reshape(rows, 4 * h) @ p["lstm1_Wx"].T).reshape(t_len, b, model.dim)
+        dh_in = (dz @ p["lstm%d_Wx" % layer].T).reshape(t_len, b, -1)
 
     grads["embed"] = np.zeros_like(p["embed"])
-    fed = [t for t, sc in enumerate(steps) if sc["ids"] is not None]
-    if fed:
-        ids = np.concatenate([steps[t]["ids"] for t in fed])
-        np.add.at(grads["embed"], ids, input_grads[fed].reshape(-1, model.dim))
-
-    cache.input_grads = input_grads
+    if cache.ids is not None:
+        np.add.at(grads["embed"], cache.ids.reshape(-1), dh_in.reshape(rows, model.dim))
+    cache.input_grads = dh_in
     return {key: grads[key] for key in p}
 
 
@@ -392,6 +510,4 @@ def greedy_or_sample_predict(distribution, sample: bool = False,
         return int(np.argmax(dist))
     if rng is None:
         raise ValueError("rng is required for sampling mode")
-    cdf = np.cumsum(dist)
-    idx = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-    return min(idx, dist.size - 1)
+    return int(categorical_draws(dist[None], rng)[0])

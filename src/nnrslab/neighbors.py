@@ -162,18 +162,39 @@ def renormalize(table: NeighborTable, tau: float) -> NeighborTable:
     return replace(table, probs=_softmax_rows(table.sims / tau), tau=float(tau))
 
 
-def sample_neighbor(table, word: int, rng: np.random.Generator) -> int:
-    """Draw one neighbor id for `word` from its probability row.
+def categorical_draws(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One inverse-CDF draw per row of `probs` (N, k): slot indices (N,).
 
-    Flagged (zero-embedding) words return themselves, a no-op
-    replacement. Works for NeighborTable and TransitionTable alike.
+    Row r takes searchsorted(cdf, u_r * cdf[-1], side="right") clipped
+    to the last slot, i.e. the count of running sums before the last
+    that are <= u_r times the row total, with u = rng.random(N): the same
+    doubles, in the same order, as N scalar rng.random() calls.
     """
-    if word in table.flagged:
-        return int(word)
-    row = table.probs[word]
-    cdf = np.cumsum(row)
-    slot = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-    return int(table.ids[word, min(slot, table.k - 1)])
+    cdf = np.cumsum(probs, axis=1)
+    x = rng.random(cdf.shape[0]) * cdf[:, -1]
+    return (cdf[:, :-1] <= x[:, None]).sum(axis=1)
+
+
+def sample_neighbors(table, words, rng: np.random.Generator) -> np.ndarray:
+    """One neighbor id per word of `words`, drawn from its probability row.
+
+    Flagged (zero-embedding) words return themselves and consume no
+    draw; the others draw in order, so the ids and the rng state equal
+    those of a loop of sample_neighbor calls. Works for NeighborTable
+    and TransitionTable alike.
+    """
+    words = np.asarray(words, dtype=np.int64)
+    out = words.copy()
+    live = slice(None)
+    if table.flagged:
+        live = np.array([w not in table.flagged for w in words.tolist()], dtype=bool)
+    out[live] = table.ids[words[live], categorical_draws(table.probs[words[live]], rng)]
+    return out
+
+
+def sample_neighbor(table, word: int, rng: np.random.Generator) -> int:
+    """Draw one neighbor id for `word`: sample_neighbors for one word."""
+    return int(sample_neighbors(table, [word], rng)[0])
 
 
 def centroid(table: NeighborTable, emb: EmbeddingMatrix, word: int,
@@ -251,21 +272,20 @@ def load_table(path):
 def save_table_csv(path, table) -> None:
     """Inspection CSV: one "word_id,neighbor_id,sim,prob" row per slot.
 
-    Transition tables have no similarity column and omit it.
+    Transition tables have no similarity column and omit it. Floats are
+    written as repr, lines end in CRLF (csv.writer's dialect).
     """
-    has_sims = isinstance(table, NeighborTable)
     n, k = table.ids.shape
     cols = [np.repeat(np.arange(n), k).tolist(), table.ids.ravel().tolist()]
-    if has_sims:
-        cols.append(map(repr, table.sims.ravel().tolist()))
-    cols.append(map(repr, table.probs.ravel().tolist()))
+    if isinstance(table, NeighborTable):
+        header, row = "word_id,neighbor_id,sim,prob\r\n", "%d,%d,%r,%r\r\n"
+        cols.append(table.sims.ravel().tolist())
+    else:
+        header, row = "word_id,neighbor_id,prob\r\n", "%d,%d,%r\r\n"
+    cols.append(table.probs.ravel().tolist())
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        if has_sims:
-            writer.writerow(["word_id", "neighbor_id", "sim", "prob"])
-        else:
-            writer.writerow(["word_id", "neighbor_id", "prob"])
-        writer.writerows(zip(*cols))
+        fh.write(header)
+        fh.write("".join(row % fields for fields in zip(*cols)))
 
 
 def load_table_csv(path, tau: float = 1.0):

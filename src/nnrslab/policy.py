@@ -172,6 +172,12 @@ class GumbelLogits:
         return e / e.sum(axis=1, keepdims=True)
 
 
+def _gumbel_scores(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """rows + G with G = -log(-log u) per entry, u = rng.random(rows.shape)."""
+    u = rng.random(rows.shape)
+    return rows - np.log(-np.log(u + _EPS) + _EPS)
+
+
 def gumbel_sample(logits: GumbelLogits, word: int, tau: float = GUMBEL_TAU,
                   rng: np.random.Generator = None):
     """One Gumbel draw over `word`'s neighbor slots.
@@ -184,15 +190,22 @@ def gumbel_sample(logits: GumbelLogits, word: int, tau: float = GUMBEL_TAU,
         raise ValueError("tau must be in [%g, %g], got %g" % (TAU_MIN, TAU_MAX, tau))
     if rng is None:
         raise ValueError("rng is required")
-    row = logits.log_alpha[word]
-    u = rng.random(row.shape[0])
-    g = -np.log(-np.log(u + _EPS) + _EPS)
-    scores = row + g
+    scores = _gumbel_scores(logits.log_alpha[word], rng)
     slot = int(np.argmax(scores))
     z = scores / tau
     z -= z.max()
     e = np.exp(z)
     return slot, e / e.sum()
+
+
+def gumbel_slots(logits: GumbelLogits, words, rng: np.random.Generator) -> np.ndarray:
+    """Hard Gumbel-max slot for each of `words`, in one (N, k) draw.
+
+    The same slots, and the same rng state afterwards, as a loop of
+    gumbel_sample calls over `words`; no relaxation is computed.
+    """
+    rows = logits.log_alpha[np.asarray(words, dtype=np.int64)]
+    return _gumbel_scores(rows, rng).argmax(axis=1)
 
 
 def gumbel_backward(soft_probs: np.ndarray, grad_soft: np.ndarray, tau: float) -> np.ndarray:

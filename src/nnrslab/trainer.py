@@ -30,20 +30,22 @@ from .model import (
     LstmLm,
     backward,
     cosine_lr,
+    forward_segment,
     forward_window,
-    greedy_or_sample_predict,
     loss_from_cache,
     sgd_step,
-    step,
 )
 from .neighbors import (
+    TAU_MAX,
+    TAU_MIN,
     NeighborTable,
     build_neighbor_table,
     build_transition_table,
+    categorical_draws,
     clamp_tau,
     default_k,
     renormalize,
-    sample_neighbor,
+    sample_neighbors,
 )
 from .policy import (
     MODES,
@@ -51,7 +53,7 @@ from .policy import (
     PolicyState,
     Source,
     decide_batch_positions,
-    gumbel_sample,
+    gumbel_slots,
     gumbel_update,
     update_temperature,
 )
@@ -131,6 +133,9 @@ class TrainConfig:
             raise ValueError("mode SS requires the nnrs schedule at rate 0")
         if self.mode in ("NNRS", "TPRS", "GSNS") and not ss_zero:
             raise ValueError("mode %s requires the ss schedule at rate 0" % self.mode)
+        if self.mode == "GSNS" and not TAU_MIN <= self.gumbel_tau <= TAU_MAX:
+            raise ValueError("gumbel_tau must be in [%g, %g], got %g"
+                             % (TAU_MIN, TAU_MAX, self.gumbel_tau))
 
 
 _CONFIG_KEYS = {
@@ -296,8 +301,9 @@ def validate(model: LstmLm, val_batches) -> float:
     """Teacher-forced perplexity over a window list, state carried.
 
     exp(total NLL / total tokens); never touches parameters and never
-    applies a sampling policy. Each window runs the cells per step and
-    the output layer once (model.forward_window).
+    applies a sampling policy. Each window runs layer-wise
+    (model.forward_window): one input projection per layer, the
+    recurrence per step, one output projection.
     """
     if not val_batches:
         raise ValueError("empty validation split")
@@ -432,16 +438,22 @@ def _feedback(log_probs, sample: bool, rng) -> np.ndarray:
     per row (ties to the smaller id), or one categorical draw per row."""
     if not sample:
         return log_probs.argmax(axis=1).astype(np.int64)  # exp is monotone
-    probs = np.exp(log_probs)
-    return np.array([greedy_or_sample_predict(row, sample=True, rng=rng) for row in probs],
-                    dtype=np.int64)
+    return categorical_draws(np.exp(log_probs), rng)
 
 
 def _train_epoch(model, state, cfg, table, gumbel, train_batches, lr,
                  velocity, trace, epoch):
-    """One pass over the training windows. Returns (train nll, gsns grad parts)."""
+    """One pass over the training windows. Returns (train nll, gsns grad parts).
+
+    Each window's source mask is drawn first, then the window is cut
+    before every Prediction step: within a segment every input id is
+    known (teacher or neighbor), so it runs layer-wise in one
+    forward_segment call. Draws happen in timestep order, as a loop over
+    timesteps would make them: a cut's predict_sample draws, then each
+    Neighbor step's draws for all B rows at once.
+    """
     hidden = None
-    prev_log_probs = None  # last step's output, for SS feedback
+    prev_log_probs = None  # the previous window's last step, for SS feedback
     total_nll = 0.0
     total_tokens = 0
     gsns_grad = np.zeros_like(gumbel.log_alpha) if gumbel is not None else None
@@ -452,44 +464,42 @@ def _train_epoch(model, state, cfg, table, gumbel, train_batches, lr,
         if hidden is None:
             hidden = model.zero_state(batch)
         mask = decide_batch_positions(state, width)
-        caches = []
-        gsns_touch = []
-        for t in range(width):
-            teachers = inputs[:, t]
-            src = int(mask[t])
-            if src == Source.PREDICTION and prev_log_probs is None:
-                src = int(Source.TEACHER)  # nothing to feed back yet
-            if src == Source.TEACHER:
-                xs = teachers
-            elif src == Source.PREDICTION:
-                xs = _feedback(prev_log_probs, cfg.predict_sample, state.rng)
-            else:  # Source.NEIGHBOR
-                xs = np.empty(batch, dtype=np.int64)
+        if mask[0] == Source.PREDICTION and prev_log_probs is None:
+            mask[0] = Source.TEACHER  # nothing to feed back yet
+        sources = mask.tolist()
+        cache = ForwardCache.window(model, hidden, ids=inputs.T)
+        ids = cache.ids
+        starts = [0] + [t for t in range(1, width) if sources[t] == Source.PREDICTION]
+        for lo, hi in zip(starts, starts[1:] + [width]):
+            if sources[lo] == Source.PREDICTION:
+                prev = cache.log_probs[lo - 1] if lo else prev_log_probs
+                ids[lo] = _feedback(prev, cfg.predict_sample, state.rng)
+            for t in range(lo, hi):
+                if sources[t] != Source.NEIGHBOR:
+                    continue
                 if gumbel is not None:
-                    for b in range(batch):
-                        word = int(teachers[b])
-                        slot, _soft = gumbel_sample(gumbel, word, cfg.gumbel_tau, state.rng)
-                        xs[b] = table.ids[word, slot]
-                        gsns_touch.append((t, b, word))
+                    ids[t] = table.ids[inputs[:, t], gumbel_slots(gumbel, inputs[:, t], state.rng)]
                 else:
-                    for b in range(batch):
-                        xs[b] = sample_neighbor(table, int(teachers[b]), state.rng)
-            prev_log_probs, hidden, cache = step(model, xs, hidden)
-            caches.append(cache)
-            if trace is not None:
-                trace.rows(epoch, step_idx, t, src, teachers, xs)
+                    ids[t] = sample_neighbors(table, inputs[:, t], state.rng)
+            forward_segment(model, cache, lo, hi)
+        prev_log_probs = cache.log_probs[-1].copy()  # not a view: the window's array can go
+        hidden = cache.final_state
+        if trace is not None:
+            for t, src in enumerate(sources):
+                trace.rows(epoch, step_idx, t, src, inputs[:, t], ids[t])
 
-        fcache = ForwardCache(caches, hidden, batch)
-        nll = loss_from_cache(fcache, targets)
+        nll = loss_from_cache(cache, targets)
         total_nll += nll * targets.size
         total_tokens += targets.size
-        grads = backward(model, fcache, targets)
-        if gsns_touch:
+        grads = backward(model, cache, targets)
+        swapped = [t for t, src in enumerate(sources) if src == Source.NEIGHBOR]
+        if gumbel is not None and swapped:
             # straight-through: dL/dsoft_j = dL/dx . embed[neighbor_j]
-            embed = model.params["embed"]
-            for t, b, word in gsns_touch:
-                gsns_grad[word] += fcache.input_grads[t, b] @ embed[table.ids[word]].T
-                gsns_rows.add(word)
+            words = inputs[:, swapped].T.reshape(-1)
+            dx = cache.input_grads[swapped].reshape(-1, model.dim, 1)
+            slot_grads = (model.params["embed"][table.ids[words]] @ dx)[:, :, 0]
+            np.add.at(gsns_grad, words, slot_grads)
+            gsns_rows.update(words.tolist())
         if cfg.freeze_embeddings:
             grads["embed"][:] = 0.0
         sgd_step(model, grads, lr, cfg.clip, cfg.momentum, velocity)

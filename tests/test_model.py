@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nnrslab.model import (
+    ForwardCache,
     LstmLm,
     backward,
     cosine_lr,
     forward,
     forward_cached,
+    forward_segment,
     grad_global_norm,
     greedy_or_sample_predict,
     loss,
@@ -83,7 +87,7 @@ class TestForward:
         model = _small_model(rng)
         vecs = [rng.normal(size=(2, 3)) for _ in range(3)]
         cache = forward_cached(model, vecs)
-        assert len(cache) == 3 and cache.steps[0]["ids"] is None
+        assert len(cache) == 3 and cache.ids is None
         with pytest.raises(ValueError):
             forward_cached(model, [rng.normal(size=(2, 7))])
 
@@ -121,7 +125,7 @@ class TestLoss:
         inputs = rng.integers(0, 6, size=(3, 5))
         targets = rng.integers(0, 6, size=(3, 5))
         cache = forward_cached(model, inputs)
-        probs = np.exp(cache.log_probs())
+        probs = np.exp(cache.log_probs)
         assert loss(probs, targets) == pytest.approx(loss_from_cache(cache, targets))
 
     def test_shape_mismatch(self):
@@ -201,6 +205,98 @@ class TestBackward:
         analytic = backward(model, cache, targets)
         fd = finite_difference_grads(model, inputs, targets)
         assert max_rel_error(analytic, fd) < 1e-4
+
+
+def _segmented(model, ids, state, cuts, feed=False):
+    """The training forward: one forward_segment call per run of steps
+    between cuts. With feed, a cut step's ids are first set to the
+    argmax of the previous step's log-probs, as greedy SS feedback does."""
+    cache = ForwardCache.window(model, state, ids=ids)
+    starts = [0] + sorted(cuts)
+    for lo, hi in zip(starts, starts[1:] + [ids.shape[0]]):
+        if feed and lo:
+            cache.ids[lo] = cache.log_probs[lo - 1].argmax(axis=1)
+        forward_segment(model, cache, lo, hi)
+    return cache
+
+
+def _random_state(rng, batch, hidden):
+    return [(0.5 * rng.normal(size=(batch, hidden)), 0.5 * rng.normal(size=(batch, hidden)))
+            for _ in range(2)]
+
+
+@st.composite
+def segmented_windows(draw):
+    width = draw(st.integers(1, 12))
+    cuts = draw(st.sets(st.integers(1, width - 1))) if width > 1 else set()
+    return dict(batch=draw(st.integers(1, 4)), width=width, cuts=cuts,
+                hidden=draw(st.sampled_from([1, 3, 8])),
+                vocab=draw(st.sampled_from([2, 7, 24])), dim=draw(st.sampled_from([1, 4])),
+                seed=draw(st.integers(0, 2 ** 32 - 1)))
+
+
+class TestSegmentedForward:
+    @settings(max_examples=120, deadline=None)
+    @given(segmented_windows())
+    def test_equals_step_loop_bit_for_bit(self, case):
+        rng = np.random.default_rng(case["seed"])
+        batch, width = case["batch"], case["width"]
+        model = LstmLm.init(case["vocab"], case["dim"], case["hidden"], rng)
+        state = _random_state(rng, batch, case["hidden"])
+        ids = rng.integers(0, case["vocab"], size=(width, batch))
+        targets = rng.integers(0, case["vocab"], size=(batch, width))
+        window = _segmented(model, ids, state, case["cuts"], feed=True)
+
+        steps, ref_state = [], state
+        for t in range(width):
+            _lp, ref_state, one = step(model, window.ids[t], ref_state)
+            steps.append(one)
+        ref = ForwardCache(steps, ref_state, batch)
+
+        for t in case["cuts"]:  # each cut read the previous segment's last rows
+            np.testing.assert_array_equal(window.ids[t], ref.log_probs[t - 1].argmax(axis=1))
+        np.testing.assert_array_equal(window.log_probs, ref.log_probs)
+        for (h, c), (ref_h, ref_c) in zip(window.final_state, ref.final_state):
+            np.testing.assert_array_equal(h, ref_h)
+            np.testing.assert_array_equal(c, ref_c)
+        assert loss_from_cache(window, targets) == loss_from_cache(ref, targets)
+        grads = backward(model, window, targets)
+        ref_grads = backward(model, ref, targets)
+        for key in model.params:
+            np.testing.assert_array_equal(grads[key], ref_grads[key])
+        np.testing.assert_array_equal(window.input_grads, ref.input_grads)
+
+    def test_gradcheck_segmented_batch(self, rng):
+        # B=3, T=7 cut into [0, 2), [2, 3), [3, 6), [6, 7), nonzero initial state
+        model = _small_model(rng, vocab=6, dim=3, hidden=4)
+        ids = rng.integers(0, 6, size=(7, 3))
+        targets = rng.integers(0, 6, size=(3, 7))
+        state = _random_state(rng, 3, 4)
+        cuts = {2, 3, 6}
+        analytic = backward(model, _segmented(model, ids, state, cuts), targets)
+        fd = {}
+        h = 1e-5
+        for key, arr in model.params.items():
+            flat = arr.ravel()
+            out = np.zeros_like(flat)
+            for idx in range(flat.size):
+                orig = flat[idx]
+                flat[idx] = orig + h
+                plus = loss_from_cache(_segmented(model, ids, state, cuts), targets)
+                flat[idx] = orig - h
+                minus = loss_from_cache(_segmented(model, ids, state, cuts), targets)
+                flat[idx] = orig
+                out[idx] = (plus - minus) / (2.0 * h)
+            fd[key] = out.reshape(arr.shape)
+        assert max_rel_error(analytic, fd) < 1e-4
+
+    def test_joined_steps_need_one_input_kind(self, rng):
+        model = _small_model(rng)
+        state = model.zero_state(2)
+        _, state1, by_id = step(model, np.array([1, 2]), state)
+        _, state2, by_vec = step(model, rng.normal(size=(2, 3)), state1)
+        with pytest.raises(ValueError):
+            ForwardCache([by_id, by_vec], state2, 2)
 
 
 class TestSgdStep:

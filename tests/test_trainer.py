@@ -6,8 +6,24 @@ import numpy as np
 import pytest
 
 import nnrslab.trainer as trainer_mod
-from nnrslab.model import LstmLm, forward_cached, loss_from_cache, step
-from nnrslab.neighbors import build_neighbor_table, clamp_tau, default_k
+from nnrslab.embeddings import EmbeddingMatrix
+from nnrslab.model import (
+    ForwardCache,
+    LstmLm,
+    backward,
+    forward_cached,
+    greedy_or_sample_predict,
+    loss_from_cache,
+    sgd_step,
+    step,
+)
+from nnrslab.neighbors import (
+    build_neighbor_table,
+    build_transition_table,
+    clamp_tau,
+    default_k,
+    sample_neighbor,
+)
 from nnrslab.schedules import Schedule
 from nnrslab.trainer import (
     DivergenceError,
@@ -27,7 +43,13 @@ from nnrslab.trainer import (
     validate,
     _load_run_inputs,
 )
-from nnrslab.policy import PolicyState
+from nnrslab.policy import (
+    GumbelLogits,
+    PolicyState,
+    Source,
+    decide_batch_positions,
+    gumbel_sample,
+)
 
 
 def _quick_config(corpus, mode="MLE", epochs=3, **kw):
@@ -91,6 +113,17 @@ class TestConfig:
             with pytest.raises(ValueError):
                 _quick_config(cycle_corpus, **bad).check()
 
+    def test_gumbel_tau_range_in_gsns_only(self, cycle_corpus):
+        gsns = dict(mode="GSNS", nnrs=Schedule("static", 0.3, 0.3))
+        for tau in (0.4, 10.5):
+            with pytest.raises(ValueError, match="gumbel_tau"):
+                _quick_config(cycle_corpus, gumbel_tau=tau, **gsns).check()
+            _quick_config(cycle_corpus, gumbel_tau=tau).check()  # unused outside GSNS
+        for tau in (0.5, 10.0):
+            _quick_config(cycle_corpus, gumbel_tau=tau, **gsns).check()
+        with pytest.raises(ValueError, match="gumbel_tau"):
+            run_training(_quick_config(cycle_corpus, gumbel_tau=0.1, **gsns))
+
 
 class TestRecords:
     def test_csv_round_trip(self, tmp_path):
@@ -151,7 +184,7 @@ class TestValidate:
         state = model.zero_state(1)
         for inputs, targets in batches:
             cache = forward_cached(model, inputs, state)
-            lp = cache.log_probs()
+            lp = cache.log_probs
             for t in range(targets.shape[1]):
                 total_nll -= lp[t, 0, targets[0, t]]
             total_tok += targets.size
@@ -211,6 +244,104 @@ class TestFeedback:
         log_probs = np.log(np.array([[1e-12, 1.0, 1e-12], [1e-12, 1e-12, 1.0]]))
         got = trainer_mod._feedback(log_probs, True, np.random.default_rng(0))
         np.testing.assert_array_equal(got, [1, 2])
+
+
+class _Rows:
+    """Stands in for the decision trace: keeps every row in memory."""
+
+    def __init__(self):
+        self.kept = []
+
+    def rows(self, epoch, step_idx, t, source, teachers, chosen):
+        self.kept.append((epoch, step_idx, t, int(source), list(teachers), list(chosen)))
+
+
+def _stepwise_epoch(model, state, cfg, table, gumbel, batches, lr, trace):
+    """Reference epoch, one timestep and one batch row at a time: step
+    per timestep, sample_neighbor / gumbel_sample / greedy_or_sample_predict
+    per row, the window's step caches joined for backward."""
+    hidden, prev, total, count = None, None, 0.0, 0
+    gsns_grad = np.zeros_like(gumbel.log_alpha) if gumbel is not None else None
+    gsns_rows = set()
+    for step_idx, (inputs, targets) in enumerate(batches):
+        batch, width = inputs.shape
+        if hidden is None:
+            hidden = model.zero_state(batch)
+        mask = decide_batch_positions(state, width)
+        caches, touched = [], []
+        for t in range(width):
+            teachers = inputs[:, t]
+            src = int(mask[t])
+            if src == Source.PREDICTION and prev is None:
+                src = int(Source.TEACHER)
+            if src == Source.TEACHER:
+                xs = teachers
+            elif src == Source.PREDICTION:
+                xs = np.array([greedy_or_sample_predict(row, cfg.predict_sample, state.rng)
+                               for row in np.exp(prev)])
+            elif gumbel is not None:
+                xs = np.array([table.ids[w, gumbel_sample(gumbel, w, cfg.gumbel_tau, state.rng)[0]]
+                               for w in teachers.tolist()])
+                touched += [(t, b, w) for b, w in enumerate(teachers.tolist())]
+            else:
+                xs = np.array([sample_neighbor(table, w, state.rng) for w in teachers.tolist()])
+            prev, hidden, cache = step(model, xs, hidden)
+            caches.append(cache)
+            trace.rows(1, step_idx, t, src, teachers, xs)
+        window = ForwardCache(caches, hidden, batch)
+        total += loss_from_cache(window, targets) * targets.size
+        count += targets.size
+        grads = backward(model, window, targets)
+        for t, b, w in touched:
+            gsns_grad[w] += window.input_grads[t, b] @ model.params["embed"][table.ids[w]].T
+            gsns_rows.add(w)
+        sgd_step(model, grads, lr, cfg.clip)
+    return total / count, gsns_grad, gsns_rows
+
+
+class TestSegmentedEpoch:
+    @pytest.mark.parametrize("mode, batch, sample", [
+        ("SS_NNRS", 3, True), ("SS_NNRS", 1, False), ("SS", 2, False),
+        ("TPRS", 3, False), ("GSNS", 2, False),
+    ])
+    def test_matches_stepwise_reference(self, cycle_corpus, mode, batch, sample):
+        # cut windows, batched draws and array backward against the
+        # one-step-at-a-time loop: same decisions, rng state and weights
+        rng = np.random.default_rng(21)
+        ids = rng.integers(0, 12, size=200)
+        vectors = rng.normal(size=(12, 5))
+        vectors[7] = 0.0  # a flagged word
+        cfg = _quick_config(cycle_corpus, mode=mode, batch_size=batch, predict_sample=sample,
+                            dim=5, hidden=6)
+        if mode == "TPRS":
+            table = build_transition_table(ids, range(12), 3)
+        else:
+            table = build_neighbor_table(EmbeddingMatrix.from_vectors(vectors), 3, tau=0.7)
+        gumbel = GumbelLogits.from_table(table) if mode == "GSNS" else None
+        batches = trainer_mod.make_batches(ids, batch, 7)
+        runs = []
+        for epoch_fn in (trainer_mod._train_epoch, _stepwise_epoch):
+            model = LstmLm.init(12, 5, 6, np.random.default_rng(3), embed=vectors)
+            state = PolicyState(mode=mode, rng=np.random.default_rng(4),
+                                epsilon=0.0 if mode in ("TPRS", "GSNS") else 0.4,
+                                gamma=0.0 if mode == "SS" else 0.4)
+            trace = _Rows()
+            if epoch_fn is _stepwise_epoch:
+                out = epoch_fn(model, state, cfg, table, gumbel, batches, 0.7, trace)
+            else:
+                out = epoch_fn(model, state, cfg, table, gumbel, batches, 0.7, None, trace, 1)
+            runs.append((out, model, state, trace))
+        (nll, grad, rows), model, state, trace = runs[0]
+        (ref_nll, ref_grad, ref_rows), ref_model, ref_state, ref_trace = runs[1]
+        assert trace.kept == ref_trace.kept
+        assert {row[3] for row in trace.kept} > {int(Source.TEACHER)}
+        assert state.rng.bit_generator.state == ref_state.rng.bit_generator.state
+        assert nll == ref_nll
+        for key in model.params:
+            np.testing.assert_array_equal(model.params[key], ref_model.params[key])
+        if gumbel is not None:
+            assert rows == ref_rows
+            np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-15)
 
 
 class TestRunTraining:
