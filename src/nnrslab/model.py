@@ -14,16 +14,18 @@ Fused gate blocks are ordered [input, forget, cell, output] along the
 (B, d) vectors per step, the latter carrying centroid-style inputs;
 backward then reports the gradient wrt those vectors.
 
-Forward paths run layer by layer over a span of timesteps whose
-inputs are all known: one input projection per layer over the span's
-(T*B, .) rows stacked in (t, b) order, the recurrence per step (_cell,
-shared by every path), then one output projection and log-softmax.
-Training (forward_segment) cuts each BPTT window before every
-scheduled-sampling step, whose input is the model's own prediction
-from the step before; validation and evaluation (forward_window) run
-whole windows. The results land in a ForwardCache of (T, B, .) arrays.
+Every forward path runs forward_segment: layer by layer over a span of
+timesteps whose inputs are all known, one input projection per layer
+over the span's (T*B, .) rows stacked in (t, b) order, the recurrence
+per step (_cell), then one output projection and log-softmax.
+Training cuts each BPTT window before every scheduled-sampling step,
+whose input is the model's own prediction from the step before;
+validation and evaluation (forward_window) run whole windows. The
+results land in a ForwardCache of (T, B, .) arrays.
 step is the one-step API, used for decoding and as the reference the
-window paths are tested against bit for bit.
+window paths are tested against: bit for bit at B >= 2, to rounding at
+B = 1, where numpy sends step's one-row products to BLAS's
+matrix-vector kernel.
 
 backward runs only the recurrence per timestep (layer 2's reverse pass,
 then layer 1's); the output layer, every weight gradient, the input
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .neighbors import categorical_draws
+from .neighbors import categorical_draw
 
 
 @dataclass
@@ -107,6 +109,16 @@ def _step_input(model: LstmLm, x):
     return None, vec
 
 
+def _fed_ids(fed) -> bool:
+    """True if every step of a run is fed token ids, False if every step
+    is fed raw vectors; a run mixing the two is refused."""
+    if not fed:
+        raise ValueError("need at least one timestep")
+    if any(fed) and not all(fed):
+        raise ValueError("steps mix token ids and raw vectors")
+    return fed[0]
+
+
 def _check_ids(model: LstmLm, ids: np.ndarray) -> None:
     if ids.size and (ids.min() < 0 or ids.max() >= model.vocab_size):
         raise ValueError("token id out of range [0, %d)" % model.vocab_size)
@@ -173,12 +185,8 @@ class ForwardCache:
 
     def __init__(self, steps, final_state, batch_size):
         steps = list(steps)
-        if not steps:
-            raise ValueError("need at least one timestep")
-        fed = [s.ids is not None for s in steps]
-        if any(fed) and not all(fed):
-            raise ValueError("steps mix token ids and raw vectors")
-        self.ids = np.concatenate([s.ids for s in steps]) if fed[0] else None
+        fed = _fed_ids([s.ids is not None for s in steps])
+        self.ids = np.concatenate([s.ids for s in steps]) if fed else None
         self.x = np.concatenate([s.x for s in steps])
         self.gates = [np.concatenate([s.gates[k] for s in steps]) for k in (0, 1)]
         self.tc = [np.concatenate([s.tc[k] for s in steps]) for k in (0, 1)]
@@ -223,13 +231,19 @@ class ForwardCache:
         return self.x.shape[0]
 
 
-def _layers(model: LstmLm, cache: ForwardCache, lo: int, hi: int, output: bool = True):
-    """Run timesteps lo..hi-1 of `cache` layer by layer.
+def forward_segment(model: LstmLm, cache: ForwardCache, lo: int, hi: int,
+                    output: bool = True) -> ForwardCache:
+    """Run timesteps lo..hi-1 of `cache`, whose inputs are all set, layer by layer.
 
     Per layer: one input projection over the n * B rows of all n steps,
     then the recurrence per step; then one output projection and
     log-softmax over all rows. Leaves the state after step hi - 1 in
     cache.final_state.
+
+    For B >= 2 every step's bits equal those of `step` on the same input
+    and state, as a row of a stacked product equals the per-step product.
+    At B = 1 numpy hands `step`'s one-row product to BLAS's
+    matrix-vector kernel, so the two agree only to rounding.
     """
     p = model.params
     rows = (hi - lo) * cache.batch_size
@@ -266,29 +280,13 @@ def step(model: LstmLm, x, state):
     The one-step API for decoding and the reference the window paths
     are tested against; the cache is a one-step ForwardCache.
     """
-    cache = _layers(model, _step_cache(model, x, state), 0, 1)
+    cache = forward_segment(model, _step_cache(model, x, state), 0, 1)
     return cache.log_probs[0], cache.final_state, cache
 
 
 def advance(model: LstmLm, x, state):
     """Cells-only timestep: the new state, without the output layer."""
-    return _layers(model, _step_cache(model, x, state), 0, 1, output=False).final_state
-
-
-def forward_segment(model: LstmLm, cache: ForwardCache, lo: int, hi: int) -> ForwardCache:
-    """Training forward of timesteps lo..hi-1, whose ids are all set.
-
-    Every step's bits equal those of `step` on the same input and state:
-    a row of a stacked matrix product equals the per-step product. At
-    B = 1 numpy hands a one-row product to BLAS's matrix-vector kernel,
-    whose bits differ from a matrix-matrix row, so there the steps run
-    one at a time.
-    """
-    if cache.batch_size > 1:
-        return _layers(model, cache, lo, hi)
-    for t in range(lo, hi):
-        _layers(model, cache, t, t + 1)
-    return cache
+    return forward_segment(model, _step_cache(model, x, state), 0, 1, output=False).final_state
 
 
 def forward_window(model: LstmLm, inputs, state):
@@ -298,7 +296,7 @@ def forward_window(model: LstmLm, inputs, state):
     projection per layer and one output projection for the window.
     """
     ids = np.asarray(inputs).T
-    cache = _layers(model, ForwardCache.window(model, state, ids=ids), 0, ids.shape[0])
+    cache = forward_segment(model, ForwardCache.window(model, state, ids=ids), 0, ids.shape[0])
     return cache.log_probs, cache.final_state
 
 
@@ -308,13 +306,8 @@ def _window_inputs(model: LstmLm, inputs):
     per-step id arrays or raw (B, d) vectors."""
     if isinstance(inputs, (list, tuple)):
         steps = [_step_input(model, x) for x in inputs]
-        if not steps:
-            raise ValueError("need at least one timestep")
-        fed = [ids is not None for ids, _ in steps]
-        if all(fed):
+        if _fed_ids([ids is not None for ids, _ in steps]):
             return np.stack([ids for ids, _ in steps]), None, False
-        if any(fed):
-            raise ValueError("steps mix token ids and raw vectors")
         return None, np.stack([vec for _, vec in steps]), False
     arr = np.asarray(inputs)
     if arr.ndim == 1 and np.issubdtype(arr.dtype, np.integer):  # single sequence of ids
@@ -324,21 +317,27 @@ def _window_inputs(model: LstmLm, inputs):
     raise ValueError("inputs must be a 1-D/2-D id array or a per-step list")
 
 
-def forward_cached(model: LstmLm, inputs, init_state=None) -> ForwardCache:
-    """Layer-wise forward over a whole window, kept for backward."""
-    ids, x, _ = _window_inputs(model, inputs)
+def _run_window(model: LstmLm, ids, x, init_state) -> ForwardCache:
+    """Forward over ids (T, B) or raw vectors x (T, B, d) from init_state
+    (zeros if None)."""
     width, batch = (ids if ids is not None else x).shape[:2]
     if width == 0:
         raise ValueError("need at least one timestep")
     state = model.zero_state(batch) if init_state is None else init_state
-    return _layers(model, ForwardCache.window(model, state, ids=ids, x=x), 0, width)
+    return forward_segment(model, ForwardCache.window(model, state, ids=ids, x=x), 0, width)
+
+
+def forward_cached(model: LstmLm, inputs, init_state=None) -> ForwardCache:
+    """Layer-wise forward over a whole window, kept for backward."""
+    ids, x, _ = _window_inputs(model, inputs)
+    return _run_window(model, ids, x, init_state)
 
 
 def forward(model: LstmLm, inputs, init_state=None):
     """Probability distributions per step: (T, |V|) for a single
     sequence, (T, B, |V|) for a batch. Also returns the final state."""
-    _, _, squeeze = _window_inputs(model, inputs)
-    cache = forward_cached(model, inputs, init_state)
+    ids, x, squeeze = _window_inputs(model, inputs)
+    cache = _run_window(model, ids, x, init_state)
     probs = np.exp(cache.log_probs)
     if squeeze:
         probs = probs[:, 0, :]
@@ -510,4 +509,4 @@ def greedy_or_sample_predict(distribution, sample: bool = False,
         return int(np.argmax(dist))
     if rng is None:
         raise ValueError("rng is required for sampling mode")
-    return int(categorical_draws(dist[None], rng)[0])
+    return categorical_draw(dist, rng)

@@ -162,11 +162,22 @@ def renormalize(table: NeighborTable, tau: float) -> NeighborTable:
     return replace(table, probs=_softmax_rows(table.sims / tau), tau=float(tau))
 
 
-def categorical_draws(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One inverse-CDF draw per row of `probs` (N, k): slot indices (N,).
+def categorical_draw(row: np.ndarray, rng: np.random.Generator) -> int:
+    """One inverse-CDF draw from a probability row (k,): a slot index.
 
-    Row r takes searchsorted(cdf, u_r * cdf[-1], side="right") clipped
-    to the last slot, i.e. the count of running sums before the last
+    searchsorted(cdf, u * cdf[-1], side="right") clipped to the last
+    slot, with u = rng.random(); a u * total equal to a running sum moves
+    past it, so a zero-probability slot is never drawn.
+    """
+    cdf = np.cumsum(row)
+    slot = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+    return min(slot, cdf.size - 1)
+
+
+def categorical_draws(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """categorical_draw for each row of `probs` (N, k): slot indices (N,).
+
+    The clipped search is the count of running sums before the last
     that are <= u_r times the row total, with u = rng.random(N): the same
     doubles, in the same order, as N scalar rng.random() calls.
     """
@@ -193,8 +204,14 @@ def sample_neighbors(table, words, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_neighbor(table, word: int, rng: np.random.Generator) -> int:
-    """Draw one neighbor id for `word`: sample_neighbors for one word."""
-    return int(sample_neighbors(table, [word], rng)[0])
+    """Draw one neighbor id for `word` from its probability row.
+
+    The one-word form of sample_neighbors, with the same draws: flagged
+    words return themselves without drawing.
+    """
+    if word in table.flagged:
+        return int(word)
+    return int(table.ids[word, categorical_draw(table.probs[word], rng)])
 
 
 def centroid(table: NeighborTable, emb: EmbeddingMatrix, word: int,

@@ -1,5 +1,7 @@
 """Synthetic corpora and embeddings shared across the test suite."""
 
+import functools
+
 import numpy as np
 
 
@@ -145,3 +147,15 @@ def reference_transition_table(corpus_ids, n: int, k: int):
             ids[wid, slot] = succ
             probs[wid, slot] = count / total
     return ids, probs
+
+
+def assert_like_step(batch: int):
+    """Array comparison of a layer-wise window against the `step` loop.
+
+    Exact for B >= 2, where a row of a stacked product equals the
+    per-step product. At B = 1 numpy sends step's one-row products to
+    BLAS's matrix-vector kernel, so there the two agree to rounding.
+    """
+    if batch > 1:
+        return np.testing.assert_array_equal
+    return functools.partial(np.testing.assert_allclose, rtol=1e-9, atol=1e-12)

@@ -19,18 +19,12 @@ from nnrslab.model import greedy_or_sample_predict
 from nnrslab.neighbors import (
     NeighborTable,
     build_transition_table,
+    categorical_draw,
     categorical_draws,
     sample_neighbor,
     sample_neighbors,
 )
 from nnrslab.policy import GumbelLogits, gumbel_sample, gumbel_slots
-
-
-def _searchsorted_slot(row, rng):
-    """The reference one-row rule: searchsorted right, clipped."""
-    cdf = np.cumsum(row)
-    slot = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-    return min(slot, row.size - 1)
 
 
 def _neighbor_table(rng, n, k):
@@ -79,10 +73,10 @@ class TestBatchedEqualsPerRow:
                                         case["seed"])
                 assert got == want
 
-                # and the rule itself: searchsorted on each unflagged row
+                # and the rule itself: the one-row draw on each unflagged row
                 ref_rng = np.random.default_rng(case["seed"])
                 ref = [int(w) if int(w) in flagged
-                       else int(table.ids[w, _searchsorted_slot(table.probs[w], ref_rng)])
+                       else int(table.ids[w, categorical_draw(table.probs[w], ref_rng)])
                        for w in words]
                 assert got == ref
 
@@ -111,7 +105,7 @@ class TestBatchedEqualsPerRow:
                                 case["seed"])
         assert got == want
         got, want = _same_draws(lambda g: categorical_draws(probs, g),
-                                lambda g, r: _searchsorted_slot(probs[r], g), case["seed"])
+                                lambda g, r: categorical_draw(probs[r], g), case["seed"])
         assert got == want
 
 
@@ -140,4 +134,4 @@ def test_draw_landing_on_a_running_sum_takes_the_next_slot():
     got = categorical_draws(probs, _FixedRandom([0.0, 0.5, 0.5]))
     np.testing.assert_array_equal(got, [1, 1, 2])
     for row, u, want in zip(probs, (0.0, 0.5, 0.5), (1, 1, 2)):
-        assert _searchsorted_slot(row, _FixedRandom([u])) == want
+        assert categorical_draw(row, _FixedRandom([u])) == want

@@ -20,7 +20,7 @@ from nnrslab.model import (
     sgd_step,
     step,
 )
-from synth import finite_difference_grads, max_rel_error
+from synth import assert_like_step, finite_difference_grads, max_rel_error
 
 
 def _small_model(rng, vocab=6, dim=3, hidden=4):
@@ -253,18 +253,19 @@ class TestSegmentedForward:
             steps.append(one)
         ref = ForwardCache(steps, ref_state, batch)
 
+        same = assert_like_step(batch)
         for t in case["cuts"]:  # each cut read the previous segment's last rows
             np.testing.assert_array_equal(window.ids[t], ref.log_probs[t - 1].argmax(axis=1))
-        np.testing.assert_array_equal(window.log_probs, ref.log_probs)
+        same(window.log_probs, ref.log_probs)
         for (h, c), (ref_h, ref_c) in zip(window.final_state, ref.final_state):
-            np.testing.assert_array_equal(h, ref_h)
-            np.testing.assert_array_equal(c, ref_c)
-        assert loss_from_cache(window, targets) == loss_from_cache(ref, targets)
+            same(h, ref_h)
+            same(c, ref_c)
+        same(loss_from_cache(window, targets), loss_from_cache(ref, targets))
         grads = backward(model, window, targets)
         ref_grads = backward(model, ref, targets)
         for key in model.params:
-            np.testing.assert_array_equal(grads[key], ref_grads[key])
-        np.testing.assert_array_equal(window.input_grads, ref.input_grads)
+            same(grads[key], ref_grads[key])
+        same(window.input_grads, ref.input_grads)
 
     def test_gradcheck_segmented_batch(self, rng):
         # B=3, T=7 cut into [0, 2), [2, 3), [3, 6), [6, 7), nonzero initial state
