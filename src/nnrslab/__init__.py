@@ -16,7 +16,6 @@ from .neighbors import (
     TransitionTable,
     build_neighbor_table,
     build_transition_table,
-    centroid,
     cosine,
     default_k,
     renormalize,
@@ -64,7 +63,6 @@ __all__ = [
     "TransitionTable",
     "build_neighbor_table",
     "build_transition_table",
-    "centroid",
     "cosine",
     "default_k",
     "renormalize",

@@ -22,12 +22,13 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
 from .embeddings import load_embeddings
-from .metrics import ToyChain, evaluate_model, kl_decomposition
+from .metrics import ToyChain, evaluate_model, kl_decomposition, reports_to_csv
 from .neighbors import build_neighbor_table, build_transition_table, default_k, save_table, save_table_csv
 from .schedules import KINDS, Schedule
 from .trainer import (
@@ -254,18 +255,11 @@ def cmd_eval(args) -> int:
                              prefix_len=args.prefix_len, split_name=args.split,
                              config_id=args.checkpoint, exclude={vocab.unk_id})
 
-    rows = []
+    reports = [replace(rep, value=rep.value * 100.0) if rep.metric in _BLEU_LIKE else rep
+               for rep in reports if rep.metric in wanted]
+    reports_to_csv(reports, args.out)
     for rep in reports:
-        if rep.metric not in wanted:
-            continue
-        value = rep.value * 100.0 if rep.metric in _BLEU_LIKE else rep.value
-        rows.append((rep.metric, rep.split, value, rep.config_id))
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "split", "value", "config_id"])
-        for metric, split, value, config_id in rows:
-            writer.writerow([metric, split, repr(float(value)), config_id])
-            print("%-12s %-6s %.4f" % (metric, split, value))
+        print("%-12s %-6s %.4f" % (rep.metric, rep.split, rep.value))
     return 0
 
 

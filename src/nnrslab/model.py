@@ -10,9 +10,11 @@ parameter set:
     W_out, b_out       (H, |V|), (|V|,) softmax projection
 
 Fused gate blocks are ordered [input, forget, cell, output] along the
-4H axis. Forward accepts either token ids (embedding lookup) or raw
-(B, d) vectors per step, the latter carrying centroid-style inputs;
-backward then reports the gradient wrt those vectors.
+4H axis. The model's only input is token ids: every training input
+(teacher, prediction, neighbor or Gumbel-chosen token) is an id, and a
+float input is refused. backward reports the gradient wrt each step's
+embedded input vector in cache.input_grads, which the GSNS
+straight-through update reads, and scatters it into the embedding rows.
 
 Every forward path runs forward_segment: layer by layer over a span of
 timesteps whose inputs are all known, one input projection per layer
@@ -20,7 +22,7 @@ over the span's (T*B, .) rows stacked in (t, b) order, the recurrence
 per step (_cell), then one output projection and log-softmax.
 Training cuts each BPTT window before every scheduled-sampling step,
 whose input is the model's own prediction from the step before;
-validation and evaluation (forward_window) run whole windows. The
+validation and evaluation (forward_cached) run whole windows. The
 results land in a ForwardCache of (T, B, .) arrays.
 step is the one-step API, used for decoding and as the reference the
 window paths are tested against: bit for bit at B >= 2, to rounding at
@@ -98,30 +100,14 @@ class LstmLm:
                 for _ in range(2)]
 
 
-def _step_input(model: LstmLm, x):
-    """One step's input as (ids (B,), None) or (None, vectors (B, d))."""
-    x = np.asarray(x)
-    if np.issubdtype(x.dtype, np.integer):
-        return x.reshape(-1), None
-    vec = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if vec.shape[1] != model.dim:
-        raise ValueError("input vector dim %d != %d" % (vec.shape[1], model.dim))
-    return None, vec
-
-
-def _fed_ids(fed) -> bool:
-    """True if every step of a run is fed token ids, False if every step
-    is fed raw vectors; a run mixing the two is refused."""
-    if not fed:
-        raise ValueError("need at least one timestep")
-    if any(fed) and not all(fed):
-        raise ValueError("steps mix token ids and raw vectors")
-    return fed[0]
-
-
-def _check_ids(model: LstmLm, ids: np.ndarray) -> None:
+def _token_ids(model: LstmLm, ids) -> np.ndarray:
+    """An int64 copy of `ids`; float inputs and ids outside [0, |V|) are refused."""
+    ids = np.asarray(ids)
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise ValueError("model inputs must be integer token ids, got dtype %s" % ids.dtype)
     if ids.size and (ids.min() < 0 or ids.max() >= model.vocab_size):
         raise ValueError("token id out of range [0, %d)" % model.vocab_size)
+    return ids.astype(np.int64)
 
 
 @functools.lru_cache(maxsize=None)
@@ -172,9 +158,9 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 class ForwardCache:
     """A forward pass over T timesteps of B rows, as (T, B, .) arrays.
 
-    ids (T, B), or None for raw-vector inputs; x (T, B, d) the input
-    vectors. Per layer (index 0 and 1): gates (T, 4, B, H) the activated
-    [i, f, g, o] blocks, tc (T, B, H) tanh of the cell state, and h and c
+    ids (T, B) the token ids fed; x (T, B, d) their embedding rows. Per
+    layer (index 0 and 1): gates (T, 4, B, H) the activated [i, f, g, o]
+    blocks, tc (T, B, H) tanh of the cell state, and h and c
     (T + 1, B, H) with row 0 the initial state. log_probs (T, B, |V|).
     final_state is the state after the last step run; input_grads
     (T, B, d) is filled by backward.
@@ -185,8 +171,7 @@ class ForwardCache:
 
     def __init__(self, steps, final_state, batch_size):
         steps = list(steps)
-        fed = _fed_ids([s.ids is not None for s in steps])
-        self.ids = np.concatenate([s.ids for s in steps]) if fed else None
+        self.ids = np.concatenate([s.ids for s in steps])
         self.x = np.concatenate([s.x for s in steps])
         self.gates = [np.concatenate([s.gates[k] for s in steps]) for k in (0, 1)]
         self.tc = [np.concatenate([s.tc[k] for s in steps]) for k in (0, 1)]
@@ -200,19 +185,14 @@ class ForwardCache:
         self.input_grads = None
 
     @classmethod
-    def window(cls, model: LstmLm, state, ids=None, x=None) -> "ForwardCache":
-        """Empty cache for ids (T, B) or raw vectors x (T, B, d), with
-        `state` in row 0; nothing is run yet. Copies its inputs."""
-        if ids is not None:
-            ids = np.array(ids, dtype=np.int64)
-            _check_ids(model, ids)
-            t_len, batch = ids.shape
-        else:
-            x = np.array(x, dtype=np.float64)
-            t_len, batch = x.shape[:2]
+    def window(cls, model: LstmLm, state, ids) -> "ForwardCache":
+        """Empty cache for token ids (T, B), with `state` in row 0;
+        nothing is run yet. Copies the ids."""
+        ids = _token_ids(model, ids)
+        t_len, batch = ids.shape
         cache = cls.__new__(cls)
         cache.ids = ids
-        cache.x = np.empty((t_len, batch, model.dim)) if x is None else x
+        cache.x = np.empty((t_len, batch, model.dim))
         cache.gates = [np.empty((t_len, 4, batch, model.hidden)) for _ in (0, 1)]
         cache.tc = [np.empty((t_len, batch, model.hidden)) for _ in (0, 1)]
         cache.h, cache.c = [], []
@@ -247,8 +227,7 @@ def forward_segment(model: LstmLm, cache: ForwardCache, lo: int, hi: int,
     """
     p = model.params
     rows = (hi - lo) * cache.batch_size
-    if cache.ids is not None:
-        cache.x[lo:hi] = p["embed"][cache.ids[lo:hi]]
+    cache.x[lo:hi] = p["embed"][cache.ids[lo:hi]]
     inp = cache.x[lo:hi]
     for layer, (gates, h, c, tc) in enumerate(zip(cache.gates, cache.h, cache.c, cache.tc), 1):
         z = inp.reshape(rows, -1) @ p["lstm%d_Wx" % layer]
@@ -267,81 +246,42 @@ def forward_segment(model: LstmLm, cache: ForwardCache, lo: int, hi: int,
     return cache
 
 
-def _step_cache(model: LstmLm, x, state) -> ForwardCache:
-    ids, vec = _step_input(model, x)
-    if ids is not None:
-        return ForwardCache.window(model, state, ids=ids[None])
-    return ForwardCache.window(model, state, x=vec[None])
-
-
-def step(model: LstmLm, x, state):
-    """One timestep. Returns (log_probs (B,|V|), new_state, cache).
+def step(model: LstmLm, ids, state):
+    """One timestep on ids (B,). Returns (log_probs (B,|V|), new_state, cache).
 
     The one-step API for decoding and the reference the window paths
     are tested against; the cache is a one-step ForwardCache.
     """
-    cache = forward_segment(model, _step_cache(model, x, state), 0, 1)
+    cache = ForwardCache.window(model, state, np.reshape(ids, (1, -1)))
+    forward_segment(model, cache, 0, 1)
     return cache.log_probs[0], cache.final_state, cache
 
 
-def advance(model: LstmLm, x, state):
+def advance(model: LstmLm, ids, state):
     """Cells-only timestep: the new state, without the output layer."""
-    return forward_segment(model, _step_cache(model, x, state), 0, 1, output=False).final_state
+    cache = ForwardCache.window(model, state, np.reshape(ids, (1, -1)))
+    return forward_segment(model, cache, 0, 1, output=False).final_state
 
 
-def forward_window(model: LstmLm, inputs, state):
-    """Inference over one (B, T) id window, state carried.
-
-    Returns (log_probs (T, B, |V|), final_state), from one input
-    projection per layer and one output projection for the window.
-    """
-    ids = np.asarray(inputs).T
-    cache = forward_segment(model, ForwardCache.window(model, state, ids=ids), 0, ids.shape[0])
-    return cache.log_probs, cache.final_state
-
-
-def _window_inputs(model: LstmLm, inputs):
-    """Normalize forward input to (ids (T, B) or None, x (T, B, d) or
-    None, squeeze?). Accepts a 1-D id sequence, (B, T) ids, or a list of
-    per-step id arrays or raw (B, d) vectors."""
-    if isinstance(inputs, (list, tuple)):
-        steps = [_step_input(model, x) for x in inputs]
-        if _fed_ids([ids is not None for ids, _ in steps]):
-            return np.stack([ids for ids, _ in steps]), None, False
-        return None, np.stack([vec for _, vec in steps]), False
-    arr = np.asarray(inputs)
-    if arr.ndim == 1 and np.issubdtype(arr.dtype, np.integer):  # single sequence of ids
-        return arr[:, None], None, True
-    if arr.ndim == 2 and np.issubdtype(arr.dtype, np.integer):  # (B, T) ids
-        return arr.T, None, False
-    raise ValueError("inputs must be a 1-D/2-D id array or a per-step list")
+def forward_cached(model: LstmLm, ids, init_state=None) -> ForwardCache:
+    """Layer-wise forward over one (B, T) id window from init_state
+    (zeros if None): one input projection per layer, the recurrence per
+    step, one output projection. The cache is what backward reads."""
+    ids = np.asarray(ids)
+    if ids.ndim != 2 or ids.shape[1] == 0:
+        raise ValueError("ids must be a (B, T) array with T >= 1, got shape %s" % (ids.shape,))
+    state = model.zero_state(ids.shape[0]) if init_state is None else init_state
+    return forward_segment(model, ForwardCache.window(model, state, ids.T), 0, ids.shape[1])
 
 
-def _run_window(model: LstmLm, ids, x, init_state) -> ForwardCache:
-    """Forward over ids (T, B) or raw vectors x (T, B, d) from init_state
-    (zeros if None)."""
-    width, batch = (ids if ids is not None else x).shape[:2]
-    if width == 0:
-        raise ValueError("need at least one timestep")
-    state = model.zero_state(batch) if init_state is None else init_state
-    return forward_segment(model, ForwardCache.window(model, state, ids=ids, x=x), 0, width)
-
-
-def forward_cached(model: LstmLm, inputs, init_state=None) -> ForwardCache:
-    """Layer-wise forward over a whole window, kept for backward."""
-    ids, x, _ = _window_inputs(model, inputs)
-    return _run_window(model, ids, x, init_state)
-
-
-def forward(model: LstmLm, inputs, init_state=None):
-    """Probability distributions per step: (T, |V|) for a single
-    sequence, (T, B, |V|) for a batch. Also returns the final state."""
-    ids, x, squeeze = _window_inputs(model, inputs)
-    cache = _run_window(model, ids, x, init_state)
+def forward(model: LstmLm, ids, init_state=None):
+    """Probability distributions per step: (T, |V|) for a single id
+    sequence (T,), (T, B, |V|) for a (B, T) batch. Also returns the
+    final state."""
+    ids = np.asarray(ids)
+    cache = forward_cached(model, ids[None] if ids.ndim == 1 else ids, init_state)
     probs = np.exp(cache.log_probs)
-    if squeeze:
-        probs = probs[:, 0, :]
-    return probs, cache.final_state
+    return (probs[:, 0] if ids.ndim == 1 else probs), cache.final_state
 
 
 def loss(distributions, targets) -> float:
@@ -419,8 +359,8 @@ def backward(model: LstmLm, cache: ForwardCache, targets) -> dict:
     """Exact BPTT gradients of the mean NLL wrt every parameter.
 
     Truncation boundary: the window's initial state is a constant.
-    Gradients wrt the input vectors land in cache.input_grads (T, B, d);
-    a cache fed by ids additionally scatters them into the embedding rows.
+    Gradients wrt the embedded inputs land in cache.input_grads (T, B, d)
+    and are scattered into the embedding rows of the ids fed.
 
     Only the recurrence runs per timestep, layer 2's whole reverse pass
     before layer 1's. Everything else is one product per window on rows
@@ -455,8 +395,7 @@ def backward(model: LstmLm, cache: ForwardCache, targets) -> dict:
         dh_in = (dz @ p["lstm%d_Wx" % layer].T).reshape(t_len, b, -1)
 
     grads["embed"] = np.zeros_like(p["embed"])
-    if cache.ids is not None:
-        np.add.at(grads["embed"], cache.ids.reshape(-1), dh_in.reshape(rows, model.dim))
+    np.add.at(grads["embed"], cache.ids.reshape(-1), dh_in.reshape(rows, model.dim))
     cache.input_grads = dh_in
     return {key: grads[key] for key in p}
 

@@ -18,7 +18,6 @@ The transition table is the replacement-sampling baseline: per word,
 the top-k successors by corpus bigram count, renormalized.
 """
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -214,17 +213,6 @@ def sample_neighbor(table, word: int, rng: np.random.Generator) -> int:
     return int(table.ids[word, categorical_draw(table.probs[word], rng)])
 
 
-def centroid(table: NeighborTable, emb: EmbeddingMatrix, word: int,
-             scale_by_k: bool = True) -> np.ndarray:
-    """Probability-weighted neighbor average (1/k) * sum_i p_i * e_i.
-
-    The leading 1/k makes this a scaled rather than convex combination;
-    pass scale_by_k=False for the plain expectation sum_i p_i * e_i.
-    """
-    vec = table.probs[word] @ emb.vectors[table.ids[word]]
-    return vec / table.k if scale_by_k else vec
-
-
 def build_transition_table(corpus_ids, vocab, k: int) -> TransitionTable:
     """Top-k bigram successors per word from a training id stream.
 
@@ -303,38 +291,3 @@ def save_table_csv(path, table) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header)
         fh.write("".join(row % fields for fields in zip(*cols)))
-
-
-def load_table_csv(path, tau: float = 1.0):
-    """Rebuild a table from its inspection CSV, validating row sums.
-
-    The CSV does not carry tau; pass the temperature the probs were
-    written at (default 1.0).
-    """
-    rows: dict[int, list[tuple[int, float, float | None]]] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        has_sims = "sim" in header
-        for rec in reader:
-            wid = int(rec[0])
-            if has_sims:
-                rows.setdefault(wid, []).append((int(rec[1]), float(rec[3]), float(rec[2])))
-            else:
-                rows.setdefault(wid, []).append((int(rec[1]), float(rec[2]), None))
-    n = max(rows) + 1
-    k = len(rows[0])
-    ids = np.zeros((n, k), dtype=np.int64)
-    probs = np.zeros((n, k), dtype=np.float64)
-    sims = np.zeros((n, k), dtype=np.float64)
-    for wid, slots in rows.items():
-        for s, (nid, prob, sim) in enumerate(slots):
-            ids[wid, s] = nid
-            probs[wid, s] = prob
-            if sim is not None:
-                sims[wid, s] = sim
-    _check_row_sums(probs, "table CSV")
-    if has_sims:
-        return NeighborTable(k=k, ids=ids, sims=sims, probs=probs, tau=float(tau),
-                             flagged=frozenset())
-    return TransitionTable(k=k, ids=ids, probs=probs)

@@ -46,13 +46,19 @@ class TokenDecision:
     chosen_id: int
 
 
-def _check_mode_rates(mode: str, epsilon: float, gamma: float) -> None:
-    if mode == "MLE" and (epsilon != 0.0 or gamma != 0.0):
-        raise ValueError("mode MLE requires epsilon = gamma = 0")
-    if mode == "SS" and gamma != 0.0:
-        raise ValueError("mode SS requires gamma = 0")
-    if mode in ("NNRS", "TPRS", "GSNS") and epsilon != 0.0:
-        raise ValueError("mode %s requires epsilon = 0" % mode)
+def check_mode_rates(mode: str, epsilon_on: bool, gamma_on: bool) -> None:
+    """The one mode/rate rule: MLE takes neither rate, SS no gamma, NNRS,
+    TPRS and GSNS no epsilon, SS_NNRS both. Unknown modes are refused.
+
+    epsilon_on / gamma_on say whether the SS / NNRS rate is nonzero: a
+    training config passes its schedules, PolicyState its current rates.
+    """
+    if mode not in MODES:
+        raise ValueError("unknown mode %r (expected one of %s)" % (mode, ", ".join(MODES)))
+    if epsilon_on and mode not in ("SS", "SS_NNRS"):
+        raise ValueError("mode %s requires epsilon (the ss rate) = 0" % mode)
+    if gamma_on and mode not in ("NNRS", "TPRS", "SS_NNRS", "GSNS"):
+        raise ValueError("mode %s requires gamma (the nnrs rate) = 0" % mode)
 
 
 @dataclass
@@ -72,8 +78,6 @@ class PolicyState:
     best_val_loss: float = math.inf
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError("unknown mode %r (expected one of %s)" % (self.mode, ", ".join(MODES)))
         self.set_rates(self.epsilon, self.gamma)
         if not self.tau > 0.0:
             raise ValueError("tau must be positive, got %g" % self.tau)
@@ -82,7 +86,7 @@ class PolicyState:
         for name, v in (("epsilon", epsilon), ("gamma", gamma)):
             if not 0.0 <= v <= 1.0:
                 raise ValueError("%s must be in [0, 1], got %g" % (name, v))
-        _check_mode_rates(self.mode, epsilon, gamma)
+        check_mode_rates(self.mode, epsilon != 0.0, gamma != 0.0)
         self.epsilon = float(epsilon)
         self.gamma = float(gamma)
 

@@ -30,8 +30,8 @@ from .model import (
     LstmLm,
     backward,
     cosine_lr,
+    forward_cached,
     forward_segment,
-    forward_window,
     loss_from_cache,
     sgd_step,
 )
@@ -48,10 +48,11 @@ from .neighbors import (
     sample_neighbors,
 )
 from .policy import (
-    MODES,
+    GUMBEL_TAU,
     GumbelLogits,
     PolicyState,
     Source,
+    check_mode_rates,
     decide_batch_positions,
     gumbel_slots,
     gumbel_update,
@@ -62,9 +63,10 @@ from .vocab import build_vocabulary, read_corpus
 
 
 class DivergenceError(RuntimeError):
-    """Validation perplexity blew past 10x vocabulary size.
+    """Validation perplexity blew past 10x vocabulary size, or an epoch
+    failed part way (a non-finite gradient aborts its SGD step).
 
-    Carries the records collected so far as a diagnostic.
+    Carries the records of the epochs completed so far as a diagnostic.
     """
 
     def __init__(self, message: str, records):
@@ -97,7 +99,7 @@ class TrainConfig:
     k: int = 0  # 0 -> default_k(|V|)
     tau_init: float = 0.1
     gumbel_beta: float = 0.9
-    gumbel_tau: float = 0.5
+    gumbel_tau: float = GUMBEL_TAU
     hidden: int = 128
     dim: int = 64
     min_count: int = 1
@@ -113,8 +115,6 @@ class TrainConfig:
         for name in ("batch_size", "bptt_len", "hidden", "dim", "min_count"):
             if getattr(self, name) < 1:
                 raise ValueError("%s must be >= 1" % name)
-        if self.mode not in MODES:
-            raise ValueError("unknown mode %r (expected one of %s)" % (self.mode, ", ".join(MODES)))
         if self.base_lr <= 0.0:
             raise ValueError("base_lr must be positive")
         if self.clip < 0.0:
@@ -125,14 +125,9 @@ class TrainConfig:
             raise ValueError("val_fraction must be in (0, 1)")
         if self.k < 0:
             raise ValueError("k must be >= 0 (0 selects the default)")
-        ss_zero = self.ss.start_rate == 0.0 and self.ss.end_rate == 0.0
-        nnrs_zero = self.nnrs.start_rate == 0.0 and self.nnrs.end_rate == 0.0
-        if self.mode == "MLE" and not (ss_zero and nnrs_zero):
-            raise ValueError("mode MLE requires both schedules at rate 0")
-        if self.mode == "SS" and not nnrs_zero:
-            raise ValueError("mode SS requires the nnrs schedule at rate 0")
-        if self.mode in ("NNRS", "TPRS", "GSNS") and not ss_zero:
-            raise ValueError("mode %s requires the ss schedule at rate 0" % self.mode)
+        check_mode_rates(self.mode,
+                         self.ss.start_rate != 0.0 or self.ss.end_rate != 0.0,
+                         self.nnrs.start_rate != 0.0 or self.nnrs.end_rate != 0.0)
         if self.mode == "GSNS" and not TAU_MIN <= self.gumbel_tau <= TAU_MAX:
             raise ValueError("gumbel_tau must be in [%g, %g], got %g"
                              % (TAU_MIN, TAU_MAX, self.gumbel_tau))
@@ -243,25 +238,31 @@ _RECORD_FIELDS = ("epoch", "epsilon", "gamma", "tau", "train_loss",
                   "val_loss", "best", "lr", "wall_time")
 
 
+def _record_row(rec: EpochRecord) -> list:
+    """[epoch, then every other field as a float], in _RECORD_FIELDS order:
+    one records.csv row, and one entry of a checkpoint's records."""
+    return [rec.epoch] + [float(getattr(rec, f)) for f in _RECORD_FIELDS[1:]]
+
+
+def _record_from_row(row) -> EpochRecord:
+    """Inverse of _record_row; the values may also be their str forms."""
+    return EpochRecord(int(row[0]), *(float(v) for v in row[1:]))
+
+
 def records_to_csv(records, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_RECORD_FIELDS)
-        for rec in records:
-            writer.writerow([rec.epoch] + [repr(float(getattr(rec, f)))
-                                           for f in _RECORD_FIELDS[1:]])
+        writer.writerows(_record_row(rec) for rec in records)  # str(float) is its repr
 
 
 def records_from_csv(path):
-    records = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if tuple(header) != _RECORD_FIELDS:
             raise ValueError("unexpected records header: %r" % (header,))
-        for row in reader:
-            records.append(EpochRecord(int(row[0]), *(float(v) for v in row[1:])))
-    return records
+        return [_record_from_row(row) for row in reader]
 
 
 def rng_streams(seed: int):
@@ -301,9 +302,10 @@ def validate(model: LstmLm, val_batches) -> float:
     """Teacher-forced perplexity over a window list, state carried.
 
     exp(total NLL / total tokens); never touches parameters and never
-    applies a sampling policy. Each window runs layer-wise
-    (model.forward_window): one input projection per layer, the
-    recurrence per step, one output projection.
+    applies a sampling policy. Each window runs layer-wise through
+    model.forward_cached (one input projection per layer, the recurrence
+    per step, one output projection) from the previous window's final
+    state, zeros for the first.
     """
     if not val_batches:
         raise ValueError("empty validation split")
@@ -311,12 +313,12 @@ def validate(model: LstmLm, val_batches) -> float:
     total_nll = 0.0
     total_tokens = 0
     for inputs, targets in val_batches:
-        if state is None:
-            state = model.zero_state(inputs.shape[0])
-        log_probs, state = forward_window(model, inputs, state)
-        picked = np.take_along_axis(log_probs, targets.T[:, :, None], axis=2)
+        cache = forward_cached(model, inputs, state)
+        picked = np.take_along_axis(cache.log_probs, targets.T[:, :, None], axis=2)
         total_nll -= picked.sum()
         total_tokens += targets.size
+        state = cache.final_state
+        del cache  # the next window's forward must not run with this one's arrays alive
     return float(np.exp(total_nll / total_tokens))
 
 
@@ -364,7 +366,7 @@ def save_checkpoint(path, model: LstmLm, state: PolicyState, records,
         "best_val_loss": state.best_val_loss,
         "epsilon": state.epsilon,
         "gamma": state.gamma,
-        "records": [[getattr(r, f) for f in _RECORD_FIELDS] for r in records],
+        "records": [_record_row(r) for r in records],
         "rng_policy": state.rng.bit_generator.state,
         "has_velocity": velocity is not None,
         "has_gumbel": gumbel is not None,
@@ -402,8 +404,7 @@ def load_checkpoint(path, vocab_hash: str = None) -> dict:
         "params": {k[len("param_"):]: v for k, v in data.items() if k.startswith("param_")},
         "velocity": {k[len("vel_"):]: v for k, v in data.items() if k.startswith("vel_")} or None,
         "gumbel_log_alpha": data.get("gumbel_log_alpha"),
-        "records": [EpochRecord(int(row[0]), *(float(v) for v in row[1:]))
-                    for row in meta["records"]],
+        "records": [_record_from_row(row) for row in meta["records"]],
     }
     return out
 
@@ -519,7 +520,9 @@ def run_training(config: TrainConfig, stop_after: int = None,
     an epoch falls back to the teacher token since no prediction
     exists yet. Neighbor tables are (re)built at the clamped
     temperature; TPRS tables are static, so only NNRS-family modes run
-    the temperature controller.
+    the temperature controller. A ValueError inside an epoch, such as
+    a non-finite gradient, is re-raised as DivergenceError carrying the
+    records of the epochs before it.
     """
     cfg = config
     cfg.check()
@@ -580,20 +583,23 @@ def run_training(config: TrainConfig, stop_after: int = None,
             lr = cosine_lr(cfg.base_lr, epoch - 1, cfg.epochs)
             started = time.perf_counter()
 
-            train_nll, gsns_grad, gsns_rows = _train_epoch(
-                model, state, cfg, table, gumbel, train_batches, lr,
-                velocity, trace, epoch,
-            )
-            val_ppl = validate(model, val_batches)
+            try:
+                train_nll, gsns_grad, gsns_rows = _train_epoch(
+                    model, state, cfg, table, gumbel, train_batches, lr,
+                    velocity, trace, epoch,
+                )
+                val_ppl = validate(model, val_batches)
 
-            if cfg.mode == "GSNS":
-                gumbel = gumbel_update(gumbel, gsns_grad, rows=gsns_rows)
-                state.best_val_loss = min(state.best_val_loss, val_ppl)
-            elif cfg.mode in ("NNRS", "SS_NNRS"):
-                update_temperature(state, val_ppl)
-                table = renormalize(table, state.tau)
-            else:
-                state.best_val_loss = min(state.best_val_loss, val_ppl)
+                if cfg.mode == "GSNS":
+                    gumbel = gumbel_update(gumbel, gsns_grad, rows=gsns_rows)
+                    state.best_val_loss = min(state.best_val_loss, val_ppl)
+                elif cfg.mode in ("NNRS", "SS_NNRS"):
+                    update_temperature(state, val_ppl)
+                    table = renormalize(table, state.tau)
+                else:
+                    state.best_val_loss = min(state.best_val_loss, val_ppl)
+            except ValueError as exc:  # e.g. sgd_step refusing a non-finite gradient
+                raise DivergenceError("epoch %d failed: %s" % (epoch, exc), records) from exc
 
             records.append(EpochRecord(
                 epoch=epoch, epsilon=epsilon, gamma=gamma, tau=state.tau,

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import nnrslab.cli as cli_mod
+import nnrslab.trainer as trainer_mod
 from nnrslab.cli import main
 from nnrslab.metrics import kl_decomposition, ToyChain
 from nnrslab.neighbors import NeighborTable, TransitionTable, load_table
@@ -219,6 +220,31 @@ class TestTrain:
         assert main(["train", "--config", config]) == 3
         capsys.readouterr()
         assert records_from_csv(out_dir / "records.csv") == partial
+
+    def test_non_finite_gradient_keeps_completed_records(self, corpus, tmp_path, capsys,
+                                                          monkeypatch):
+        # a NaN gradient in epoch 2 aborts sgd_step; epoch 1's record survives
+        out_dir = tmp_path / "run"
+        config = _write_config(tmp_path / "run.cfg", corpus, out_dir)
+        validated = []
+        real_validate, real_backward = trainer_mod.validate, trainer_mod.backward
+
+        def counting_validate(*args, **kwargs):
+            validated.append(True)
+            return real_validate(*args, **kwargs)
+
+        def poisoned_backward(*args, **kwargs):
+            grads = real_backward(*args, **kwargs)
+            if validated:
+                grads["W_out"][0, 0] = np.nan
+            return grads
+
+        monkeypatch.setattr(trainer_mod, "validate", counting_validate)
+        monkeypatch.setattr(trainer_mod, "backward", poisoned_backward)
+        assert main(["train", "--config", config]) == 3
+        assert "epoch 2 failed: non-finite gradient" in capsys.readouterr().err
+        assert [r.epoch for r in records_from_csv(out_dir / "records.csv")] == [1]
+        assert not (out_dir / "checkpoint.bin").exists()
 
 
 class TestTrace:

@@ -82,14 +82,18 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(model, np.array([0, 99]))
 
-    def test_vector_inputs(self, rng):
-        # centroid-style raw vectors in place of ids
+    def test_float_inputs_refused(self, rng):
+        # token ids are the only input: vectors and float-typed ids are refused
         model = _small_model(rng)
-        vecs = [rng.normal(size=(2, 3)) for _ in range(3)]
-        cache = forward_cached(model, vecs)
-        assert len(cache) == 3 and cache.ids is None
+        state = model.zero_state(2)
+        for bad in (rng.normal(size=(2, 3)), np.array([1.0, 2.0])):
+            with pytest.raises(ValueError, match="token ids"):
+                step(model, bad, state)
+        for bad in (rng.normal(size=(2, 4)), np.array([[1.0, 2.0], [3.0, 0.0]])):
+            with pytest.raises(ValueError, match="token ids"):
+                forward_cached(model, bad)
         with pytest.raises(ValueError):
-            forward_cached(model, [rng.normal(size=(2, 7))])
+            forward_cached(model, np.array([1, 2, 3]))  # one sequence is (1, T), not (T,)
 
     def test_state_carries(self, rng):
         model = _small_model(rng)
@@ -172,25 +176,27 @@ class TestBackward:
         assert cache.input_grads.shape == (3, 2, 3)
 
     def test_input_grads_match_finite_differences(self, rng):
-        # raw-vector inputs: input_grads is dL/dx, which the GSNS
-        # straight-through update reads
-        model = _small_model(rng)
-        vecs = [rng.normal(size=(2, 3)) for _ in range(4)]
-        targets = rng.integers(0, 6, size=(2, 4))
-        cache = forward_cached(model, vecs)
+        # input_grads is dL/dx per (t, b), which the GSNS straight-through
+        # update reads. Every id of the window is distinct, so perturbing
+        # an id's embed row perturbs exactly one input vector.
+        model = _small_model(rng, vocab=10)
+        inputs = rng.permutation(10)[:8].reshape(2, 4)
+        targets = rng.integers(0, 10, size=(2, 4))
+        cache = forward_cached(model, inputs)
         grads = backward(model, cache, targets)
-        np.testing.assert_array_equal(grads["embed"], 0.0)
+        embed = model.params["embed"]
         h = 1e-5
         fd = np.zeros((4, 2, 3))
-        for t, vec in enumerate(vecs):
-            for idx in np.ndindex(vec.shape):
-                orig = vec[idx]
-                vec[idx] = orig + h
-                plus = loss_from_cache(forward_cached(model, vecs), targets)
-                vec[idx] = orig - h
-                minus = loss_from_cache(forward_cached(model, vecs), targets)
-                vec[idx] = orig
-                fd[(t,) + idx] = (plus - minus) / (2.0 * h)
+        for (b, t), word in np.ndenumerate(inputs):
+            np.testing.assert_array_equal(grads["embed"][word], cache.input_grads[t, b])
+            for j in range(3):
+                orig = embed[word, j]
+                embed[word, j] = orig + h
+                plus = loss_from_cache(forward_cached(model, inputs), targets)
+                embed[word, j] = orig - h
+                minus = loss_from_cache(forward_cached(model, inputs), targets)
+                embed[word, j] = orig
+                fd[t, b, j] = (plus - minus) / (2.0 * h)
         assert max_rel_error({"x": cache.input_grads}, {"x": fd}) < 1e-4
 
     def test_finite_differences_batch_with_repeated_ids(self, rng):
@@ -290,14 +296,6 @@ class TestSegmentedForward:
                 out[idx] = (plus - minus) / (2.0 * h)
             fd[key] = out.reshape(arr.shape)
         assert max_rel_error(analytic, fd) < 1e-4
-
-    def test_joined_steps_need_one_input_kind(self, rng):
-        model = _small_model(rng)
-        state = model.zero_state(2)
-        _, state1, by_id = step(model, np.array([1, 2]), state)
-        _, state2, by_vec = step(model, rng.normal(size=(2, 3)), state1)
-        with pytest.raises(ValueError):
-            ForwardCache([by_id, by_vec], state2, 2)
 
 
 class TestSgdStep:

@@ -15,12 +15,10 @@ from nnrslab.neighbors import (
     TransitionTable,
     build_neighbor_table,
     build_transition_table,
-    centroid,
     clamp_tau,
     cosine,
     default_k,
     load_table,
-    load_table_csv,
     renormalize,
     sample_neighbor,
     save_table,
@@ -249,33 +247,6 @@ class TestSampleNeighbor:
         assert sample_neighbor(trans, 0, rng) == 1
 
 
-class TestCentroid:
-    def test_k1_identity(self):
-        emb = EmbeddingMatrix.from_vectors(np.array([[0.0, 0.0], [2.0, 3.0]]))
-        table = NeighborTable(
-            k=1, ids=np.array([[1], [0]]), sims=np.ones((2, 1)),
-            probs=np.ones((2, 1)), tau=1.0, flagged=frozenset(),
-        )
-        np.testing.assert_allclose(centroid(table, emb, 0), [2.0, 3.0])
-
-    def test_k2_hand_value(self):
-        emb = EmbeddingMatrix.from_vectors(np.array([[9.0, 9.0], [1.0, 0.0], [0.0, 1.0]]))
-        table = NeighborTable(
-            k=2, ids=np.array([[1, 2]]), sims=np.ones((1, 2)),
-            probs=np.full((1, 2), 0.5), tau=1.0, flagged=frozenset(),
-        )
-        np.testing.assert_allclose(centroid(table, emb, 0), [0.25, 0.25])
-        np.testing.assert_allclose(centroid(table, emb, 0, scale_by_k=False), [0.5, 0.5])
-
-    def test_norm_bounded_by_max_neighbor(self, rng):
-        emb = EmbeddingMatrix.from_vectors(rng.normal(size=(12, 4)))
-        table = build_neighbor_table(emb, k=3)
-        for wid in range(12):
-            vec = centroid(table, emb, wid)
-            max_norm = emb.norms[table.ids[wid]].max()
-            assert np.linalg.norm(vec) <= max_norm + 1e-12
-
-
 class TestBuildTransitionTable:
     def _vocab(self, tokens):
         return build_vocabulary(tokens, min_count=1)
@@ -406,16 +377,6 @@ class TestSerialization:
             self._rowwise_csv(slow, table)
             assert fast.read_bytes() == slow.read_bytes()
 
-    def test_csv_round_trip(self, tmp_path, rng):
-        emb = EmbeddingMatrix.from_vectors(rng.normal(size=(9, 5)))
-        table = build_neighbor_table(emb, k=3, tau=1.5)
-        path = tmp_path / "t.csv"
-        save_table_csv(path, table)
-        again = load_table_csv(path, tau=1.5)
-        np.testing.assert_array_equal(again.ids, table.ids)
-        np.testing.assert_array_equal(again.sims, table.sims)
-        np.testing.assert_array_equal(again.probs, table.probs)
-
     def test_csv_transition_has_no_sim_column(self, tmp_path):
         vocab = build_vocabulary(["a", "b"], min_count=1)
         table = build_transition_table(vocab.encode(["a", "b", "a"]), vocab, k=1)
@@ -423,6 +384,3 @@ class TestSerialization:
         save_table_csv(path, table)
         header = path.read_text(encoding="utf-8").splitlines()[0]
         assert header == "word_id,neighbor_id,prob"
-        again = load_table_csv(path)
-        assert isinstance(again, TransitionTable)
-        np.testing.assert_array_equal(again.probs, table.probs)

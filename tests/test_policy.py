@@ -7,6 +7,7 @@ import pytest
 
 from nnrslab.neighbors import NeighborTable
 from nnrslab.policy import (
+    MODES,
     GumbelLogits,
     PolicyState,
     Source,
@@ -17,6 +18,11 @@ from nnrslab.policy import (
     gumbel_update,
     update_temperature,
 )
+from nnrslab.schedules import Schedule
+from nnrslab.trainer import TrainConfig
+
+_FORBIDDEN = {("MLE", "epsilon"), ("MLE", "gamma"), ("SS", "gamma"),
+              ("NNRS", "epsilon"), ("TPRS", "epsilon"), ("GSNS", "epsilon")}
 
 
 def _toy_table(k: int = 3) -> NeighborTable:
@@ -30,6 +36,8 @@ class TestPolicyState:
     def test_unknown_mode(self, rng):
         with pytest.raises(ValueError):
             PolicyState(mode="RL", rng=rng)
+        with pytest.raises(ValueError, match="unknown mode"):
+            TrainConfig(corpus="c.txt", mode="RL").check()
 
     def test_mode_rate_constraints(self, rng):
         with pytest.raises(ValueError):
@@ -39,6 +47,23 @@ class TestPolicyState:
         with pytest.raises(ValueError):
             PolicyState(mode="NNRS", rng=rng, epsilon=0.1)
         PolicyState(mode="SS_NNRS", rng=rng, epsilon=0.3, gamma=0.3)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("rate", ["epsilon", "gamma"])
+    def test_one_rule_for_rates_and_schedules(self, rng, mode, rate):
+        # a nonzero rate and a nonzero schedule are refused for the same pairs
+        rates = (0.3, 0.0) if rate == "epsilon" else (0.0, 0.3)
+        schedule = {"ss" if rate == "epsilon" else "nnrs": Schedule("linear", 0.0, 0.3)}
+        state = PolicyState(mode=mode, rng=rng)
+        config = TrainConfig(corpus="c.txt", mode=mode, **schedule)
+        if (mode, rate) in _FORBIDDEN:
+            with pytest.raises(ValueError, match="mode %s requires %s" % (mode, rate)):
+                state.set_rates(*rates)
+            with pytest.raises(ValueError, match="mode %s requires %s" % (mode, rate)):
+                config.check()
+        else:
+            state.set_rates(*rates)
+            config.check()
 
     def test_rate_bounds(self, rng):
         state = PolicyState(mode="SS", rng=rng)
@@ -116,13 +141,20 @@ class TestDecideBatchPositions:
                                       decide_batch_positions(b, 64))
 
     def test_marginals(self, rng):
-        state = PolicyState(mode="SS_NNRS", rng=rng, epsilon=0.5, gamma=0.5)
-        mask = np.concatenate([decide_batch_positions(state, 1000)
-                               for _ in range(100)])
-        # analytic: teacher 0.25, prediction 0.25 + 0.125, neighbor same
-        assert abs(np.mean(mask == Source.TEACHER) - 0.25) < 0.01
-        assert abs(np.mean(mask == Source.PREDICTION) - 0.375) < 0.01
-        assert abs(np.mean(mask == Source.NEIGHBOR) - 0.375) < 0.01
+        # criterion 04's 25 (epsilon, gamma) pairs and analytic map, on the
+        # trainer's path: a joint fire splits 50/50
+        for eps in (0.0, 0.2, 0.5, 0.8, 1.0):
+            for gam in (0.0, 0.2, 0.5, 0.8, 1.0):
+                state = PolicyState(mode="SS_NNRS", rng=rng, epsilon=eps, gamma=gam)
+                mask = np.concatenate([decide_batch_positions(state, 1000)
+                                       for _ in range(100)])
+                expected = {
+                    Source.TEACHER: (1.0 - eps) * (1.0 - gam),
+                    Source.PREDICTION: eps * (1.0 - gam) + eps * gam / 2.0,
+                    Source.NEIGHBOR: gam * (1.0 - eps) + eps * gam / 2.0,
+                }
+                for source, target in expected.items():
+                    assert abs(np.mean(mask == source) - target) <= 0.01, (eps, gam, source)
 
     def test_bad_length(self, rng):
         with pytest.raises(ValueError):
