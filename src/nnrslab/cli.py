@@ -32,14 +32,15 @@ from .metrics import ToyChain, evaluate_model, kl_decomposition, reports_to_csv
 from .neighbors import build_neighbor_table, build_transition_table, default_k, save_table, save_table_csv
 from .schedules import KINDS, Schedule
 from .trainer import (
-    DivergenceError,
+    CHECKPOINT_FILE,
+    RECORDS_FILE,
+    TRACE_FILE,
     _load_run_inputs,
     config_from_dict,
     config_to_dict,
     make_batches,
     model_from_checkpoint,
     parse_config_file,
-    records_to_csv,
     rng_streams,
     run_training,
 )
@@ -168,16 +169,13 @@ def _run_training_command(args, trace: bool) -> int:
     if not cfg.out_dir:
         raise UsageError("config must set out_dir")
     os.makedirs(cfg.out_dir, exist_ok=True)
-    records_path = os.path.join(cfg.out_dir, "records.csv")
-    checkpoint_path = os.path.join(cfg.out_dir, "checkpoint.bin")
-    trace_path = os.path.join(cfg.out_dir, "decisions.csv") if trace else None
 
     with _DirLock(cfg.out_dir):
         inputs = {args.config: _sha256(args.config), cfg.corpus: _checked(_sha256, cfg.corpus)}
         for extra in (cfg.embeddings, cfg.val_corpus):
             if extra:
                 inputs[extra] = _checked(_sha256, extra)
-        outputs = ["records.csv", "checkpoint.bin"] + (["decisions.csv"] if trace else [])
+        outputs = [RECORDS_FILE, CHECKPOINT_FILE] + ([TRACE_FILE] if trace else [])
         _write_json(os.path.join(cfg.out_dir, "manifest.json"), {
             "command": "trace" if trace else "train",
             "version": __version__,
@@ -187,18 +185,8 @@ def _run_training_command(args, trace: bool) -> int:
             "inputs": inputs,
             "outputs": outputs,
         })
-        try:
-            _, records = run_training(
-                cfg,
-                stop_after=getattr(args, "stop_after", None),
-                resume_from=getattr(args, "resume", None),
-                trace_path=trace_path,
-                checkpoint_path=checkpoint_path,
-            )
-        except DivergenceError as exc:
-            records_to_csv(exc.records, records_path)
-            raise
-        records_to_csv(records, records_path)
+        _, records = run_training(cfg, stop_after=getattr(args, "stop_after", None),
+                                  resume_from=getattr(args, "resume", None), trace=trace)
     last = records[-1]
     print("trained %d epoch(s), final val perplexity %.4f -> %s"
           % (last.epoch, last.val_loss, cfg.out_dir))

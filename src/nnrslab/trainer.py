@@ -13,17 +13,23 @@ parameter and embedding initialization, one for every policy draw.
 Because the streams are separate, a run at epsilon = gamma = 0 is
 float-identical to a plain teacher-forcing loop with the policy layer
 absent.
+
+run_training alone writes `out_dir`, after every completed epoch:
+records.csv, then checkpoint.bin unless that epoch diverged, so a run
+that fails or is killed in epoch N resumes from epoch N - 1. The
+optional decision trace there is appended to on resume.
 """
 
 import csv
 import json
+import os
 import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import __version__
-from .arrayio import load_arrays, save_arrays
+from .arrayio import load_arrays, replacing, save_arrays
 from .embeddings import EmbeddingMatrix, load_embeddings
 from .model import (
     ForwardCache,
@@ -133,16 +139,11 @@ class TrainConfig:
                              % (TAU_MIN, TAU_MAX, self.gumbel_tau))
 
 
-_CONFIG_KEYS = {
-    "corpus": str, "out_dir": str, "embeddings": str, "val_corpus": str,
-    "epochs": int, "batch_size": int, "bptt_len": int, "mode": str,
-    "ss_kind": str, "ss_start": float, "ss_end": float,
-    "nnrs_kind": str, "nnrs_start": float, "nnrs_end": float,
-    "base_lr": float, "clip": float, "momentum": float, "seed": int,
-    "k": int, "tau_init": float, "gumbel_beta": float, "gumbel_tau": float,
-    "hidden": int, "dim": int, "min_count": int, "val_fraction": float,
-    "predict_sample": bool, "freeze_embeddings": bool,
-}
+_SCHEDULE_FIELDS = tuple(f.name for f in fields(TrainConfig) if f.type is Schedule)
+_SCHEDULE_PARTS = (("_kind", str), ("_start", float), ("_end", float))
+# flat config key -> type: one per field, a Schedule field as its three parts
+_CONFIG_KEYS = {f.name + suffix: typ for f in fields(TrainConfig)
+                for suffix, typ in (_SCHEDULE_PARTS if f.type is Schedule else [("", f.type)])}
 
 
 def _parse_bool(v) -> bool:
@@ -172,27 +173,21 @@ def config_from_dict(raw: dict) -> TrainConfig:
     for key, value in raw.items():
         typ = _CONFIG_KEYS[key]
         vals[key] = _parse_bool(value) if typ is bool else typ(value)
-    sched = {}
-    for prefix in ("ss", "nnrs"):
-        kind = vals.pop(prefix + "_kind", "static")
-        start = vals.pop(prefix + "_start", 0.0)
-        end = vals.pop(prefix + "_end", 0.0)
-        sched[prefix] = Schedule(kind, start, end)
-    cfg = TrainConfig(ss=sched["ss"], nnrs=sched["nnrs"], **vals)
+    for name in _SCHEDULE_FIELDS:
+        vals[name] = Schedule(vals.pop(name + "_kind", "static"),
+                              vals.pop(name + "_start", 0.0),
+                              vals.pop(name + "_end", 0.0))
+    cfg = TrainConfig(**vals)
     cfg.check()
     return cfg
 
 
 def config_to_dict(cfg: TrainConfig) -> dict:
-    out = {}
-    for f in fields(TrainConfig):
-        if f.name in ("ss", "nnrs"):
-            sched = getattr(cfg, f.name)
-            out[f.name + "_kind"] = sched.kind
-            out[f.name + "_start"] = sched.start_rate
-            out[f.name + "_end"] = sched.end_rate
-        else:
-            out[f.name] = getattr(cfg, f.name)
+    out = {f.name: getattr(cfg, f.name) for f in fields(TrainConfig)}
+    for name in _SCHEDULE_FIELDS:
+        sched = out.pop(name)
+        out.update({name + "_kind": sched.kind, name + "_start": sched.start_rate,
+                    name + "_end": sched.end_rate})
     return out
 
 
@@ -250,7 +245,8 @@ def _record_from_row(row) -> EpochRecord:
 
 
 def records_to_csv(records, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    """Header plus one row per record, replacing `path` atomically."""
+    with replacing(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_RECORD_FIELDS)
         writer.writerows(_record_row(rec) for rec in records)  # str(float) is its repr
@@ -346,34 +342,27 @@ def _load_run_inputs(cfg: TrainConfig, rng_model: np.random.Generator):
     return vocab, train_ids, val_ids, emb
 
 
+RECORDS_FILE = "records.csv"
+CHECKPOINT_FILE = "checkpoint.bin"
+TRACE_FILE = "decisions.csv"
+
 CHECKPOINT_MAGIC = "nnrslab-checkpoint"
 
 
-def save_checkpoint(path, model: LstmLm, state: PolicyState, records,
-                    vocab_hash: str, config: TrainConfig, epoch: int,
+def save_checkpoint(path, model: LstmLm, rng_policy: np.random.Generator, records,
+                    vocab_hash: str, config: TrainConfig,
                     velocity=None, gumbel=None) -> None:
-    """All state needed to continue the run exactly: parameters,
-    optimizer velocity, Gumbel logits, controller state, both RNG
-    streams, and the records so far."""
+    """All state needed to continue the run exactly, each value once:
+    parameters, velocity, Gumbel logits, config, policy RNG, and the
+    records (the last holds the epoch, tau and best to resume from)."""
     meta = {
         "magic": CHECKPOINT_MAGIC,
         "version": __version__,
         "vocab_hash": vocab_hash,
         "config": config_to_dict(config),
-        "epoch": epoch,
-        "mode": state.mode,
-        "tau": state.tau,
-        "best_val_loss": state.best_val_loss,
-        "epsilon": state.epsilon,
-        "gamma": state.gamma,
         "records": [_record_row(r) for r in records],
-        "rng_policy": state.rng.bit_generator.state,
-        "has_velocity": velocity is not None,
-        "has_gumbel": gumbel is not None,
-        "gumbel_beta": gumbel.beta if gumbel is not None else None,
+        "rng_policy": rng_policy.bit_generator.state,
         "vocab_size": model.vocab_size,
-        "dim": model.dim,
-        "hidden": model.hidden,
     }
     arrays = {"param_" + k: v for k, v in model.params.items()}
     if velocity is not None:
@@ -387,7 +376,8 @@ def save_checkpoint(path, model: LstmLm, state: PolicyState, records,
 
 
 def load_checkpoint(path, vocab_hash: str = None) -> dict:
-    """Read a checkpoint; refuses a vocab-hash mismatch outright."""
+    """Read a checkpoint; refuses a vocab-hash mismatch outright. velocity
+    and gumbel_log_alpha are None when the run had no momentum or GSNS."""
     data = load_arrays(path)
     if "meta" not in data:
         raise ValueError("%s is not a checkpoint (no meta entry)" % path)
@@ -399,36 +389,41 @@ def load_checkpoint(path, vocab_hash: str = None) -> dict:
             "checkpoint vocabulary hash %s does not match current vocabulary %s"
             % (meta["vocab_hash"][:12], vocab_hash[:12])
         )
-    out = {
+    return {
         "meta": meta,
         "params": {k[len("param_"):]: v for k, v in data.items() if k.startswith("param_")},
         "velocity": {k[len("vel_"):]: v for k, v in data.items() if k.startswith("vel_")} or None,
         "gumbel_log_alpha": data.get("gumbel_log_alpha"),
         "records": [_record_from_row(row) for row in meta["records"]],
     }
-    return out
 
 
 def model_from_checkpoint(path, vocab_hash: str = None):
     """(model, checkpoint dict) for evaluation-style consumers."""
     ck = load_checkpoint(path, vocab_hash)
-    meta = ck["meta"]
-    model = LstmLm(meta["vocab_size"], meta["dim"], meta["hidden"], ck["params"])
+    params = ck["params"]
+    vocab_size, dim = params["embed"].shape
+    model = LstmLm(vocab_size, dim, params["lstm1_Wh"].shape[0], params)
     return model, ck
 
 
 class _Trace:
-    """Optional decision trace: epoch,step,t,source,teacher_id,chosen_id."""
+    """Optional decision trace: epoch,step,t,source,teacher_id,chosen_id.
+    With `append`, the header goes only into an empty file."""
 
-    def __init__(self, path):
-        self._fh = open(path, "w", encoding="utf-8", newline="")
+    def __init__(self, path, append: bool):
+        self._fh = open(path, "a" if append else "w", encoding="utf-8", newline="")
         self._writer = csv.writer(self._fh)
-        self._writer.writerow(["epoch", "step", "t", "source", "teacher_id", "chosen_id"])
+        if self._fh.tell() == 0:
+            self._writer.writerow(["epoch", "step", "t", "source", "teacher_id", "chosen_id"])
 
     def rows(self, epoch, step_idx, t, source, teachers, chosen):
         label = Source(source).label
         for teach, chose in zip(teachers, chosen):
             self._writer.writerow([epoch, step_idx, t, label, int(teach), int(chose)])
+
+    def flush(self):
+        self._fh.flush()
 
     def close(self):
         self._fh.close()
@@ -509,8 +504,7 @@ def _train_epoch(model, state, cfg, table, gumbel, train_batches, lr,
 
 
 def run_training(config: TrainConfig, stop_after: int = None,
-                 resume_from: str = None, trace_path: str = None,
-                 checkpoint_path: str = None):
+                 resume_from: str = None, trace: bool = False):
     """Run the full curriculum loop. Returns (model, records).
 
     Epoch i in 1..epochs evaluates the schedules at z = i / epochs (the
@@ -523,15 +517,19 @@ def run_training(config: TrainConfig, stop_after: int = None,
     the temperature controller. A ValueError inside an epoch, such as
     a non-finite gradient, is re-raised as DivergenceError carrying the
     records of the epochs before it.
+    The run directory and `trace` are described in the module docstring.
     """
     cfg = config
     cfg.check()
     if stop_after is not None and not 1 <= stop_after <= cfg.epochs:
         raise ValueError("stop_after must be in [1, epochs]")
+    if trace and not cfg.out_dir:
+        raise ValueError("a decision trace needs out_dir")
 
     rng_model, rng_policy = rng_streams(cfg.seed)
     vocab, train_ids, val_ids, emb = _load_run_inputs(cfg, rng_model)
     n_vocab = len(vocab)
+    vocab_hash = vocab.content_hash()
 
     table = None
     gumbel = None
@@ -553,30 +551,35 @@ def run_training(config: TrainConfig, stop_after: int = None,
     start_epoch = 1
 
     if resume_from:
-        ck = load_checkpoint(resume_from, vocab.content_hash())
-        meta = ck["meta"]
-        if meta["mode"] != cfg.mode:
+        ck = load_checkpoint(resume_from, vocab_hash)
+        stored_mode = ck["meta"]["config"]["mode"]
+        if stored_mode != cfg.mode:
             raise ValueError("checkpoint mode %s does not match config mode %s"
-                             % (meta["mode"], cfg.mode))
+                             % (stored_mode, cfg.mode))
+        records = ck["records"]
+        last = records[-1]
         model.params = ck["params"]
-        state.tau = meta["tau"]
-        state.best_val_loss = meta["best_val_loss"]
-        state.rng.bit_generator.state = meta["rng_policy"]
+        state.tau = last.tau
+        state.best_val_loss = last.best
+        state.rng.bit_generator.state = ck["meta"]["rng_policy"]
         if ck["velocity"] is not None:
             velocity = ck["velocity"]
         if ck["gumbel_log_alpha"] is not None:
-            gumbel = GumbelLogits(ck["gumbel_log_alpha"], beta=meta["gumbel_beta"])
+            gumbel = GumbelLogits(ck["gumbel_log_alpha"], beta=cfg.gumbel_beta)
         if isinstance(table, NeighborTable):
             table = renormalize(table, clamp_tau(state.tau))
-        records = ck["records"]
-        start_epoch = meta["epoch"] + 1
+        start_epoch = last.epoch + 1
+        if start_epoch > cfg.epochs:
+            raise ValueError("checkpoint already holds all %d epochs" % cfg.epochs)
 
     train_batches = make_batches(train_ids, cfg.batch_size, cfg.bptt_len)
     val_batches = make_batches(val_ids, 1, cfg.bptt_len)
 
-    trace = _Trace(trace_path) if trace_path else None
+    if cfg.out_dir:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    tracer = (_Trace(os.path.join(cfg.out_dir, TRACE_FILE), append=bool(resume_from))
+              if trace else None)
     try:
-        last_epoch = start_epoch - 1
         for epoch in range(start_epoch, cfg.epochs + 1):
             epsilon, gamma = rates_for_epoch(cfg.ss, cfg.nnrs, epoch, cfg.epochs)
             state.set_rates(epsilon, gamma)
@@ -586,7 +589,7 @@ def run_training(config: TrainConfig, stop_after: int = None,
             try:
                 train_nll, gsns_grad, gsns_rows = _train_epoch(
                     model, state, cfg, table, gumbel, train_batches, lr,
-                    velocity, trace, epoch,
+                    velocity, tracer, epoch,
                 )
                 val_ppl = validate(model, val_batches)
 
@@ -607,19 +610,22 @@ def run_training(config: TrainConfig, stop_after: int = None,
                 best=state.best_val_loss, lr=lr,
                 wall_time=time.perf_counter() - started,
             ))
-            last_epoch = epoch
-            if val_ppl > 10.0 * n_vocab:
+            diverged = val_ppl > 10.0 * n_vocab
+            if cfg.out_dir:
+                records_to_csv(records, os.path.join(cfg.out_dir, RECORDS_FILE))
+                if not diverged:
+                    save_checkpoint(os.path.join(cfg.out_dir, CHECKPOINT_FILE), model,
+                                    state.rng, records, vocab_hash, cfg,
+                                    velocity=velocity, gumbel=gumbel)
+                if tracer is not None:
+                    tracer.flush()
+            if diverged:
                 raise DivergenceError(
                     "validation perplexity %.3g exceeded 10x vocabulary size at epoch %d"
                     % (val_ppl, epoch), records)
             if stop_after is not None and epoch >= stop_after:
                 break
     finally:
-        if trace is not None:
-            trace.close()
-
-    if checkpoint_path:
-        save_checkpoint(checkpoint_path, model, state, records,
-                        vocab.content_hash(), cfg, last_epoch,
-                        velocity=velocity, gumbel=gumbel)
+        if tracer is not None:
+            tracer.close()
     return model, records

@@ -15,7 +15,7 @@ from nnrslab.cli import main
 from nnrslab.metrics import kl_decomposition, ToyChain
 from nnrslab.neighbors import NeighborTable, TransitionTable, load_table
 from nnrslab.schedules import Schedule
-from nnrslab.trainer import DivergenceError, EpochRecord, records_from_csv
+from nnrslab.trainer import load_checkpoint, records_from_csv
 from synth import bigram_cycle_lines, write_lines
 
 
@@ -44,14 +44,29 @@ def _write_config(path, corpus, out_dir, **overrides):
     return str(path)
 
 
+def _assert_same_checkpoint(path_a, path_b):
+    """Records (wall times aside), parameters, velocity and policy RNG equal."""
+    a, b = load_checkpoint(path_a), load_checkpoint(path_b)
+    assert a["records"] == b["records"]
+    assert a["meta"]["rng_policy"] == b["meta"]["rng_policy"]
+    for part in ("params", "velocity"):
+        assert (a[part] is None) == (b[part] is None)
+        for key in a[part] or {}:
+            assert a[part][key].tobytes() == b[part][key].tobytes(), (part, key)
+
+
 class TestEntryPoint:
     def test_version_exits_zero(self, capsys):
         assert main(["--version"]) == 0
         capsys.readouterr()
 
     def test_module_invocation(self):
+        # the child does not inherit pytest's pythonpath setting
+        src = os.path.dirname(os.path.dirname(cli_mod.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
         out = subprocess.run([sys.executable, "-m", "nnrslab.cli", "--version"],
-                             capture_output=True, text=True)
+                             capture_output=True, text=True, env=env)
         assert out.returncode == 0
 
     def test_no_command_is_usage_error(self, capsys):
@@ -209,17 +224,23 @@ class TestTrain:
 
     def test_divergence_writes_partial_records(self, corpus, tmp_path, capsys,
                                                monkeypatch):
+        # epoch 2's validation perplexity passes 10 |V|: its row is kept,
+        # the checkpoint stays at epoch 1
         out_dir = tmp_path / "run"
         config = _write_config(tmp_path / "run.cfg", corpus, out_dir)
-        partial = [EpochRecord(1, 0.0, 0.0, 0.1, 900.0, 900.0, 12.0, 1.0)]
+        real_validate = trainer_mod.validate
+        calls = []
 
-        def explode(*args, **kwargs):
-            raise DivergenceError("diverged", partial)
+        def diverging_validate(*args, **kwargs):
+            calls.append(True)
+            return real_validate(*args, **kwargs) if len(calls) == 1 else 1e9
 
-        monkeypatch.setattr(cli_mod, "run_training", explode)
+        monkeypatch.setattr(trainer_mod, "validate", diverging_validate)
         assert main(["train", "--config", config]) == 3
-        capsys.readouterr()
-        assert records_from_csv(out_dir / "records.csv") == partial
+        assert "exceeded 10x vocabulary size at epoch 2" in capsys.readouterr().err
+        records = records_from_csv(out_dir / "records.csv")
+        assert [r.epoch for r in records] == [1, 2] and records[1].val_loss == 1e9
+        assert load_checkpoint(out_dir / "checkpoint.bin")["records"] == records[:1]
 
     def test_non_finite_gradient_keeps_completed_records(self, corpus, tmp_path, capsys,
                                                           monkeypatch):
@@ -244,7 +265,19 @@ class TestTrain:
         assert main(["train", "--config", config]) == 3
         assert "epoch 2 failed: non-finite gradient" in capsys.readouterr().err
         assert [r.epoch for r in records_from_csv(out_dir / "records.csv")] == [1]
-        assert not (out_dir / "checkpoint.bin").exists()
+        checkpoint = out_dir / "checkpoint.bin"
+        assert [r.epoch for r in load_checkpoint(checkpoint)["records"]] == [1]
+
+        # without the poison, resuming epoch 1 equals an uninterrupted run
+        monkeypatch.undo()
+        assert main(["train", "--config", config, "--resume", str(checkpoint)]) == 0
+        full_dir = tmp_path / "full"
+        assert main(["train", "--config",
+                     _write_config(tmp_path / "full.cfg", corpus, full_dir)]) == 0
+        capsys.readouterr()
+        assert (records_from_csv(out_dir / "records.csv")
+                == records_from_csv(full_dir / "records.csv"))
+        _assert_same_checkpoint(checkpoint, full_dir / "checkpoint.bin")
 
 
 class TestTrace:
@@ -256,6 +289,26 @@ class TestTrace:
         with open(out_dir / "decisions.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert rows and all(r["source"] == "Teacher" for r in rows)
+
+    @pytest.mark.parametrize("policy", [
+        dict(mode="SS_NNRS", ss_kind="linear", ss_end="0.5", nnrs_kind="static",
+             nnrs_start="0.2", nnrs_end="0.2", predict_sample="true", momentum="0.3",
+             tau_init="1.5"),  # off the clamp, so tau moves every epoch
+        dict(mode="GSNS", nnrs_kind="static", nnrs_start="0.3", nnrs_end="0.3", k="3"),
+    ], ids=["SS_NNRS", "GSNS"])
+    def test_resumed_trace_matches_uninterrupted(self, corpus, tmp_path, capsys, policy):
+        full_dir, part_dir = tmp_path / "full", tmp_path / "part"
+        assert main(["train", "--trace", "--config", _write_config(
+            tmp_path / "full.cfg", corpus, full_dir, epochs=4, **policy)]) == 0
+        part = _write_config(tmp_path / "part.cfg", corpus, part_dir, epochs=4, **policy)
+        assert main(["train", "--trace", "--config", part, "--stop-after", "2"]) == 0
+        assert main(["train", "--trace", "--config", part,
+                     "--resume", str(part_dir / "checkpoint.bin")]) == 0
+        capsys.readouterr()
+        trace = (part_dir / "decisions.csv").read_bytes()
+        assert trace == (full_dir / "decisions.csv").read_bytes()
+        assert b",Neighbor," in trace
+        _assert_same_checkpoint(part_dir / "checkpoint.bin", full_dir / "checkpoint.bin")
 
 
 class TestEval:

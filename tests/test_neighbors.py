@@ -21,6 +21,7 @@ from nnrslab.neighbors import (
     load_table,
     renormalize,
     sample_neighbor,
+    sample_neighbors,
     save_table,
     save_table_csv,
 )
@@ -49,6 +50,16 @@ def quarter_cosine_embeddings(draw):
     k = draw(st.integers(1, valid - 1))
     block_rows = draw(st.integers(1, 3))
     return vectors, k, block_rows * valid
+
+
+@st.composite
+def tables_and_taus(draw):
+    """(vectors, k, ascending temperatures in [TAU_MIN, TAU_MAX])."""
+    n = draw(st.integers(3, 12))
+    vectors = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).normal(
+        size=(n, draw(st.integers(2, 6))))
+    taus = draw(st.lists(st.floats(0.5, 10.0), min_size=2, max_size=5))
+    return vectors, draw(st.integers(1, n - 1)), sorted(taus)
 
 
 class TestCosine:
@@ -201,6 +212,22 @@ class TestRenormalize:
         np.testing.assert_allclose(ratio, np.exp(spread / 10.0), rtol=1e-10)
         assert np.all(ratio <= np.exp(0.2 * spread) + 1e-12)
 
+    @settings(max_examples=100, deadline=None)
+    @given(tables_and_taus())
+    def test_rows_normalized_and_entropy_rises_with_tau(self, case):
+        vectors, k, taus = case
+        emb = EmbeddingMatrix.from_vectors(vectors)
+        base = build_neighbor_table(emb, k, tau=taus[0])
+        entropies = []
+        for tau in taus:
+            for probs in (build_neighbor_table(emb, k, tau=tau).probs,
+                          renormalize(base, tau).probs):
+                assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-9
+            probs = renormalize(base, tau).probs
+            entropies.append(-(probs * np.log(probs)).sum(axis=1))
+        for cold, hot in zip(entropies, entropies[1:]):
+            assert np.all(hot >= cold - 1e-12)
+
     def test_clamp_tau(self):
         assert clamp_tau(0.1) == 0.5
         assert clamp_tau(50.0) == 10.0
@@ -240,6 +267,21 @@ class TestSampleNeighbor:
             probs=np.full((2, 2), 0.5), tau=1.0, flagged=frozenset({1}),
         )
         assert sample_neighbor(table, 1, rng) == 1
+
+    def test_batched_row_frequencies(self, rng):
+        # criterion 04's tolerance, per row, on the trainer's batched draw
+        probs = np.array([[0.5, 0.3, 0.2], [0.1, 0.1, 0.8], [1 / 3, 1 / 3, 1 / 3],
+                          [0.6, 0.2, 0.2]])
+        ids = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+        table = NeighborTable(k=3, ids=ids, sims=np.zeros((4, 3)), probs=probs,
+                              tau=1.0, flagged=frozenset({3}))
+        words = np.tile(np.arange(4), 4)  # a batch of 16 rows, each word 4 times
+        draws = np.array([sample_neighbors(table, words, rng) for _ in range(25_000)])
+        for word in range(3):
+            got = draws[:, words == word]
+            for slot, target in zip(ids[word], probs[word]):
+                assert abs(np.mean(got == slot) - target) <= 0.01, (word, slot)
+        assert np.all(draws[:, words == 3] == 3)  # flagged: the teacher id back
 
     def test_works_on_transition_table(self, rng):
         trans = TransitionTable(k=2, ids=np.array([[1, 2]]),

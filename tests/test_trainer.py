@@ -1,6 +1,7 @@
 """Training loop: config parsing, batching, validation, checkpoints, runs."""
 
 import csv
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -108,6 +109,33 @@ class TestConfig:
         again = config_from_dict(config_to_dict(cfg))
         assert again == cfg
 
+    def test_every_field_off_default_round_trips(self, cycle_corpus):
+        cfg = TrainConfig(
+            corpus=cycle_corpus, out_dir="runs/x", embeddings="e.txt", val_corpus="v.txt",
+            epochs=5, batch_size=3, bptt_len=7, mode="SS_NNRS",
+            ss=Schedule("linear", 0.1, 0.5), nnrs=Schedule("exponential", 0.05, 0.3),
+            base_lr=0.7, clip=2.5, momentum=0.3, seed=9, k=4, tau_init=1.5,
+            gumbel_beta=0.7, gumbel_tau=2.0, hidden=12, dim=6, min_count=2,
+            val_fraction=0.2, predict_sample=True, freeze_embeddings=True)
+        default = TrainConfig(corpus="")
+        for f in fields(TrainConfig):
+            if f.name != "corpus":
+                assert getattr(cfg, f.name) != getattr(default, f.name), f.name
+        flat = config_to_dict(cfg)
+        assert config_from_dict(flat) == cfg
+        assert config_from_dict({key: str(v) for key, v in flat.items()}) == cfg
+
+    def test_unknown_key_error_lists_every_key(self):
+        with pytest.raises(ValueError) as err:
+            config_from_dict({"corpus": "c.txt", "learning_rate": "1"})
+        listed = str(err.value).split("valid keys: ")[1].split(", ")
+        assert listed == [
+            "base_lr", "batch_size", "bptt_len", "clip", "corpus", "dim", "embeddings",
+            "epochs", "freeze_embeddings", "gumbel_beta", "gumbel_tau", "hidden", "k",
+            "min_count", "mode", "momentum", "nnrs_end", "nnrs_kind", "nnrs_start",
+            "out_dir", "predict_sample", "seed", "ss_end", "ss_kind", "ss_start",
+            "tau_init", "val_corpus", "val_fraction"]
+
     def test_value_validation(self, cycle_corpus):
         for bad in (dict(epochs=0), dict(base_lr=0.0), dict(momentum=1.0),
                     dict(val_fraction=0.0), dict(clip=-1.0), dict(k=-1)):
@@ -140,6 +168,26 @@ class TestRecords:
         a = EpochRecord(1, 0.0, 0.0, 0.5, 2.0, 2.0, 2.0, 1.0, wall_time=0.1)
         b = EpochRecord(1, 0.0, 0.0, 0.5, 2.0, 2.0, 2.0, 1.0, wall_time=9.9)
         assert a == b
+
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "records.csv"
+        records_to_csv([EpochRecord(7, 0.0, 0.0, 0.5, 9.0, 8.0, 8.0, 1.0)], path)
+        before = path.read_bytes()
+        records = [EpochRecord(e, 0.0, 0.0, 0.5, 9.0, 8.0, 8.0, 1.0) for e in (1, 2)]
+        real, calls = trainer_mod._record_row, []
+
+        def fail_second(rec):
+            calls.append(1)
+            if len(calls) == 2:  # the header and the first row are already written
+                raise OSError("disk full")
+            return real(rec)
+
+        monkeypatch.setattr(trainer_mod, "_record_row", fail_second)
+        with pytest.raises(OSError, match="disk full"):
+            records_to_csv(records, path)
+        assert len(calls) == 2
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["records.csv"]
 
     def test_header_check(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -403,6 +451,38 @@ class TestRunTraining:
         with pytest.raises(ValueError):
             run_training(_quick_config(cycle_corpus, epochs=2), stop_after=3)
 
+    @pytest.mark.parametrize("momentum", [0.0, 0.3])
+    def test_freeze_embeddings(self, cycle_corpus, momentum):
+        cfg = _quick_config(cycle_corpus, epochs=2, momentum=momentum,
+                            freeze_embeddings=True)
+        rng_model, _ = rng_streams(cfg.seed)  # run_training's own initialization
+        vocab, _, _, emb = _load_run_inputs(cfg, rng_model)
+        initial = LstmLm.init(len(vocab), cfg.dim, cfg.hidden, rng_model,
+                              embed=emb.vectors).params
+        model, _ = run_training(cfg)
+        for key, value in model.params.items():
+            if key == "embed":
+                assert value.tobytes() == initial[key].tobytes()
+            else:
+                assert not np.array_equal(value, initial[key]), key
+
+    def test_run_dir_written_each_epoch(self, cycle_corpus, tmp_path, monkeypatch):
+        out_dir = tmp_path / "run"
+        cfg = _quick_config(cycle_corpus, out_dir=str(out_dir))
+        seen = []
+        real_save = trainer_mod.save_checkpoint
+
+        def watching_save(path, model, rng_policy, records, *args, **kwargs):
+            # records.csv is already on disk when the checkpoint is written
+            seen.append(len(records_from_csv(out_dir / "records.csv")))
+            real_save(path, model, rng_policy, records, *args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "save_checkpoint", watching_save)
+        _, records = run_training(cfg)
+        assert seen == [1, 2, 3]
+        assert records_from_csv(out_dir / "records.csv") == records
+        assert load_checkpoint(out_dir / "checkpoint.bin")["records"] == records
+
     def test_divergence_carries_records(self, cycle_corpus, monkeypatch):
         cfg = _quick_config(cycle_corpus, epochs=2)
         monkeypatch.setattr(trainer_mod, "validate", lambda *a, **k: 1e9)
@@ -414,9 +494,9 @@ class TestRunTraining:
 
 class TestTrace:
     def test_mle_all_teacher(self, cycle_corpus, tmp_path):
-        cfg = _quick_config(cycle_corpus, epochs=1)
+        cfg = _quick_config(cycle_corpus, epochs=1, out_dir=str(tmp_path))
         trace_path = tmp_path / "decisions.csv"
-        run_training(cfg, trace_path=str(trace_path))
+        run_training(cfg, trace=True)
         with open(trace_path, newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert rows
@@ -426,9 +506,10 @@ class TestTrace:
 
     def test_nnrs_chosen_ids_are_tabled_neighbors(self, cycle_corpus, tmp_path):
         cfg = _quick_config(cycle_corpus, mode="NNRS", k=3,
-                            nnrs=Schedule("static", 0.5, 0.5), epochs=2)
+                            nnrs=Schedule("static", 0.5, 0.5), epochs=2,
+                            out_dir=str(tmp_path))
         trace_path = tmp_path / "decisions.csv"
-        run_training(cfg, trace_path=str(trace_path))
+        run_training(cfg, trace=True)
 
         rng_model, _ = rng_streams(cfg.seed)
         _, _, _, emb = _load_run_inputs(cfg, rng_model)
@@ -447,6 +528,10 @@ class TestTrace:
                     assert chosen == teacher
         assert saw_neighbor
 
+    def test_needs_out_dir(self, cycle_corpus):
+        with pytest.raises(ValueError, match="out_dir"):
+            run_training(_quick_config(cycle_corpus, epochs=1), trace=True)
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path, rng, cycle_corpus):
@@ -457,22 +542,24 @@ class TestCheckpoint:
         cfg = _quick_config(cycle_corpus, mode="NNRS",
                             nnrs=Schedule("static", 0.2, 0.2))
         path = tmp_path / "ck.bin"
-        save_checkpoint(path, model, state, records, "hash123", cfg, epoch=1)
+        save_checkpoint(path, model, state.rng, records, "hash123", cfg)
         ck = load_checkpoint(path, vocab_hash="hash123")
-        assert ck["meta"]["tau"] == 1.5
-        assert ck["meta"]["best_val_loss"] == 8.0
+        assert sorted(ck["meta"]) == ["config", "magic", "records", "rng_policy",
+                                      "version", "vocab_hash", "vocab_size"]
+        assert ck["meta"]["config"]["mode"] == "NNRS"
+        assert ck["meta"]["rng_policy"] == state.rng.bit_generator.state
         assert ck["records"] == records
+        assert ck["velocity"] is None and ck["gumbel_log_alpha"] is None
         for key in model.params:
             np.testing.assert_array_equal(ck["params"][key], model.params[key])
         loaded, _ = model_from_checkpoint(path)
-        assert loaded.vocab_size == 6 and loaded.hidden == 4
+        assert (loaded.vocab_size, loaded.dim, loaded.hidden) == (6, 3, 4)
 
     def test_vocab_hash_mismatch_refused(self, tmp_path, rng, cycle_corpus):
         model = LstmLm.init(6, 3, 4, rng)
         state = PolicyState(mode="MLE", rng=np.random.default_rng(1))
         path = tmp_path / "ck.bin"
-        save_checkpoint(path, model, state, [], "aaaa", _quick_config(cycle_corpus),
-                        epoch=0)
+        save_checkpoint(path, model, state.rng, [], "aaaa", _quick_config(cycle_corpus))
         with pytest.raises(ValueError, match="hash"):
             load_checkpoint(path, vocab_hash="bbbb")
 
@@ -487,11 +574,10 @@ class TestCheckpoint:
                   nnrs=Schedule("static", 0.2, 0.2), epochs=6, momentum=0.3)
         full_model, full_records = run_training(_quick_config(cycle_corpus, **kw))
 
-        ck = str(tmp_path / "mid.bin")
-        run_training(_quick_config(cycle_corpus, **kw), stop_after=3,
-                     checkpoint_path=ck)
+        mid = tmp_path / "mid"
+        run_training(_quick_config(cycle_corpus, out_dir=str(mid), **kw), stop_after=3)
         resumed_model, resumed_records = run_training(
-            _quick_config(cycle_corpus, **kw), resume_from=ck)
+            _quick_config(cycle_corpus, **kw), resume_from=str(mid / "checkpoint.bin"))
 
         assert resumed_records == full_records
         for key in full_model.params:
@@ -499,10 +585,15 @@ class TestCheckpoint:
                                           full_model.params[key])
 
     def test_resume_mode_mismatch(self, cycle_corpus, tmp_path):
-        ck = str(tmp_path / "mid.bin")
-        run_training(_quick_config(cycle_corpus, epochs=2), stop_after=1,
-                     checkpoint_path=ck)
+        run_training(_quick_config(cycle_corpus, epochs=2, out_dir=str(tmp_path)),
+                     stop_after=1)
         bad = _quick_config(cycle_corpus, mode="NNRS",
                             nnrs=Schedule("static", 0.2, 0.2), epochs=2)
         with pytest.raises(ValueError, match="mode"):
-            run_training(bad, resume_from=ck)
+            run_training(bad, resume_from=str(tmp_path / "checkpoint.bin"))
+
+    def test_resume_of_finished_run_refused(self, cycle_corpus, tmp_path):
+        cfg = _quick_config(cycle_corpus, epochs=2, out_dir=str(tmp_path))
+        run_training(cfg)
+        with pytest.raises(ValueError, match="all 2 epochs"):
+            run_training(cfg, resume_from=str(tmp_path / "checkpoint.bin"))
