@@ -11,8 +11,11 @@ Exit codes: 0 success, 2 usage or validation problem, 3 runtime
 failure. Training output directories are guarded by a lockfile so two
 runs cannot write into the same place, and a manifest.json (config
 snapshot, seed, input hashes, output names) is written before training
-starts. BLEU-style scores are printed and written x100 in eval output;
-every other artifact keeps the internal [0, 1] scale.
+starts. Its `segments` list holds one entry per invocation (command,
+start time, --stop-after, --resume and the resumed checkpoint's
+sha256); a resumed run appends its entry to the manifest already there.
+BLEU-style scores are printed and written x100 in eval output; every
+other artifact keeps the internal [0, 1] scale.
 """
 
 import argparse
@@ -27,6 +30,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
+from .arrayio import replacing
 from .embeddings import load_embeddings
 from .metrics import ToyChain, evaluate_model, kl_decomposition, reports_to_csv
 from .neighbors import build_neighbor_table, build_transition_table, default_k, save_table, save_table_csv
@@ -124,7 +128,7 @@ class _DirLock:
 
 
 def _write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -164,6 +168,22 @@ def cmd_index(args) -> int:
     return 0
 
 
+def _read_manifest(path):
+    """The manifest a resumed run appends its segment to; None if there is none."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError) as exc:
+        raise UsageError("cannot read %s: %s" % (path, exc)) from exc
+    if not isinstance(manifest, dict):
+        raise UsageError("%s is not a run manifest" % path)
+    if not isinstance(manifest.setdefault("segments", []), list):
+        raise UsageError("%s: segments is not a list" % path)
+    return manifest
+
+
 def _run_training_command(args, trace: bool) -> int:
     cfg = _checked(parse_config_file, args.config)
     if not cfg.out_dir:
@@ -171,22 +191,35 @@ def _run_training_command(args, trace: bool) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
 
     with _DirLock(cfg.out_dir):
-        inputs = {args.config: _sha256(args.config), cfg.corpus: _checked(_sha256, cfg.corpus)}
-        for extra in (cfg.embeddings, cfg.val_corpus):
-            if extra:
-                inputs[extra] = _checked(_sha256, extra)
-        outputs = [RECORDS_FILE, CHECKPOINT_FILE] + ([TRACE_FILE] if trace else [])
-        _write_json(os.path.join(cfg.out_dir, "manifest.json"), {
-            "command": "trace" if trace else "train",
-            "version": __version__,
+        stop_after, resume = getattr(args, "stop_after", None), getattr(args, "resume", None)
+        command = "trace" if trace else "train"
+        segment = {
+            "command": command,
             "created_unix": time.time(),
-            "seed": cfg.seed,
-            "config": config_to_dict(cfg),
-            "inputs": inputs,
-            "outputs": outputs,
-        })
-        _, records = run_training(cfg, stop_after=getattr(args, "stop_after", None),
-                                  resume_from=getattr(args, "resume", None), trace=trace)
+            "stop_after": stop_after,
+            "resume_from": resume,
+            "resume_sha256": _checked(_sha256, resume) if resume else None,
+        }
+        manifest_path = os.path.join(cfg.out_dir, "manifest.json")
+        manifest = _read_manifest(manifest_path) if resume else None
+        if manifest is None:
+            inputs = {args.config: _sha256(args.config), cfg.corpus: _checked(_sha256, cfg.corpus)}
+            for extra in (cfg.embeddings, cfg.val_corpus):
+                if extra:
+                    inputs[extra] = _checked(_sha256, extra)
+            manifest = {
+                "command": command,
+                "version": __version__,
+                "created_unix": segment["created_unix"],
+                "seed": cfg.seed,
+                "config": config_to_dict(cfg),
+                "inputs": inputs,
+                "outputs": [RECORDS_FILE, CHECKPOINT_FILE] + ([TRACE_FILE] if trace else []),
+                "segments": [],
+            }
+        manifest["segments"].append(segment)
+        _write_json(manifest_path, manifest)
+        _, records = run_training(cfg, stop_after=stop_after, resume_from=resume, trace=trace)
     last = records[-1]
     print("trained %d epoch(s), final val perplexity %.4f -> %s"
           % (last.epoch, last.val_loss, cfg.out_dir))

@@ -4,6 +4,14 @@ evaluation protocol that ties them together.
 
 All scores are kept in [0, 1] internally; the CLI multiplies BLEU-style
 numbers by 100 for table-style display.
+
+bleu4 and wmd_score score one pair. The diversity scores take a whole
+batch at once: self_bleu4 counts each sequence's n-grams once and
+equals the pairwise-bleu4 mean bit for bit; self_wmd normalizes each
+kept token once and takes one (L_i, N) similarity product per sequence
+against all N kept tokens, so its cost is linear in the batch size B
+apart from those products, and it equals the pairwise-wmd_score mean
+within 1e-12.
 """
 
 import csv
@@ -13,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arrayio import replacing
 from .embeddings import EmbeddingMatrix
-from .model import advance, step
+from .model import ForwardCache, forward_segment, step
 from .trainer import validate
 
 _BLEU_EPS = 1e-9  # numerator floor for zero n-gram matches
@@ -23,6 +32,20 @@ _EXACT_WMD_MAX = 12
 
 def _ngram_counts(seq, n: int) -> Counter:
     return Counter(tuple(seq[i:i + n]) for i in range(len(seq) - n + 1))
+
+
+def _bleu_score(c: int, clipped, ref_lens) -> float:
+    """BLEU of a length-c candidate from its clipped n-gram match counts
+    (n = 1..len(clipped)) and the lengths of its references."""
+    n_max = len(clipped)
+    log_sum = 0.0
+    for n, hits in enumerate(clipped, 1):
+        numer = hits if hits > 0 else _BLEU_EPS
+        log_sum += np.log(numer / (c - n + 1)) / n_max
+    # closest reference length; ties resolve to the shorter reference
+    r = min((abs(length - c), length) for length in ref_lens)[1]
+    bp = 1.0 if c >= r else float(np.exp(1.0 - r / c))
+    return float(bp * np.exp(log_sum))
 
 
 def bleu4(candidate, references) -> float:
@@ -38,33 +61,58 @@ def bleu4(candidate, references) -> float:
     refs = [list(r) for r in references]
     if not refs or any(not r for r in refs):
         raise ValueError("references must be non-empty")
-    c = len(cand)
-    n_max = min(4, c)
-    log_sum = 0.0
-    for n in range(1, n_max + 1):
-        counts = _ngram_counts(cand, n)
-        total = c - n + 1
+    clipped = []
+    for n in range(1, min(4, len(cand)) + 1):
         ref_counts = [_ngram_counts(r, n) for r in refs]
-        clipped = sum(
+        clipped.append(sum(
             min(cnt, max(rc[gram] for rc in ref_counts))
-            for gram, cnt in counts.items()
-        )
-        numer = clipped if clipped > 0 else _BLEU_EPS
-        log_sum += np.log(numer / total) / n_max
-    # closest reference length; ties resolve to the shorter reference
-    r = min((abs(len(ref) - c), len(ref)) for ref in refs)[1]
-    bp = 1.0 if c >= r else float(np.exp(1.0 - r / c))
-    return float(bp * np.exp(log_sum))
+            for gram, cnt in _ngram_counts(cand, n).items()
+        ))
+    return _bleu_score(len(cand), clipped, [len(r) for r in refs])
 
 
 def self_bleu4(batch) -> float:
     """Within-batch diversity: mean BLEU-4 of each sequence against
-    all the others as references. Lower means more diverse."""
+    all the others as references. Lower means more diverse.
+
+    Equals the mean of bleu4(seq_i, all others) bit for bit, from one
+    n-gram count per sequence and order: a gram's clipping bound
+    against "all but i" is its highest count in the batch, or the
+    second highest where sequence i holds the highest.
+    """
     seqs = [list(s) for s in batch]
     if len(seqs) < 2:
         warnings.warn("self-BLEU needs at least 2 sequences, skipping batch", stacklevel=2)
         return None
-    vals = [bleu4(seq, seqs[:i] + seqs[i + 1:]) for i, seq in enumerate(seqs)]
+    if any(not s for s in seqs):
+        raise ValueError("empty sequence")
+    clipped = [[] for _ in seqs]
+    for n in range(1, 5):
+        counts = [_ngram_counts(s, n) for s in seqs]  # empty below length n
+        top = {}  # gram -> [highest count, its first holder, second highest]
+        for i, cnt in enumerate(counts):
+            for gram, k in cnt.items():
+                entry = top.get(gram)
+                if entry is None:
+                    top[gram] = [k, i, 0]
+                elif k > entry[0]:
+                    entry[:] = [k, i, entry[0]]
+                elif k > entry[2]:
+                    entry[2] = k
+        for i, cnt in enumerate(counts):
+            if not cnt:
+                continue
+            hits = 0
+            for gram, k in cnt.items():
+                best, owner, second = top[gram]
+                hits += min(k, second if owner == i else best)
+            clipped[i].append(hits)
+    lens = Counter(len(s) for s in seqs)
+    vals = []
+    for s, hits in zip(seqs, clipped):
+        c = len(s)
+        ref_lens = [length for length, k in lens.items() if length != c or k > 1]
+        vals.append(_bleu_score(c, hits, ref_lens))
     return float(np.mean(vals))
 
 
@@ -122,19 +170,41 @@ def wmd_score(pred, target, emb: EmbeddingMatrix, exclude=(), exact: bool = Fals
 
 
 def self_wmd(batch, emb: EmbeddingMatrix, exclude=()):
-    """Within-batch mean pairwise WMD score; lower means more diverse."""
+    """Within-batch mean pairwise WMD score; lower means more diverse.
+
+    The mean over sequences i of the mean over j != i of
+    wmd_score(seq_i, seq_j, emb, exclude), over the sequences with a
+    token left after dropping `exclude` and zero-vector ids; None when
+    fewer than two are left. All N kept tokens are normalized once, and
+    each sequence takes one (L_i, N) similarity product against the
+    whole batch, whose per-sequence maxima and means give all its pair
+    scores. The product's rows round like the per-pair ones only to the
+    last bit, so the result matches the pairwise loop within 1e-12.
+    """
     seqs = list(batch)
     if len(seqs) < 2:
         warnings.warn("self-WMD needs at least 2 sequences, skipping batch", stacklevel=2)
         return None
+    drop = set(exclude) | emb.zero_rows
+    kept = [[int(i) for i in seq if int(i) not in drop] for seq in seqs]
+    kept = [k for k in kept if k]
+    if len(kept) < 2:
+        return None
+    lens = np.array([len(k) for k in kept])
+    starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
+    ids = np.concatenate(kept)
+    unit = emb.vectors[ids] / emb.norms[ids, None]
     per_seq = []
-    for i, seq in enumerate(seqs):
-        vals = [wmd_score(seq, other, emb, exclude)
-                for j, other in enumerate(seqs) if j != i]
-        vals = [v for v in vals if v is not None]
-        if vals:
-            per_seq.append(float(np.mean(vals)))
-    return float(np.mean(per_seq)) if per_seq else None
+    for i, (lo, hi) in enumerate(zip(starts, starts + lens)):
+        sims = np.clip(unit[lo:hi] @ unit.T, -1.0, 1.0)
+        sims[ids[lo:hi, None] == ids[None, :]] = 1.0
+        # pred side: each token of i against its best match in each sequence j
+        pred_side = np.maximum.reduceat(sims, starts, axis=1).mean(axis=0)
+        # target side: each token of j against its best match in i
+        target_side = np.add.reduceat(sims.max(axis=0), starts) / lens
+        scores = (0.5 * (pred_side + target_side) + 1.0) / 2.0
+        per_seq.append(np.delete(scores, i).mean())
+    return float(np.mean(per_seq))
 
 
 @dataclass(frozen=True)
@@ -227,7 +297,8 @@ class ScoreReport:
 
 
 def reports_to_csv(reports, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    """Write the report rows; a write that fails keeps the previous file."""
+    with replacing(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["metric", "split", "value", "config_id"])
         for rep in reports:
@@ -247,13 +318,14 @@ def reports_from_csv(path):
 def _greedy_continuations(model, inputs: np.ndarray, prefix_len: int) -> np.ndarray:
     """Teacher-force a prefix, then greedy-decode to the window end.
 
-    Prefix steps before the last run the cells only; the output layer
-    is first needed at the last prefix position.
+    Prefix steps before the last run as one cells-only forward_segment;
+    the output layer is first needed at the last prefix position.
     """
     batch, width = inputs.shape
     state = model.zero_state(batch)
-    for t in range(prefix_len - 1):
-        state = advance(model, inputs[:, t], state)
+    if prefix_len > 1:
+        cache = ForwardCache.window(model, state, inputs[:, :prefix_len - 1].T)
+        state = forward_segment(model, cache, 0, prefix_len - 1, output=False).final_state
     log_probs, state, _ = step(model, inputs[:, prefix_len - 1], state)
     out = []
     for i in range(width - prefix_len + 1):
@@ -294,19 +366,18 @@ def evaluate_model(model, split, emb: EmbeddingMatrix, mode: str,
         width = inputs.shape[1]
         p = prefix_len if prefix_len is not None else max(1, width // 2)
         p = min(max(1, p), width)
-        gen = _greedy_continuations(model, inputs, p)
-        refs = targets[:, p - 1:]
+        gen = _greedy_continuations(model, inputs, p).tolist()
         if quality:
-            for b in range(inputs.shape[0]):
-                bleus.append(bleu4(list(gen[b]), [list(refs[b])]))
-                score = wmd_score(gen[b], refs[b], emb, exclude)
+            for cand, ref in zip(gen, targets[:, p - 1:].tolist()):
+                bleus.append(bleu4(cand, [ref]))
+                score = wmd_score(cand, ref, emb, exclude)
                 if score is not None:
                     wmds.append(score)
         if diversity:
-            sb = self_bleu4([list(gen[b]) for b in range(gen.shape[0])])
+            sb = self_bleu4(gen)
             if sb is not None:
                 self_bleus.append(sb)
-            sw = self_wmd([gen[b] for b in range(gen.shape[0])], emb, exclude)
+            sw = self_wmd(gen, emb, exclude)
             if sw is not None:
                 self_wmds.append(sw)
 

@@ -22,12 +22,13 @@ over the span's (T*B, .) rows stacked in (t, b) order, the recurrence
 per step (_cell), then one output projection and log-softmax.
 Training cuts each BPTT window before every scheduled-sampling step,
 whose input is the model's own prediction from the step before;
-validation and evaluation (forward_cached) run whole windows. The
-results land in a ForwardCache of (T, B, .) arrays.
-step is the one-step API, used for decoding and as the reference the
-window paths are tested against: bit for bit at B >= 2, to rounding at
-B = 1, where numpy sends step's one-row products to BLAS's
-matrix-vector kernel.
+validation (forward_cached) runs whole windows, and greedy decoding
+runs its teacher-forced prefix as one cells-only segment. The results
+land in a ForwardCache of (T, B, .) arrays.
+step is the one-step API, used for the decoded steps and as the
+reference the window paths are tested against: bit for bit at B >= 2,
+to rounding at B = 1, where numpy sends step's one-row products to
+BLAS's matrix-vector kernel.
 
 backward runs only the recurrence per timestep (layer 2's reverse pass,
 then layer 1's); the output layer, every weight gradient, the input
@@ -255,12 +256,6 @@ def step(model: LstmLm, ids, state):
     cache = ForwardCache.window(model, state, np.reshape(ids, (1, -1)))
     forward_segment(model, cache, 0, 1)
     return cache.log_probs[0], cache.final_state, cache
-
-
-def advance(model: LstmLm, ids, state):
-    """Cells-only timestep: the new state, without the output layer."""
-    cache = ForwardCache.window(model, state, np.reshape(ids, (1, -1)))
-    return forward_segment(model, cache, 0, 1, output=False).final_state
 
 
 def forward_cached(model: LstmLm, ids, init_state=None) -> ForwardCache:

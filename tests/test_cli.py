@@ -215,6 +215,38 @@ class TestTrain:
         assert (records_from_csv(resumed_dir / "records.csv")
                 == records_from_csv(full_dir / "records.csv"))
 
+    def test_manifest_records_each_segment(self, corpus, tmp_path, capsys):
+        def manifest(out_dir):
+            return json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+
+        fresh_dir = tmp_path / "fresh"
+        assert main(["train", "--config",
+                     _write_config(tmp_path / "fresh.cfg", corpus, fresh_dir)]) == 0
+        (segment,) = manifest(fresh_dir)["segments"]
+        assert segment["command"] == "train" and segment["stop_after"] is None
+        assert segment["resume_from"] is None and segment["resume_sha256"] is None
+
+        out_dir = tmp_path / "run"
+        config = _write_config(tmp_path / "run.cfg", corpus, out_dir)
+        assert main(["train", "--config", config, "--stop-after", "1"]) == 0
+        first = manifest(out_dir)
+        checkpoint = str(out_dir / "checkpoint.bin")
+        stopped_sha = cli_mod._sha256(checkpoint)
+        assert main(["train", "--config", config, "--resume", checkpoint]) == 0
+        capsys.readouterr()
+        resumed = manifest(out_dir)
+        head, tail = resumed["segments"]
+        assert head == first["segments"][0] and head["stop_after"] == 1
+        assert tail["resume_from"] == checkpoint and tail["resume_sha256"] == stopped_sha
+        assert tail["stop_after"] is None and tail["created_unix"] >= head["created_unix"]
+        assert cli_mod._sha256(checkpoint) != stopped_sha  # epochs 2-3 were saved
+        del first["segments"], resumed["segments"]
+        assert resumed == first  # the first invocation's keys are kept as written
+
+        (out_dir / "manifest.json").write_text("{not json", encoding="utf-8")
+        assert main(["train", "--config", config, "--resume", checkpoint]) == 2
+        assert "manifest.json" in capsys.readouterr().err
+
     def test_runtime_failure_exit_code(self, corpus, tmp_path, capsys, monkeypatch):
         config = _write_config(tmp_path / "run.cfg", corpus, tmp_path / "run")
         monkeypatch.setattr(cli_mod, "run_training",

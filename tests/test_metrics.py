@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nnrslab.embeddings import EmbeddingMatrix
 from nnrslab.metrics import (
@@ -99,6 +101,61 @@ class TestSelfBleu4:
     def test_singleton_warns_and_skips(self):
         with pytest.warns(UserWarning):
             assert self_bleu4([["a", "b"]]) is None
+
+
+@st.composite
+def token_batches(draw, alphabet, min_len=1):
+    """2-9 sequences over a 1-4 token alphabet, some repeated verbatim."""
+    tokens = st.sampled_from(alphabet[:draw(st.integers(1, 4))])
+    batch = draw(st.lists(st.lists(tokens, min_size=min_len, max_size=8),
+                          min_size=2, max_size=6))
+    repeats = draw(st.lists(st.integers(0, len(batch) - 1), max_size=3))
+    return batch + [list(batch[i]) for i in repeats]
+
+
+def _pairwise_self_wmd(batch, emb, exclude=()):
+    """The per-pair definition self_wmd batches: per sequence, the mean
+    of its defined wmd_score against every other sequence."""
+    per_seq = []
+    for i, seq in enumerate(batch):
+        vals = [wmd_score(seq, other, emb, exclude)
+                for j, other in enumerate(batch) if j != i]
+        vals = [v for v in vals if v is not None]
+        if vals:
+            per_seq.append(float(np.mean(vals)))
+    return float(np.mean(per_seq)) if per_seq else None
+
+
+class TestBatchedScoresEqualPairwise:
+    @pytest.mark.parametrize("alphabet", [["a", "b", "c", "d"], [3, 0, 2, 1]],
+                             ids=["str", "int"])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_self_bleu4_bit_identical(self, alphabet, data):
+        batch = data.draw(token_batches(alphabet))
+        expected = float(np.mean([bleu4(seq, batch[:i] + batch[i + 1:])
+                                  for i, seq in enumerate(batch)]))
+        assert self_bleu4(batch) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(batch=token_batches(list(range(6)), min_len=0),
+           zero=st.sets(st.integers(0, 5), max_size=2),
+           exclude=st.sets(st.integers(0, 5), max_size=2),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_self_wmd_within_1e12(self, batch, zero, exclude, seed):
+        vecs = np.random.default_rng(seed).normal(size=(6, 8))
+        vecs[sorted(zero)] = 0.0
+        emb = EmbeddingMatrix.from_vectors(vecs)
+        expected = _pairwise_self_wmd(batch, emb, exclude)
+        got = self_wmd(batch, emb, exclude)
+        if expected is None:  # fewer than two sequences keep a token
+            assert got is None
+        else:
+            assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_self_bleu4_rejects_empty_sequence(self):
+        with pytest.raises(ValueError):
+            self_bleu4([["a"], []])
 
 
 def _basis_embeddings(n=6):
@@ -350,3 +407,18 @@ class TestReportsCsv:
         path = tmp_path / "reports.csv"
         reports_to_csv(reports, path)
         assert reports_from_csv(path) == reports
+
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        class DiskFull:
+            def __float__(self):
+                raise OSError("disk full")
+
+        path = tmp_path / "reports.csv"
+        reports_to_csv([ScoreReport("ppl", "valid", 13.5, "old")], path)
+        before = path.read_bytes()
+        # the header and the first row are written before the second raises
+        with pytest.raises(OSError, match="disk full"):
+            reports_to_csv([ScoreReport("bleu4", "valid", 0.25, "new"),
+                            ScoreReport("wmd", "valid", DiskFull(), "new")], path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["reports.csv"]
