@@ -10,13 +10,12 @@ resulting models.
 __version__ = "0.1.0"
 
 from .vocab import Vocabulary, build_vocabulary
-from .embeddings import EmbeddingMatrix, load_embeddings, normalize_rows
+from .embeddings import EmbeddingMatrix, load_embeddings
 from .neighbors import (
     NeighborTable,
     TransitionTable,
     build_neighbor_table,
     build_transition_table,
-    cosine,
     default_k,
     renormalize,
     sample_neighbor,
@@ -33,7 +32,7 @@ from .policy import (
     gumbel_update,
     update_temperature,
 )
-from .model import LstmLm, cosine_lr, greedy_or_sample_predict, loss, sgd_step
+from .model import LstmLm, cosine_lr, greedy_or_sample_predict, sgd_step
 from .trainer import (
     DivergenceError,
     EpochRecord,
@@ -58,12 +57,10 @@ __all__ = [
     "build_vocabulary",
     "EmbeddingMatrix",
     "load_embeddings",
-    "normalize_rows",
     "NeighborTable",
     "TransitionTable",
     "build_neighbor_table",
     "build_transition_table",
-    "cosine",
     "default_k",
     "renormalize",
     "sample_neighbor",
@@ -81,7 +78,6 @@ __all__ = [
     "LstmLm",
     "cosine_lr",
     "greedy_or_sample_predict",
-    "loss",
     "sgd_step",
     "DivergenceError",
     "EpochRecord",

@@ -268,16 +268,11 @@ def cmd_eval(args) -> int:
     batch = args.batch_size if args.batch_size else cfg.batch_size
     windows = _checked(make_batches, eval_ids, batch, cfg.bptt_len)
 
-    quality = bool({"bleu4", "wmd"} & set(wanted))
-    diversity = bool({"self_bleu4", "self_wmd"} & set(wanted))
-    mode = {(False, False): "ppl", (True, False): "quality",
-            (False, True): "diversity", (True, True): "both"}[quality, diversity]
-    reports = evaluate_model(model, windows, emb, mode,
+    reports = evaluate_model(model, windows, emb, wanted,
                              prefix_len=args.prefix_len, split_name=args.split,
                              config_id=args.checkpoint, exclude={vocab.unk_id})
-
     reports = [replace(rep, value=rep.value * 100.0) if rep.metric in _BLEU_LIKE else rep
-               for rep in reports if rep.metric in wanted]
+               for rep in reports]
     reports_to_csv(reports, args.out)
     for rep in reports:
         print("%-12s %-6s %.4f" % (rep.metric, rep.split, rep.value))

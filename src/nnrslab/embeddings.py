@@ -102,18 +102,6 @@ def load_embeddings(path, vocab, dim: int, fallback_seed: int = 0) -> EmbeddingM
     return EmbeddingMatrix.from_vectors(vectors)
 
 
-def normalize_rows(emb: EmbeddingMatrix) -> EmbeddingMatrix:
-    """L2-normalize every nonzero row; zero rows pass through flagged.
-
-    Idempotent: renormalizing an already unit-norm matrix changes entries
-    by at most one ulp.
-    """
-    vectors = emb.vectors.copy()
-    nonzero = emb.norms > 0.0
-    vectors[nonzero] /= emb.norms[nonzero, None]
-    return EmbeddingMatrix.from_vectors(vectors)
-
-
 def _is_int(s: str) -> bool:
     try:
         int(s)

@@ -336,57 +336,49 @@ def _greedy_continuations(model, inputs: np.ndarray, prefix_len: int) -> np.ndar
     return np.stack(out, axis=1)
 
 
-EVAL_MODES = ("ppl", "quality", "diversity", "both")
+METRICS = ("ppl", "bleu4", "wmd", "self_bleu4", "self_wmd")
 
 
-def evaluate_model(model, split, emb: EmbeddingMatrix, mode: str,
+def evaluate_model(model, split, emb: EmbeddingMatrix, metrics,
                    prefix_len: int = None, split_name: str = "valid",
                    config_id: str = "", exclude=()):
-    """Score a model on (input, target) windows.
+    """Score a model on (input, target) windows: one report for each name
+    in `metrics`, in METRICS order.
 
-    Each window is continued greedily after a teacher-forced prefix
-    (default: half the window). quality mode scores the continuations
-    against the true ones (BLEU-4, WMD); diversity mode scores them
-    against each other (self-BLEU-4, self-WMD); both mode does both
-    from one decode; ppl mode decodes nothing. Teacher-forced
-    perplexity is always reported. Metrics left undefined on every
-    window (empty WMD intersections, size-1 batches) are omitted
-    rather than reported non-finite.
+    ppl is teacher-forced perplexity. For any other metric, each window is
+    continued greedily after a teacher-forced prefix (default: half the
+    window): bleu4 and wmd score the continuations against the true ones,
+    self_bleu4 and self_wmd against each other. Nothing runs that no asked
+    metric needs. Metrics left undefined on every window (empty WMD
+    intersections, size-1 batches) are omitted rather than reported
+    non-finite.
     """
-    if mode not in EVAL_MODES:
-        raise ValueError("mode must be one of %s" % ", ".join(EVAL_MODES))
+    unknown = sorted(set(metrics) - set(METRICS))
+    if unknown:
+        raise ValueError("unknown metric(s) %s (choose from %s)"
+                         % (", ".join(unknown), ", ".join(METRICS)))
     if not split:
         raise ValueError("empty split")
 
-    reports = [ScoreReport("ppl", split_name, validate(model, split), config_id)]
-    quality = mode in ("quality", "both")
-    diversity = mode in ("diversity", "both")
-    bleus, wmds, self_bleus, self_wmds = [], [], [], []
-    for inputs, targets in split if quality or diversity else ():
+    scores = {name: [] for name in METRICS if name in metrics}
+    if "ppl" in scores:
+        scores["ppl"].append(validate(model, split))
+    decoded = [name for name in scores if name != "ppl"]
+    for inputs, targets in split if decoded else ():
         width = inputs.shape[1]
         p = prefix_len if prefix_len is not None else max(1, width // 2)
         p = min(max(1, p), width)
         gen = _greedy_continuations(model, inputs, p).tolist()
-        if quality:
-            for cand, ref in zip(gen, targets[:, p - 1:].tolist()):
-                bleus.append(bleu4(cand, [ref]))
-                score = wmd_score(cand, ref, emb, exclude)
-                if score is not None:
-                    wmds.append(score)
-        if diversity:
-            sb = self_bleu4(gen)
-            if sb is not None:
-                self_bleus.append(sb)
-            sw = self_wmd(gen, emb, exclude)
-            if sw is not None:
-                self_wmds.append(sw)
-
-    def _add(metric, values):
-        if values:
-            reports.append(ScoreReport(metric, split_name, float(np.mean(values)), config_id))
-
-    _add("bleu4", bleus)
-    _add("wmd", wmds)
-    _add("self_bleu4", self_bleus)
-    _add("self_wmd", self_wmds)
-    return reports
+        refs = targets[:, p - 1:].tolist()
+        for name in decoded:
+            if name == "bleu4":
+                values = [bleu4(cand, [ref]) for cand, ref in zip(gen, refs)]
+            elif name == "wmd":
+                values = [wmd_score(cand, ref, emb, exclude) for cand, ref in zip(gen, refs)]
+            elif name == "self_bleu4":
+                values = [self_bleu4(gen)]
+            else:
+                values = [self_wmd(gen, emb, exclude)]
+            scores[name] += [v for v in values if v is not None]
+    return [ScoreReport(name, split_name, float(np.mean(values)), config_id)
+            for name, values in scores.items() if values]

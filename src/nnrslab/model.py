@@ -269,45 +269,8 @@ def forward_cached(model: LstmLm, ids, init_state=None) -> ForwardCache:
     return forward_segment(model, ForwardCache.window(model, state, ids.T), 0, ids.shape[1])
 
 
-def forward(model: LstmLm, ids, init_state=None):
-    """Probability distributions per step: (T, |V|) for a single id
-    sequence (T,), (T, B, |V|) for a (B, T) batch. Also returns the
-    final state."""
-    ids = np.asarray(ids)
-    cache = forward_cached(model, ids[None] if ids.ndim == 1 else ids, init_state)
-    probs = np.exp(cache.log_probs)
-    return (probs[:, 0] if ids.ndim == 1 else probs), cache.final_state
-
-
-def loss(distributions, targets) -> float:
-    """Mean negative log-likelihood; perplexity is exp of this.
-
-    Accepts (T, |V|) with (T,) targets or (T, B, |V|) with (B, T)
-    targets. Probabilities are floored at float tiny before the log so
-    the result is always finite.
-    """
-    dists = np.asarray(distributions, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.int64)
-    if dists.ndim == 2:
-        if targets.shape != (dists.shape[0],):
-            raise ValueError("targets shape %s does not match %d steps"
-                             % (targets.shape, dists.shape[0]))
-        picked = dists[np.arange(dists.shape[0]), targets]
-    elif dists.ndim == 3:
-        t_len, b = dists.shape[0], dists.shape[1]
-        if targets.shape != (b, t_len):
-            raise ValueError("targets shape %s does not match (B=%d, T=%d)"
-                             % (targets.shape, b, t_len))
-        picked = np.take_along_axis(
-            dists, targets.T[:, :, None], axis=2
-        )[:, :, 0]
-    else:
-        raise ValueError("distributions must be 2-D or 3-D")
-    return float(-np.log(np.maximum(picked, np.finfo(np.float64).tiny)).mean())
-
-
 def loss_from_cache(cache: ForwardCache, targets) -> float:
-    """Mean NLL straight from cached log-probs (no exp/log round trip)."""
+    """Mean NLL of targets (B, T) from the cached log-probs."""
     targets = np.asarray(targets, dtype=np.int64)
     rows = cache.log_probs.reshape(targets.size, -1)
     return float(-rows[np.arange(targets.size), targets.T.reshape(-1)].sum() / targets.size)

@@ -39,17 +39,6 @@ def clamp_tau(tau: float) -> float:
     return min(max(float(tau), TAU_MIN), TAU_MAX)
 
 
-def cosine(a, b) -> float:
-    """Cosine similarity of two vectors, clipped into [-1, 1]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine undefined for zero vector")
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
-
-
 def default_k(vocab_size: int) -> int:
     """Sample-efficient neighbor count: round(log2(|V|)), at least 1."""
     if vocab_size < 2:

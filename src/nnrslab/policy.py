@@ -11,9 +11,11 @@ raises tau (flatter neighbor sampling, more exploration), improvement
 lowers it, via tau <- tau +/- |tau - (2^tau - 1)|, clamped to
 [0.5, 10]. tau = 1 is a fixed point of this rule since 2^1 - 1 = 1.
 
-The Gumbel path replaces plain neighbor sampling with a learnable
-per-word distribution over neighbor slots: hard Gumbel-max sample
-forward, tempered softmax for the straight-through backward.
+The Gumbel path (GSNS) feeds the slot of a hard Gumbel-max draw over
+learnable per-word logits; gumbel_update then applies the straight-through
+gradient wrt each slot's soft weight, dL/dx . embed[neighbor], to the
+logits as it is. gumbel_backward, the tempered-softmax Jacobian, is a
+checked reference only: training never calls it.
 """
 
 import enum
@@ -170,11 +172,6 @@ class GumbelLogits:
         """Start from the table's current sampling distribution."""
         return cls(log_alpha=np.log(table.probs), beta=beta)
 
-    def probs(self) -> np.ndarray:
-        shifted = self.log_alpha - self.log_alpha.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
-
 
 def _gumbel_scores(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """rows + G with G = -log(-log u) per entry, u = rng.random(rows.shape)."""
@@ -222,29 +219,19 @@ def gumbel_backward(soft_probs: np.ndarray, grad_soft: np.ndarray, tau: float) -
     return soft_probs * inner / tau
 
 
-def gumbel_update(logits: GumbelLogits, grad: np.ndarray, beta: float = None,
-                  rows=None) -> GumbelLogits:
-    """Apply log_alpha <- beta * log_alpha - (1 - beta) * grad.
+def gumbel_update(logits: GumbelLogits, grad: np.ndarray, rows) -> GumbelLogits:
+    """log_alpha[w] <- beta * log_alpha[w] - (1 - beta) * grad[w] for each w in `rows`.
 
-    `grad` is the accumulated loss gradient wrt the sampled soft probs,
-    applied to the logits exactly as the momentum-style rule states.
-    When `rows` is given only those word rows are touched; the rest
-    keep their logits (their words were never sampled this round).
-    beta = 1 is allowed and leaves the logits unchanged.
+    grad[w, j] is the straight-through gradient wrt slot j's soft weight,
+    dL/dx . embed[neighbor_j], summed over the epoch's draws of w and
+    applied as it stands. beta is logits.beta; 1 leaves the logits as they are.
     """
-    if beta is None:
-        beta = logits.beta
-    if not 0.0 < beta <= 1.0:
-        raise ValueError("beta must be in (0, 1], got %g" % beta)
     if grad.shape != logits.log_alpha.shape:
         raise ValueError(
             "grad shape %s does not match logits shape %s" % (grad.shape, logits.log_alpha.shape)
         )
+    beta = logits.beta
     new = logits.log_alpha.copy()
-    if rows is None:
-        new = beta * new - (1.0 - beta) * grad
-    else:
-        idx = np.asarray(sorted(rows), dtype=np.int64)
-        if idx.size:
-            new[idx] = beta * new[idx] - (1.0 - beta) * grad[idx]
-    return GumbelLogits(log_alpha=new, beta=logits.beta)
+    idx = np.asarray(sorted(rows), dtype=np.int64)
+    new[idx] = beta * new[idx] - (1.0 - beta) * grad[idx]
+    return GumbelLogits(log_alpha=new, beta=beta)

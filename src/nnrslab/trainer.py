@@ -16,8 +16,9 @@ absent.
 
 run_training alone writes `out_dir`, after every completed epoch:
 records.csv, then checkpoint.bin unless that epoch diverged, so a run
-that fails or is killed in epoch N resumes from epoch N - 1. The
-optional decision trace there is appended to on resume.
+that fails or is killed in epoch N resumes from epoch N - 1. On
+resume, the optional decision trace there loses the rows of the epochs
+run again, then is appended to.
 """
 
 import csv
@@ -42,8 +43,6 @@ from .model import (
     sgd_step,
 )
 from .neighbors import (
-    TAU_MAX,
-    TAU_MIN,
     NeighborTable,
     build_neighbor_table,
     build_transition_table,
@@ -54,7 +53,6 @@ from .neighbors import (
     sample_neighbors,
 )
 from .policy import (
-    GUMBEL_TAU,
     GumbelLogits,
     PolicyState,
     Source,
@@ -105,7 +103,6 @@ class TrainConfig:
     k: int = 0  # 0 -> default_k(|V|)
     tau_init: float = 0.1
     gumbel_beta: float = 0.9
-    gumbel_tau: float = GUMBEL_TAU
     hidden: int = 128
     dim: int = 64
     min_count: int = 1
@@ -131,12 +128,11 @@ class TrainConfig:
             raise ValueError("val_fraction must be in (0, 1)")
         if self.k < 0:
             raise ValueError("k must be >= 0 (0 selects the default)")
+        if not 0.0 < self.gumbel_beta <= 1.0:
+            raise ValueError("gumbel_beta must be in (0, 1], got %g" % self.gumbel_beta)
         check_mode_rates(self.mode,
                          self.ss.start_rate != 0.0 or self.ss.end_rate != 0.0,
                          self.nnrs.start_rate != 0.0 or self.nnrs.end_rate != 0.0)
-        if self.mode == "GSNS" and not TAU_MIN <= self.gumbel_tau <= TAU_MAX:
-            raise ValueError("gumbel_tau must be in [%g, %g], got %g"
-                             % (TAU_MIN, TAU_MAX, self.gumbel_tau))
 
 
 _SCHEDULE_FIELDS = tuple(f.name for f in fields(TrainConfig) if f.type is Schedule)
@@ -229,8 +225,7 @@ class EpochRecord:
     wall_time: float = field(default=0.0, compare=False)
 
 
-_RECORD_FIELDS = ("epoch", "epsilon", "gamma", "tau", "train_loss",
-                  "val_loss", "best", "lr", "wall_time")
+_RECORD_FIELDS = tuple(f.name for f in fields(EpochRecord))
 
 
 def _record_row(rec: EpochRecord) -> list:
@@ -409,10 +404,23 @@ def model_from_checkpoint(path, vocab_hash: str = None):
 
 class _Trace:
     """Optional decision trace: epoch,step,t,source,teacher_id,chosen_id.
-    With `append`, the header goes only into an empty file."""
 
-    def __init__(self, path, append: bool):
-        self._fh = open(path, "a" if append else "w", encoding="utf-8", newline="")
+    A run starting at epoch 1 writes a new file. A resumed run first drops
+    the rows of `start_epoch` and later, and a torn last line, which a run
+    killed in that epoch left behind; it then appends. The header goes
+    only into an empty file.
+    """
+
+    def __init__(self, path, start_epoch: int):
+        resumed = start_epoch > 1 and os.path.exists(path)
+        if resumed:  # streamed, so memory stays bounded
+            with open(path, encoding="utf-8", newline="") as old, \
+                    replacing(path, "w", encoding="utf-8", newline="") as new:
+                for lineno, line in enumerate(old):
+                    if line.endswith("\n") and (
+                            lineno == 0 or int(line.split(",", 1)[0]) < start_epoch):
+                        new.write(line)
+        self._fh = open(path, "a" if resumed else "w", encoding="utf-8", newline="")
         self._writer = csv.writer(self._fh)
         if self._fh.tell() == 0:
             self._writer.writerow(["epoch", "step", "t", "source", "teacher_id", "chosen_id"])
@@ -577,8 +585,7 @@ def run_training(config: TrainConfig, stop_after: int = None,
 
     if cfg.out_dir:
         os.makedirs(cfg.out_dir, exist_ok=True)
-    tracer = (_Trace(os.path.join(cfg.out_dir, TRACE_FILE), append=bool(resume_from))
-              if trace else None)
+    tracer = _Trace(os.path.join(cfg.out_dir, TRACE_FILE), start_epoch) if trace else None
     try:
         for epoch in range(start_epoch, cfg.epochs + 1):
             epsilon, gamma = rates_for_epoch(cfg.ss, cfg.nnrs, epoch, cfg.epochs)
@@ -594,7 +601,7 @@ def run_training(config: TrainConfig, stop_after: int = None,
                 val_ppl = validate(model, val_batches)
 
                 if cfg.mode == "GSNS":
-                    gumbel = gumbel_update(gumbel, gsns_grad, rows=gsns_rows)
+                    gumbel = gumbel_update(gumbel, gsns_grad, gsns_rows)
                     state.best_val_loss = min(state.best_val_loss, val_ppl)
                 elif cfg.mode in ("NNRS", "SS_NNRS"):
                     update_temperature(state, val_ppl)
@@ -611,14 +618,14 @@ def run_training(config: TrainConfig, stop_after: int = None,
                 wall_time=time.perf_counter() - started,
             ))
             diverged = val_ppl > 10.0 * n_vocab
+            if tracer is not None:
+                tracer.flush()  # before the checkpoint that resumes after this epoch
             if cfg.out_dir:
                 records_to_csv(records, os.path.join(cfg.out_dir, RECORDS_FILE))
                 if not diverged:
                     save_checkpoint(os.path.join(cfg.out_dir, CHECKPOINT_FILE), model,
                                     state.rng, records, vocab_hash, cfg,
                                     velocity=velocity, gumbel=gumbel)
-                if tracer is not None:
-                    tracer.flush()
             if diverged:
                 raise DivergenceError(
                     "validation perplexity %.3g exceeded 10x vocabulary size at epoch %d"

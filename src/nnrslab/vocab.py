@@ -44,14 +44,8 @@ class Vocabulary:
         """Id of `token`, falling back to unk_id for unknown tokens."""
         return self.index.get(token, self.unk_id)
 
-    def lookup(self, word_id: int) -> str:
-        return self.tokens[word_id]
-
     def encode(self, tokens: Iterable[str]) -> np.ndarray:
         return np.array([self.id(t) for t in tokens], dtype=np.int64)
-
-    def decode(self, ids: Iterable[int]) -> list[str]:
-        return [self.tokens[i] for i in ids]
 
     def to_text(self) -> str:
         """Newline-delimited "token<TAB>count" serialization."""

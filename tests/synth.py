@@ -159,3 +159,19 @@ def assert_like_step(batch: int):
     if batch > 1:
         return np.testing.assert_array_equal
     return functools.partial(np.testing.assert_allclose, rtol=1e-9, atol=1e-12)
+
+
+def assert_same_checkpoint(path_a, path_b):
+    """Records (wall times aside), the policy RNG state and every array
+    (parameters, velocity, Gumbel logits) equal, the arrays byte for byte."""
+    from nnrslab.arrayio import load_arrays
+    from nnrslab.trainer import load_checkpoint
+
+    a, b = load_checkpoint(path_a), load_checkpoint(path_b)
+    assert a["records"] == b["records"]
+    assert a["meta"]["rng_policy"] == b["meta"]["rng_policy"]
+    arrays_a, arrays_b = load_arrays(path_a), load_arrays(path_b)
+    del arrays_a["meta"], arrays_b["meta"]
+    assert sorted(arrays_a) == sorted(arrays_b)
+    for key in arrays_a:
+        assert arrays_a[key].tobytes() == arrays_b[key].tobytes(), key

@@ -3,8 +3,10 @@
 import csv
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from nnrslab.metrics import kl_decomposition, ToyChain
 from nnrslab.neighbors import NeighborTable, TransitionTable, load_table
 from nnrslab.schedules import Schedule
 from nnrslab.trainer import load_checkpoint, records_from_csv
-from synth import bigram_cycle_lines, write_lines
+from synth import assert_same_checkpoint, bigram_cycle_lines, write_lines
 
 
 @pytest.fixture()
@@ -44,15 +46,20 @@ def _write_config(path, corpus, out_dir, **overrides):
     return str(path)
 
 
-def _assert_same_checkpoint(path_a, path_b):
-    """Records (wall times aside), parameters, velocity and policy RNG equal."""
-    a, b = load_checkpoint(path_a), load_checkpoint(path_b)
-    assert a["records"] == b["records"]
-    assert a["meta"]["rng_policy"] == b["meta"]["rng_policy"]
-    for part in ("params", "velocity"):
-        assert (a[part] is None) == (b[part] is None)
-        for key in a[part] or {}:
-            assert a[part][key].tobytes() == b[part][key].tobytes(), (part, key)
+def _child_env():
+    """The environment for a child `python -m nnrslab.cli`, which does not
+    inherit pytest's pythonpath setting."""
+    src = os.path.dirname(os.path.dirname(cli_mod.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
+
+
+_TRACED_POLICIES = pytest.mark.parametrize("policy", [
+    dict(mode="SS_NNRS", ss_kind="linear", ss_end="0.5", nnrs_kind="static",
+         nnrs_start="0.2", nnrs_end="0.2", predict_sample="true", momentum="0.3",
+         tau_init="1.5"),  # off the clamp, so tau moves every epoch
+    dict(mode="GSNS", nnrs_kind="static", nnrs_start="0.3", nnrs_end="0.3", k="3"),
+], ids=["SS_NNRS", "GSNS"])
 
 
 class TestEntryPoint:
@@ -61,12 +68,8 @@ class TestEntryPoint:
         capsys.readouterr()
 
     def test_module_invocation(self):
-        # the child does not inherit pytest's pythonpath setting
-        src = os.path.dirname(os.path.dirname(cli_mod.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
         out = subprocess.run([sys.executable, "-m", "nnrslab.cli", "--version"],
-                             capture_output=True, text=True, env=env)
+                             capture_output=True, text=True, env=_child_env())
         assert out.returncode == 0
 
     def test_no_command_is_usage_error(self, capsys):
@@ -192,6 +195,17 @@ class TestTrain:
         assert main(["train", "--config", config]) == 2
         assert "momentum_rate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("beta", ["1.5", "0"])
+    def test_bad_gumbel_beta_is_usage_error(self, corpus, tmp_path, capsys, beta):
+        out_dir = tmp_path / "run"
+        config = _write_config(tmp_path / "run.cfg", corpus, out_dir, mode="GSNS",
+                               nnrs_kind="static", nnrs_start="0.3", nnrs_end="0.3",
+                               gumbel_beta=beta)
+        assert main(["train", "--config", config]) == 2
+        assert "gumbel_beta must be in (0, 1]" in capsys.readouterr().err
+        assert not (out_dir / "records.csv").exists()
+        assert not (out_dir / "checkpoint.bin").exists()
+
     def test_missing_out_dir_is_usage_error(self, corpus, tmp_path, capsys):
         config = _write_config(tmp_path / "run.cfg", corpus, "")
         assert main(["train", "--config", config]) == 2
@@ -309,7 +323,7 @@ class TestTrain:
         capsys.readouterr()
         assert (records_from_csv(out_dir / "records.csv")
                 == records_from_csv(full_dir / "records.csv"))
-        _assert_same_checkpoint(checkpoint, full_dir / "checkpoint.bin")
+        assert_same_checkpoint(checkpoint, full_dir / "checkpoint.bin")
 
 
 class TestTrace:
@@ -322,12 +336,7 @@ class TestTrace:
             rows = list(csv.DictReader(fh))
         assert rows and all(r["source"] == "Teacher" for r in rows)
 
-    @pytest.mark.parametrize("policy", [
-        dict(mode="SS_NNRS", ss_kind="linear", ss_end="0.5", nnrs_kind="static",
-             nnrs_start="0.2", nnrs_end="0.2", predict_sample="true", momentum="0.3",
-             tau_init="1.5"),  # off the clamp, so tau moves every epoch
-        dict(mode="GSNS", nnrs_kind="static", nnrs_start="0.3", nnrs_end="0.3", k="3"),
-    ], ids=["SS_NNRS", "GSNS"])
+    @_TRACED_POLICIES
     def test_resumed_trace_matches_uninterrupted(self, corpus, tmp_path, capsys, policy):
         full_dir, part_dir = tmp_path / "full", tmp_path / "part"
         assert main(["train", "--trace", "--config", _write_config(
@@ -340,7 +349,44 @@ class TestTrace:
         trace = (part_dir / "decisions.csv").read_bytes()
         assert trace == (full_dir / "decisions.csv").read_bytes()
         assert b",Neighbor," in trace
-        _assert_same_checkpoint(part_dir / "checkpoint.bin", full_dir / "checkpoint.bin")
+        assert_same_checkpoint(part_dir / "checkpoint.bin", full_dir / "checkpoint.bin")
+
+    @_TRACED_POLICIES
+    def test_killed_trace_resumes_as_uninterrupted(self, corpus, tmp_path, capsys, policy):
+        # a child killed in the middle of its run leaves rows of the epoch it
+        # was in, possibly a torn one; the resumed trace must not repeat them
+        epochs = 8
+        run_dir = tmp_path / "run"
+        config = _write_config(tmp_path / "run.cfg", corpus, run_dir, epochs=epochs,
+                               **policy)
+        records_path, checkpoint = run_dir / "records.csv", run_dir / "checkpoint.bin"
+        child = subprocess.Popen(
+            [sys.executable, "-m", "nnrslab.cli", "train", "--trace", "--config", config],
+            env=_child_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 120.0
+            while not checkpoint.exists():  # written after epoch 1's records.csv
+                assert child.poll() is None, "the child exited before epoch 1 was saved"
+                assert time.monotonic() < deadline, "epoch 1 was never saved"
+                time.sleep(0.001)
+            child.send_signal(signal.SIGKILL)
+        finally:
+            child.kill()
+            child.wait(timeout=60)
+        assert child.returncode == -signal.SIGKILL
+        assert len(records_from_csv(records_path)) < epochs
+        with open(run_dir / "decisions.csv", "a", encoding="utf-8", newline="") as fh:
+            fh.write("%d,0,0,Neigh" % epochs)  # a torn last line, whatever the kill left
+
+        assert main(["train", "--trace", "--config", config, "--resume", str(checkpoint)]) == 0
+        full_dir = tmp_path / "full"
+        assert main(["train", "--trace", "--config", _write_config(
+            tmp_path / "full.cfg", corpus, full_dir, epochs=epochs, **policy)]) == 0
+        capsys.readouterr()
+        assert records_from_csv(records_path) == records_from_csv(full_dir / "records.csv")
+        assert_same_checkpoint(checkpoint, full_dir / "checkpoint.bin")
+        assert ((run_dir / "decisions.csv").read_bytes()
+                == (full_dir / "decisions.csv").read_bytes())
 
 
 class TestEval:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nnrslab.embeddings import EmbeddingMatrix, load_embeddings, normalize_rows
+from nnrslab.embeddings import EmbeddingMatrix, load_embeddings
 from nnrslab.vocab import build_vocabulary
 
 
@@ -91,28 +91,6 @@ class TestLoadEmbeddings:
 
 
 class TestNormalizeRows:
-    def test_three_four_five(self):
-        emb = EmbeddingMatrix.from_vectors(np.array([[3.0, 4.0]]))
-        out = normalize_rows(emb)
-        np.testing.assert_allclose(out.vectors, [[0.6, 0.8]])
-
-    def test_zero_row_flagged_and_unchanged(self):
-        emb = EmbeddingMatrix.from_vectors(np.array([[0.0, 0.0], [1.0, 1.0]]))
-        out = normalize_rows(emb)
-        assert out.zero_rows == frozenset({0})
-        np.testing.assert_array_equal(out.vectors[0], [0.0, 0.0])
-
-    def test_random_rows_unit_norm(self, rng):
-        emb = EmbeddingMatrix.from_vectors(rng.normal(size=(5, 8)))
-        out = normalize_rows(emb)
-        np.testing.assert_allclose(np.linalg.norm(out.vectors, axis=1), 1.0, atol=1e-6)
-
-    def test_idempotent(self, rng):
-        emb = EmbeddingMatrix.from_vectors(rng.normal(size=(6, 4)))
-        once = normalize_rows(emb)
-        twice = normalize_rows(once)
-        np.testing.assert_allclose(twice.vectors, once.vectors, atol=1e-12)
-
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_from_vectors_rejects_non_finite_rows(self, bad):
         vecs = np.ones((4, 3))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from nnrslab.embeddings import EmbeddingMatrix
 from nnrslab.metrics import (
+    METRICS,
     ScoreReport,
     ToyChain,
     bleu4,
@@ -331,7 +332,7 @@ def memorized(tmp_path_factory):
 class TestEvaluateModel:
     def test_memorization_reaches_bleu_one(self, memorized):
         model, vocab, emb, windows = memorized
-        reports = evaluate_model(model, windows, emb, "quality",
+        reports = evaluate_model(model, windows, emb, ["ppl", "bleu4", "wmd"],
                                  exclude={vocab.unk_id})
         by_name = {r.metric: r.value for r in reports}
         assert by_name["bleu4"] == pytest.approx(1.0, abs=1e-9)
@@ -342,37 +343,44 @@ class TestEvaluateModel:
         # a zero model continues every prefix with the same constant token,
         # so the batch continuations are identical
         model, vocab, emb, windows = memorized
+        diversity = ["self_bleu4", "self_wmd"]
         mem = {r.metric: r.value for r in evaluate_model(
-            model, windows, emb, "diversity", exclude={vocab.unk_id})}
+            model, windows, emb, diversity, exclude={vocab.unk_id})}
         collapsed = LstmLm.zeros(len(vocab), 16, 32)
         col = {r.metric: r.value for r in evaluate_model(
-            collapsed, windows, emb, "diversity", exclude={vocab.unk_id})}
+            collapsed, windows, emb, diversity, exclude={vocab.unk_id})}
         assert col["self_bleu4"] == pytest.approx(1.0, abs=1e-12)
         assert mem["self_bleu4"] < col["self_bleu4"]
 
     def test_all_values_finite(self, memorized):
         model, vocab, emb, windows = memorized
-        for mode in ("quality", "diversity"):
-            for rep in evaluate_model(model, windows, emb, mode):
-                assert np.isfinite(rep.value)
+        reports = evaluate_model(model, windows, emb, METRICS)
+        assert [rep.metric for rep in reports] == list(METRICS)
+        for rep in reports:
+            assert np.isfinite(rep.value)
 
-    def test_both_mode_equals_quality_then_diversity(self, memorized):
+    def test_all_metrics_equal_each_alone(self, memorized):
+        # one report per name, in METRICS order, whatever order or repeats are asked for
         model, vocab, emb, windows = memorized
         kw = dict(prefix_len=3, exclude={vocab.unk_id})
-        quality = evaluate_model(model, windows, emb, "quality", **kw)
-        diversity = evaluate_model(model, windows, emb, "diversity", **kw)
-        both = evaluate_model(model, windows, emb, "both", **kw)
-        assert both == quality + [r for r in diversity if r.metric != "ppl"]
+        alone = [evaluate_model(model, windows, emb, [name], **kw) for name in METRICS]
+        assert [len(reports) for reports in alone] == [1] * len(METRICS)
+        asked = list(reversed(METRICS)) + ["wmd"]
+        assert evaluate_model(model, windows, emb, asked, **kw) == sum(alone, [])
 
     def test_ppl_mode_does_not_decode(self, memorized, monkeypatch):
         model, _, emb, windows = memorized
+        expected = [ScoreReport("ppl", "valid", validate(model, windows), "")]
+        bleu = evaluate_model(model, windows, emb, ["bleu4"])
 
-        def no_decode(*_args):
-            raise AssertionError("ppl mode decoded")
+        def refuse(*_args):
+            raise AssertionError("ran a pass no asked metric needs")
 
-        monkeypatch.setattr(metrics_mod, "_greedy_continuations", no_decode)
-        reports = evaluate_model(model, windows, emb, "ppl")
-        assert reports == [ScoreReport("ppl", "valid", validate(model, windows), "")]
+        monkeypatch.setattr(metrics_mod, "_greedy_continuations", refuse)
+        assert evaluate_model(model, windows, emb, ["ppl"]) == expected
+        monkeypatch.undo()
+        monkeypatch.setattr(metrics_mod, "validate", refuse)
+        assert evaluate_model(model, windows, emb, ["bleu4"]) == bleu
 
     def test_continuations_match_stepwise_reference(self, memorized):
         # reference: every prefix position goes through the full step
@@ -392,12 +400,12 @@ class TestEvaluateModel:
                 metrics_mod._greedy_continuations(model, inputs, prefix),
                 np.stack(expected, axis=1))
 
-    def test_mode_validation(self, memorized):
+    def test_metric_validation(self, memorized):
         model, _, emb, windows = memorized
+        with pytest.raises(ValueError, match="speed"):
+            evaluate_model(model, windows, emb, ["ppl", "speed"])
         with pytest.raises(ValueError):
-            evaluate_model(model, windows, emb, "speed")
-        with pytest.raises(ValueError):
-            evaluate_model(model, [], emb, "quality")
+            evaluate_model(model, [], emb, ["bleu4"])
 
 
 class TestReportsCsv:

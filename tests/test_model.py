@@ -10,12 +10,10 @@ from nnrslab.model import (
     LstmLm,
     backward,
     cosine_lr,
-    forward,
     forward_cached,
     forward_segment,
     grad_global_norm,
     greedy_or_sample_predict,
-    loss,
     loss_from_cache,
     sgd_step,
     step,
@@ -58,29 +56,37 @@ class TestInit:
             np.testing.assert_array_equal(a.params[key], b.params[key])
 
 
+def _probs(model, ids, init_state=None):
+    """exp of forward_cached's log-probs (T, B, |V|), and the final state."""
+    cache = forward_cached(model, ids, init_state)
+    return np.exp(cache.log_probs), cache.final_state
+
+
 class TestForward:
     def test_distributions_normalized(self, rng):
         model = _small_model(rng)
-        probs, _ = forward(model, np.array([0, 1, 2, 3]))
-        assert probs.shape == (4, 6)
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
+        probs, _ = _probs(model, np.array([[0, 1, 2, 3]]))
+        assert probs.shape == (4, 1, 6)
+        np.testing.assert_allclose(probs.sum(axis=2), 1.0, atol=1e-9)
 
     def test_zero_model_uniform(self):
         model = LstmLm.zeros(8, 3, 4)
-        probs, _ = forward(model, np.array([0, 1, 2]))
+        probs, _ = _probs(model, np.array([[0, 1, 2]]))
         np.testing.assert_allclose(probs, 1.0 / 8.0, atol=1e-12)
 
     def test_deterministic(self, rng):
         model = _small_model(rng)
         ids = np.array([[1, 2, 3], [4, 5, 0]])
-        a, _ = forward(model, ids)
-        b, _ = forward(model, ids)
+        a, _ = _probs(model, ids)
+        b, _ = _probs(model, ids)
         np.testing.assert_array_equal(a, b)
 
     def test_id_out_of_range(self, rng):
         model = _small_model(rng)
-        with pytest.raises(ValueError):
-            forward(model, np.array([0, 99]))
+        with pytest.raises(ValueError, match="out of range"):
+            forward_cached(model, np.array([[0, 99]]))
+        with pytest.raises(ValueError, match="out of range"):
+            forward_cached(model, np.array([[0, -1]]))
 
     def test_float_inputs_refused(self, rng):
         # token ids are the only input: vectors and float-typed ids are refused
@@ -98,43 +104,27 @@ class TestForward:
     def test_state_carries(self, rng):
         model = _small_model(rng)
         ids = np.array([[1, 2, 3, 4]])
-        whole, _ = forward(model, ids)
-        first, state = forward(model, ids[:, :2])
-        second, _ = forward(model, ids[:, 2:], init_state=state)
+        whole, _ = _probs(model, ids)
+        first, state = _probs(model, ids[:, :2])
+        second, _ = _probs(model, ids[:, 2:], init_state=state)
         np.testing.assert_allclose(np.concatenate([first, second]), whole, atol=1e-12)
 
 
 class TestLoss:
     def test_uniform_bound(self):
-        dists = np.full((3, 10), 0.1)
-        targets = np.array([0, 5, 9])
-        assert loss(dists, targets) == pytest.approx(np.log(10))
-
-    def test_one_hot_zero(self):
-        dists = np.eye(4)[[1, 2]]
-        assert loss(dists, np.array([1, 2])) == pytest.approx(0.0)
-
-    def test_hand_two_step(self):
-        dists = np.array([[0.5, 0.5], [0.25, 0.75]])
-        got = loss(dists, np.array([0, 0]))
-        assert got == pytest.approx(-(np.log(0.5) + np.log(0.25)) / 2, abs=1e-4)
-        assert abs(got - 1.0397) < 1e-4
-
-    def test_zero_probability_guarded(self):
-        dists = np.array([[1.0, 0.0]])
-        assert np.isfinite(loss(dists, np.array([1])))
+        model = LstmLm.zeros(10, 3, 4)
+        targets = np.array([[0, 5, 9]])
+        cache = forward_cached(model, np.array([[1, 2, 3]]))
+        assert loss_from_cache(cache, targets) == pytest.approx(np.log(10))
 
     def test_batched_matches_cache(self, rng):
         model = _small_model(rng)
         inputs = rng.integers(0, 6, size=(3, 5))
         targets = rng.integers(0, 6, size=(3, 5))
         cache = forward_cached(model, inputs)
-        probs = np.exp(cache.log_probs)
-        assert loss(probs, targets) == pytest.approx(loss_from_cache(cache, targets))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            loss(np.full((3, 4), 0.25), np.array([0, 1]))
+        probs = np.exp(cache.log_probs)  # (T, B, |V|)
+        picked = [probs[t, b, targets[b, t]] for b in range(3) for t in range(5)]
+        assert loss_from_cache(cache, targets) == pytest.approx(-np.log(picked).mean())
 
 
 class TestBackward:

@@ -16,7 +16,6 @@ from nnrslab.neighbors import (
     build_neighbor_table,
     build_transition_table,
     clamp_tau,
-    cosine,
     default_k,
     load_table,
     renormalize,
@@ -60,21 +59,6 @@ def tables_and_taus(draw):
         size=(n, draw(st.integers(2, 6))))
     taus = draw(st.lists(st.floats(0.5, 10.0), min_size=2, max_size=5))
     return vectors, draw(st.integers(1, n - 1)), sorted(taus)
-
-
-class TestCosine:
-    def test_identity(self):
-        assert cosine([1, 0], [1, 0]) == 1.0
-
-    def test_orthogonal(self):
-        assert cosine([1, 0], [0, 1]) == 0.0
-
-    def test_hand_value(self):
-        assert abs(cosine([1, 1], [1, 0]) - 0.70710678) < 1e-8
-
-    def test_zero_vector_errors(self):
-        with pytest.raises(ValueError):
-            cosine([0, 0], [1, 0])
 
 
 class TestDefaultK:

@@ -249,7 +249,7 @@ class TestGumbelSample:
             probs=np.array([[0.6, 0.3, 0.1]]), tau=1.0, flagged=frozenset(),
         )
         logits = GumbelLogits.from_table(table)
-        np.testing.assert_allclose(logits.probs(), table.probs, atol=1e-12)
+        np.testing.assert_allclose(np.exp(logits.log_alpha), table.probs, atol=1e-12)
 
 
 class TestGumbelBackward:
@@ -281,23 +281,23 @@ class TestGumbelBackward:
 class TestGumbelUpdate:
     def test_zero_grad_scales(self):
         logits = GumbelLogits(np.array([[2.0, -2.0]]), beta=0.9)
-        out = gumbel_update(logits, np.zeros((1, 2)))
+        out = gumbel_update(logits, np.zeros((1, 2)), {0})
         np.testing.assert_allclose(out.log_alpha, [[1.8, -1.8]])
 
     def test_beta_one_noop(self):
-        logits = GumbelLogits(np.array([[2.0, -2.0]]))
-        out = gumbel_update(logits, np.ones((1, 2)), beta=1.0)
+        logits = GumbelLogits(np.array([[2.0, -2.0]]), beta=1.0)
+        out = gumbel_update(logits, np.ones((1, 2)), {0})
         np.testing.assert_array_equal(out.log_alpha, logits.log_alpha)
 
     def test_hand_value(self):
         logits = GumbelLogits(np.zeros((1, 2)), beta=0.9)
-        out = gumbel_update(logits, np.array([[1.0, -1.0]]))
+        out = gumbel_update(logits, np.array([[1.0, -1.0]]), {0})
         np.testing.assert_allclose(out.log_alpha, [[-0.1, 0.1]])
 
     def test_rows_restriction(self):
         logits = GumbelLogits(np.ones((3, 2)), beta=0.5)
         grad = np.full((3, 2), 2.0)
-        out = gumbel_update(logits, grad, rows={1})
+        out = gumbel_update(logits, grad, {1})
         np.testing.assert_array_equal(out.log_alpha[0], [1.0, 1.0])
         np.testing.assert_allclose(out.log_alpha[1], [-0.5, -0.5])
         np.testing.assert_array_equal(out.log_alpha[2], [1.0, 1.0])
@@ -305,11 +305,4 @@ class TestGumbelUpdate:
     def test_shape_mismatch(self):
         logits = GumbelLogits(np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            gumbel_update(logits, np.zeros((3, 2)))
-
-    def test_beta_bounds(self):
-        logits = GumbelLogits(np.zeros((1, 2)))
-        with pytest.raises(ValueError):
-            gumbel_update(logits, np.zeros((1, 2)), beta=0.0)
-        with pytest.raises(ValueError):
-            gumbel_update(logits, np.zeros((1, 2)), beta=1.1)
+            gumbel_update(logits, np.zeros((3, 2)), {0})

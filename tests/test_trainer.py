@@ -1,10 +1,14 @@
 """Training loop: config parsing, batching, validation, checkpoints, runs."""
 
 import csv
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nnrslab.trainer as trainer_mod
 from nnrslab.embeddings import EmbeddingMatrix
@@ -43,6 +47,9 @@ from nnrslab.trainer import (
     save_checkpoint,
     validate,
     _load_run_inputs,
+    CHECKPOINT_FILE,
+    RECORDS_FILE,
+    TRACE_FILE,
 )
 from nnrslab.policy import (
     GumbelLogits,
@@ -51,7 +58,7 @@ from nnrslab.policy import (
     decide_batch_positions,
     gumbel_sample,
 )
-from synth import assert_like_step
+from synth import assert_like_step, assert_same_checkpoint, bigram_cycle_lines, write_lines
 
 
 def _quick_config(corpus, mode="MLE", epochs=3, **kw):
@@ -115,7 +122,7 @@ class TestConfig:
             epochs=5, batch_size=3, bptt_len=7, mode="SS_NNRS",
             ss=Schedule("linear", 0.1, 0.5), nnrs=Schedule("exponential", 0.05, 0.3),
             base_lr=0.7, clip=2.5, momentum=0.3, seed=9, k=4, tau_init=1.5,
-            gumbel_beta=0.7, gumbel_tau=2.0, hidden=12, dim=6, min_count=2,
+            gumbel_beta=0.7, hidden=12, dim=6, min_count=2,
             val_fraction=0.2, predict_sample=True, freeze_embeddings=True)
         default = TrainConfig(corpus="")
         for f in fields(TrainConfig):
@@ -131,7 +138,7 @@ class TestConfig:
         listed = str(err.value).split("valid keys: ")[1].split(", ")
         assert listed == [
             "base_lr", "batch_size", "bptt_len", "clip", "corpus", "dim", "embeddings",
-            "epochs", "freeze_embeddings", "gumbel_beta", "gumbel_tau", "hidden", "k",
+            "epochs", "freeze_embeddings", "gumbel_beta", "hidden", "k",
             "min_count", "mode", "momentum", "nnrs_end", "nnrs_kind", "nnrs_start",
             "out_dir", "predict_sample", "seed", "ss_end", "ss_kind", "ss_start",
             "tau_init", "val_corpus", "val_fraction"]
@@ -142,16 +149,13 @@ class TestConfig:
             with pytest.raises(ValueError):
                 _quick_config(cycle_corpus, **bad).check()
 
-    def test_gumbel_tau_range_in_gsns_only(self, cycle_corpus):
+    def test_gumbel_beta_range(self, cycle_corpus):
         gsns = dict(mode="GSNS", nnrs=Schedule("static", 0.3, 0.3))
-        for tau in (0.4, 10.5):
-            with pytest.raises(ValueError, match="gumbel_tau"):
-                _quick_config(cycle_corpus, gumbel_tau=tau, **gsns).check()
-            _quick_config(cycle_corpus, gumbel_tau=tau).check()  # unused outside GSNS
-        for tau in (0.5, 10.0):
-            _quick_config(cycle_corpus, gumbel_tau=tau, **gsns).check()
-        with pytest.raises(ValueError, match="gumbel_tau"):
-            run_training(_quick_config(cycle_corpus, gumbel_tau=0.1, **gsns))
+        for beta in (0.0, -0.5, 1.5):
+            with pytest.raises(ValueError, match="gumbel_beta"):
+                _quick_config(cycle_corpus, gumbel_beta=beta, **gsns).check()
+        for beta in (1e-9, 0.5, 1.0):
+            _quick_config(cycle_corpus, gumbel_beta=beta, **gsns).check()
 
 
 class TestRecords:
@@ -329,7 +333,7 @@ def _stepwise_epoch(model, state, cfg, table, gumbel, batches, lr, trace):
                 xs = np.array([greedy_or_sample_predict(row, cfg.predict_sample, state.rng)
                                for row in np.exp(prev)])
             elif gumbel is not None:
-                xs = np.array([table.ids[w, gumbel_sample(gumbel, w, cfg.gumbel_tau, state.rng)[0]]
+                xs = np.array([table.ids[w, gumbel_sample(gumbel, w, rng=state.rng)[0]]
                                for w in teachers.tolist()])
                 touched += [(t, b, w) for b, w in enumerate(teachers.tolist())]
             else:
@@ -597,3 +601,63 @@ class TestCheckpoint:
         run_training(cfg)
         with pytest.raises(ValueError, match="all 2 epochs"):
             run_training(cfg, resume_from=str(tmp_path / "checkpoint.bin"))
+
+
+_RESUME_POLICIES = {
+    "MLE": {},
+    "SS": dict(ss=Schedule("linear", 0.0, 0.5)),
+    "NNRS": dict(nnrs=Schedule("static", 0.3, 0.3), tau_init=1.5),
+    "TPRS": dict(nnrs=Schedule("static", 0.3, 0.3)),
+    "SS_NNRS": dict(ss=Schedule("linear", 0.0, 0.5), nnrs=Schedule("static", 0.2, 0.2),
+                    tau_init=1.5),
+    "GSNS": dict(nnrs=Schedule("static", 0.3, 0.3), k=3),
+}
+
+
+@pytest.fixture(scope="module")
+def resume_runs(tmp_path_factory):
+    """(scratch dir, config maker, uninterrupted traced run dir per
+    (mode, momentum, predict_sample), each run on first use)."""
+    root = tmp_path_factory.mktemp("resume")
+    corpus = write_lines(root / "cycle.txt", bigram_cycle_lines())
+    runs = {}
+
+    def config(out_dir, mode, momentum, sample):
+        return _quick_config(corpus, mode=mode, out_dir=str(out_dir), momentum=momentum,
+                             predict_sample=sample, **_RESUME_POLICIES[mode])
+
+    def full(key):
+        if key not in runs:
+            runs[key] = Path(tempfile.mkdtemp(dir=root))
+            run_training(config(runs[key], *key), trace=True)
+        return runs[key]
+
+    return root, config, full
+
+
+class TestStopAndResume:
+    @settings(max_examples=60, deadline=None)
+    @given(mode=st.sampled_from(sorted(_RESUME_POLICIES)), momentum=st.sampled_from([0.0, 0.3]),
+           sample=st.booleans(), stop=st.integers(1, 2), cut=st.floats(0.0, 1.0))
+    def test_equals_uninterrupted(self, resume_runs, mode, momentum, sample, stop, cut):
+        # stopped after epoch `stop`, then left with what a kill in the next
+        # epoch leaves in the trace (a prefix of its rows, the last one torn)
+        root, config, full = resume_runs
+        full_dir = full((mode, momentum, sample))
+        run_dir = Path(tempfile.mkdtemp(dir=root))
+        cfg = config(run_dir, mode, momentum, sample)
+        run_training(cfg, stop_after=stop, trace=True)
+        trace_path = run_dir / TRACE_FILE
+        whole = (full_dir / TRACE_FILE).read_bytes()
+        done = trace_path.stat().st_size
+        assert whole[:done] == trace_path.read_bytes()
+        after = whole.find(b"\n%d," % (stop + 2))  # the end of epoch stop + 1's rows
+        end = len(whole) if after < 0 else after + 1
+        with open(trace_path, "ab") as fh:
+            fh.write(whole[done:done + int(cut * (end - done))])
+
+        run_training(cfg, resume_from=str(run_dir / CHECKPOINT_FILE), trace=True)
+        assert (records_from_csv(run_dir / RECORDS_FILE)
+                == records_from_csv(full_dir / RECORDS_FILE))
+        assert_same_checkpoint(run_dir / CHECKPOINT_FILE, full_dir / CHECKPOINT_FILE)
+        assert trace_path.read_bytes() == whole
