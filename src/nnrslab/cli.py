@@ -245,6 +245,8 @@ _BLEU_LIKE = ("bleu4", "self_bleu4")
 
 
 def cmd_eval(args) -> int:
+    if args.prefix_len is not None and args.prefix_len < 1:
+        raise UsageError("--prefix-len must be >= 1")
     wanted = []
     for name in args.metrics.split(","):
         name = name.strip()
@@ -265,8 +267,8 @@ def cmd_eval(args) -> int:
         eval_ids = vocab.encode(_checked(read_corpus, args.corpus))
     else:
         eval_ids = val_ids
-    batch = args.batch_size if args.batch_size else cfg.batch_size
-    windows = _checked(make_batches, eval_ids, batch, cfg.bptt_len)
+    batch = cfg.batch_size if args.batch_size is None else args.batch_size
+    windows = _checked(make_batches, eval_ids, batch, cfg.bptt_len)  # refuses batch < 1
 
     reports = evaluate_model(model, windows, emb, wanted,
                              prefix_len=args.prefix_len, split_name=args.split,

@@ -12,6 +12,12 @@ kept token once and takes one (L_i, N) similarity product per sequence
 against all N kept tokens, so its cost is linear in the batch size B
 apart from those products, and it equals the pairwise-wmd_score mean
 within 1e-12.
+
+evaluate_model decodes every window from the zero state, so windows of
+one width are stacked along the batch axis in chunks of whole windows
+within model.block_rows rows and greedily decoded together, each step
+through one reused one-step cache. For windows of B >= 2 rows the
+continuations equal per-window decoding bit for bit.
 """
 
 import csv
@@ -23,7 +29,7 @@ import numpy as np
 
 from .arrayio import replacing
 from .embeddings import EmbeddingMatrix
-from .model import ForwardCache, forward_segment, step
+from .model import ForwardCache, _token_ids, block_rows, forward_segment
 from .trainer import validate
 
 _BLEU_EPS = 1e-9  # numerator floor for zero n-gram matches
@@ -318,22 +324,55 @@ def reports_from_csv(path):
 def _greedy_continuations(model, inputs: np.ndarray, prefix_len: int) -> np.ndarray:
     """Teacher-force a prefix, then greedy-decode to the window end.
 
-    Prefix steps before the last run as one cells-only forward_segment;
-    the output layer is first needed at the last prefix position.
+    Returns the (B, width - prefix_len + 1) token ids: the argmax of the
+    log-probs after the prefix's last position, then after each decoded
+    token. Every step runs through one reused one-step cache, whose state
+    rows are copied forward between steps; steps before the prefix's last
+    skip the output layer.
     """
+    inputs = _token_ids(model, inputs)  # the steps below copy ids in unchecked
     batch, width = inputs.shape
-    state = model.zero_state(batch)
-    if prefix_len > 1:
-        cache = ForwardCache.window(model, state, inputs[:, :prefix_len - 1].T)
-        state = forward_segment(model, cache, 0, prefix_len - 1, output=False).final_state
-    log_probs, state, _ = step(model, inputs[:, prefix_len - 1], state)
-    out = []
-    for i in range(width - prefix_len + 1):
-        nxt = log_probs.argmax(axis=1).astype(np.int64)
-        out.append(nxt)
-        if i + 1 < width - prefix_len + 1:
-            log_probs, state, _ = step(model, nxt, state)
-    return np.stack(out, axis=1)
+    cache = ForwardCache.window(model, model.zero_state(batch), inputs[:, :1].T)
+    out = np.empty((batch, width - prefix_len + 1), dtype=np.int64)
+    for t in range(width):
+        if t:
+            for rows in cache.h + cache.c:  # the state after step t - 1
+                rows[0] = rows[1]
+            cache.ids[0] = inputs[:, t] if t < prefix_len else out[:, t - prefix_len]
+        decoding = t >= prefix_len - 1
+        forward_segment(model, cache, 0, 1, output=decoding)
+        if decoding:
+            out[:, t - prefix_len + 1] = cache.log_probs[0].argmax(axis=1)
+    return out
+
+
+def _decode_windows(model, split, prefix_len):
+    """Greedy continuations of every window, as (prefix, (B, n) ids) in split order.
+
+    Windows decode from the zero state, so windows of one width (which
+    share the prefix) are stacked along the batch axis in chunks of whole
+    windows of at most block_rows(model) rows, or one wider window, and
+    decoded together; the chunk's rows are split back per window.
+    """
+    cap = block_rows(model)
+    groups = {}  # width -> chunks, each [rows, window indices]
+    for i, (inputs, _) in enumerate(split):
+        batch, width = inputs.shape
+        chunks = groups.setdefault(width, [])
+        if not chunks or chunks[-1][0] + batch > cap:
+            chunks.append([0, []])
+        chunks[-1][0] += batch
+        chunks[-1][1].append(i)
+    decoded = [None] * len(split)
+    for width, chunks in groups.items():
+        p = min(prefix_len if prefix_len is not None else max(1, width // 2), width)
+        for _, members in chunks:
+            inputs = [split[i][0] for i in members]
+            gen = _greedy_continuations(model, np.concatenate(inputs), p)
+            bounds = np.cumsum([x.shape[0] for x in inputs])[:-1]
+            for i, part in zip(members, np.split(gen, bounds)):
+                decoded[i] = (p, part)
+    return decoded
 
 
 METRICS = ("ppl", "bleu4", "wmd", "self_bleu4", "self_wmd")
@@ -347,8 +386,9 @@ def evaluate_model(model, split, emb: EmbeddingMatrix, metrics,
 
     ppl is teacher-forced perplexity. For any other metric, each window is
     continued greedily after a teacher-forced prefix (default: half the
-    window): bleu4 and wmd score the continuations against the true ones,
-    self_bleu4 and self_wmd against each other. Nothing runs that no asked
+    window; at most the window; prefix_len < 1 is refused): bleu4 and wmd
+    score the continuations against the true ones, self_bleu4 and
+    self_wmd against each other. Nothing runs that no asked
     metric needs. Metrics left undefined on every window (empty WMD
     intersections, size-1 batches) are omitted rather than reported
     non-finite.
@@ -359,16 +399,16 @@ def evaluate_model(model, split, emb: EmbeddingMatrix, metrics,
                          % (", ".join(unknown), ", ".join(METRICS)))
     if not split:
         raise ValueError("empty split")
+    if prefix_len is not None and prefix_len < 1:
+        raise ValueError("prefix_len must be >= 1")
 
     scores = {name: [] for name in METRICS if name in metrics}
     if "ppl" in scores:
         scores["ppl"].append(validate(model, split))
     decoded = [name for name in scores if name != "ppl"]
-    for inputs, targets in split if decoded else ():
-        width = inputs.shape[1]
-        p = prefix_len if prefix_len is not None else max(1, width // 2)
-        p = min(max(1, p), width)
-        gen = _greedy_continuations(model, inputs, p).tolist()
+    continuations = _decode_windows(model, split, prefix_len) if decoded else ()
+    for (_, targets), (p, gen) in zip(split, continuations):
+        gen = gen.tolist()
         refs = targets[:, p - 1:].tolist()
         for name in decoded:
             if name == "bleu4":

@@ -19,16 +19,22 @@ straight-through update reads, and scatters it into the embedding rows.
 Every forward path runs forward_segment: layer by layer over a span of
 timesteps whose inputs are all known, one input projection per layer
 over the span's (T*B, .) rows stacked in (t, b) order, the recurrence
-per step (_cell), then one output projection and log-softmax.
-Training cuts each BPTT window before every scheduled-sampling step,
-whose input is the model's own prediction from the step before;
-validation (forward_cached) runs whole windows, and greedy decoding
-runs its teacher-forced prefix as one cells-only segment. The results
-land in a ForwardCache of (T, B, .) arrays.
-step is the one-step API, used for the decoded steps and as the
-reference the window paths are tested against: bit for bit at B >= 2,
-to rounding at B = 1, where numpy sends step's one-row products to
-BLAS's matrix-vector kernel.
+per step (_cell), then the output layer (_output_layer: one output
+projection and log-softmax) over all the span's rows. Training cuts
+each BPTT window before every scheduled-sampling step, whose input is
+the model's own prediction from the step before. The results land in a
+ForwardCache of (T, B, .) arrays.
+
+Eval never holds a (T, B, |V|) array. Validation runs whole windows
+cells-only and scores the top-layer rows with target_log_probs, in
+blocks of at most block_rows(model) rows (about _ROW_BUDGET elements)
+through one reused buffer. Greedy decoding (metrics) runs every step,
+the teacher-forced prefix included, through one reused one-step cache.
+step is the one-step API and the reference the window paths are tested
+against: bit for bit at B >= 2, to rounding at B = 1, where numpy sends
+step's one-row products to BLAS's matrix-vector kernel. A row of a
+product of two or more rows has the same bits whatever the row count,
+so the output blocks never hold one row unless there is only one.
 
 backward runs only the recurrence per timestep (layer 2's reverse pass,
 then layer 1's); the output layer, every weight gradient, the input
@@ -41,6 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .neighbors import categorical_draw
+
+_ROW_BUDGET = 1 << 17  # elements of one eval output block, (rows, |V|)
 
 
 @dataclass
@@ -156,15 +164,48 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
+def _output_layer(model: LstmLm, h: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """log_softmax(h @ W_out + b_out) of top-layer rows h (n, H) into out (n, |V|)."""
+    np.matmul(h, model.params["W_out"], out=out)
+    out += model.params["b_out"]
+    return _log_softmax(out)
+
+
+def block_rows(model: LstmLm) -> int:
+    """Rows of one eval output block: max(2, _ROW_BUDGET // |V|)."""
+    return max(2, _ROW_BUDGET // model.vocab_size)
+
+
+def target_log_probs(model: LstmLm, top: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """log p(targets[i]) given top-layer rows top (n, H); returns (n,).
+
+    The output layer runs on blocks of at most block_rows(model) rows
+    through one buffer, and only the targets' entries are kept, so
+    memory stays bounded as n and |V| grow. The bits equal those of one
+    (n, |V|) output layer: a one-row tail block is run together with the
+    row before it.
+    """
+    n = top.shape[0]
+    size = block_rows(model)
+    buf = np.empty((min(size, n), model.vocab_size))
+    picked = np.empty(n)
+    for lo in range(0, n, size):
+        hi = min(lo + size, n)
+        first = min(lo, max(hi - 2, 0))
+        block = _output_layer(model, top[first:hi], buf[:hi - first])
+        picked[lo:hi] = block[np.arange(lo - first, hi - first), targets[lo:hi]]
+    return picked
+
+
 class ForwardCache:
     """A forward pass over T timesteps of B rows, as (T, B, .) arrays.
 
     ids (T, B) the token ids fed; x (T, B, d) their embedding rows. Per
     layer (index 0 and 1): gates (T, 4, B, H) the activated [i, f, g, o]
     blocks, tc (T, B, H) tanh of the cell state, and h and c
-    (T + 1, B, H) with row 0 the initial state. log_probs (T, B, |V|).
-    final_state is the state after the last step run; input_grads
-    (T, B, d) is filled by backward.
+    (T + 1, B, H) with row 0 the initial state. log_probs (T, B, |V|),
+    or None in a cells-only cache. final_state is the state after the
+    last step run; input_grads (T, B, d) is filled by backward.
 
     ForwardCache(steps, final_state, batch_size) joins consecutive caches
     returned by `step` into one window cache.
@@ -186,9 +227,10 @@ class ForwardCache:
         self.input_grads = None
 
     @classmethod
-    def window(cls, model: LstmLm, state, ids) -> "ForwardCache":
+    def window(cls, model: LstmLm, state, ids, output: bool = True) -> "ForwardCache":
         """Empty cache for token ids (T, B), with `state` in row 0;
-        nothing is run yet. Copies the ids."""
+        nothing is run yet. Copies the ids. With output=False it has no
+        log_probs and runs only cells-only segments."""
         ids = _token_ids(model, ids)
         t_len, batch = ids.shape
         cache = cls.__new__(cls)
@@ -202,7 +244,7 @@ class ForwardCache:
                 arr = np.empty((t_len + 1, batch, model.hidden))
                 arr[0] = first
                 rows.append(arr)
-        cache.log_probs = np.empty((t_len, batch, model.vocab_size))
+        cache.log_probs = np.empty((t_len, batch, model.vocab_size)) if output else None
         cache.final_state = state
         cache.batch_size = batch
         cache.input_grads = None
@@ -217,8 +259,8 @@ def forward_segment(model: LstmLm, cache: ForwardCache, lo: int, hi: int,
     """Run timesteps lo..hi-1 of `cache`, whose inputs are all set, layer by layer.
 
     Per layer: one input projection over the n * B rows of all n steps,
-    then the recurrence per step; then one output projection and
-    log-softmax over all rows. Leaves the state after step hi - 1 in
+    then the recurrence per step; then, unless output=False, the output
+    layer over all rows. Leaves the state after step hi - 1 in
     cache.final_state.
 
     For B >= 2 every step's bits equal those of `step` on the same input
@@ -239,10 +281,7 @@ def forward_segment(model: LstmLm, cache: ForwardCache, lo: int, hi: int,
             _cell(z[t - lo], h[t], c[t], wh, gates[t], c[t + 1], tc[t], h[t + 1])
         inp = h[lo + 1:hi + 1]
     if output:
-        logits = cache.log_probs[lo:hi].reshape(rows, -1)
-        np.matmul(inp.reshape(rows, -1), p["W_out"], out=logits)
-        logits += p["b_out"]
-        _log_softmax(logits)
+        _output_layer(model, inp.reshape(rows, -1), cache.log_probs[lo:hi].reshape(rows, -1))
     cache.final_state = [(h[hi], c[hi]) for h, c in zip(cache.h, cache.c)]
     return cache
 
@@ -250,23 +289,25 @@ def forward_segment(model: LstmLm, cache: ForwardCache, lo: int, hi: int,
 def step(model: LstmLm, ids, state):
     """One timestep on ids (B,). Returns (log_probs (B,|V|), new_state, cache).
 
-    The one-step API for decoding and the reference the window paths
-    are tested against; the cache is a one-step ForwardCache.
+    The reference the window paths are tested against; the cache is a
+    one-step ForwardCache.
     """
     cache = ForwardCache.window(model, state, np.reshape(ids, (1, -1)))
     forward_segment(model, cache, 0, 1)
     return cache.log_probs[0], cache.final_state, cache
 
 
-def forward_cached(model: LstmLm, ids, init_state=None) -> ForwardCache:
+def forward_cached(model: LstmLm, ids, init_state=None, output: bool = True) -> ForwardCache:
     """Layer-wise forward over one (B, T) id window from init_state
     (zeros if None): one input projection per layer, the recurrence per
-    step, one output projection. The cache is what backward reads."""
+    step, one output projection unless output=False. The cache is what
+    backward reads."""
     ids = np.asarray(ids)
     if ids.ndim != 2 or ids.shape[1] == 0:
         raise ValueError("ids must be a (B, T) array with T >= 1, got shape %s" % (ids.shape,))
     state = model.zero_state(ids.shape[0]) if init_state is None else init_state
-    return forward_segment(model, ForwardCache.window(model, state, ids.T), 0, ids.shape[1])
+    cache = ForwardCache.window(model, state, ids.T, output)
+    return forward_segment(model, cache, 0, ids.shape[1], output)
 
 
 def loss_from_cache(cache: ForwardCache, targets) -> float:

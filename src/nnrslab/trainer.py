@@ -15,8 +15,9 @@ float-identical to a plain teacher-forcing loop with the policy layer
 absent.
 
 run_training alone writes `out_dir`, after every completed epoch:
-records.csv, then checkpoint.bin unless that epoch diverged, so a run
-that fails or is killed in epoch N resumes from epoch N - 1. On
+checkpoint.bin unless that epoch diverged, then records.csv, so a run
+that fails or is killed in epoch N resumes from epoch N - 1, and every
+epoch in records.csv is in a checkpoint unless it diverged. On
 resume, the optional decision trace there loses the rows of the epochs
 run again, then is appended to.
 """
@@ -41,6 +42,7 @@ from .model import (
     forward_segment,
     loss_from_cache,
     sgd_step,
+    target_log_probs,
 )
 from .neighbors import (
     NeighborTable,
@@ -293,10 +295,12 @@ def validate(model: LstmLm, val_batches) -> float:
     """Teacher-forced perplexity over a window list, state carried.
 
     exp(total NLL / total tokens); never touches parameters and never
-    applies a sampling policy. Each window runs layer-wise through
+    applies a sampling policy. Each window runs cells-only through
     model.forward_cached (one input projection per layer, the recurrence
-    per step, one output projection) from the previous window's final
-    state, zeros for the first.
+    per step) from the previous window's final state, zeros for the
+    first. model.target_log_probs then scores its top-layer rows in
+    blocks of a fixed budget through one buffer, so no (T, B, |V|) array
+    is built; the result has the bits of the whole-window output layer.
     """
     if not val_batches:
         raise ValueError("empty validation split")
@@ -304,9 +308,10 @@ def validate(model: LstmLm, val_batches) -> float:
     total_nll = 0.0
     total_tokens = 0
     for inputs, targets in val_batches:
-        cache = forward_cached(model, inputs, state)
-        picked = np.take_along_axis(cache.log_probs, targets.T[:, :, None], axis=2)
-        total_nll -= picked.sum()
+        cache = forward_cached(model, inputs, state, output=False)
+        top = cache.h[1][1:].reshape(targets.size, model.hidden)  # rows in (t, b) order
+        picked = target_log_probs(model, top, targets.T.reshape(-1))
+        total_nll -= picked.reshape(targets.T.shape).T.ravel().sum()  # in targets' (b, t) order
         total_tokens += targets.size
         state = cache.final_state
         del cache  # the next window's forward must not run with this one's arrays alive
@@ -620,12 +625,12 @@ def run_training(config: TrainConfig, stop_after: int = None,
             diverged = val_ppl > 10.0 * n_vocab
             if tracer is not None:
                 tracer.flush()  # before the checkpoint that resumes after this epoch
-            if cfg.out_dir:
-                records_to_csv(records, os.path.join(cfg.out_dir, RECORDS_FILE))
+            if cfg.out_dir:  # checkpoint first: no recorded epoch is missing from it
                 if not diverged:
                     save_checkpoint(os.path.join(cfg.out_dir, CHECKPOINT_FILE), model,
                                     state.rng, records, vocab_hash, cfg,
                                     velocity=velocity, gumbel=gumbel)
+                records_to_csv(records, os.path.join(cfg.out_dir, RECORDS_FILE))
             if diverged:
                 raise DivergenceError(
                     "validation perplexity %.3g exceeded 10x vocabulary size at epoch %d"

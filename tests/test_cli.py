@@ -365,7 +365,7 @@ class TestTrace:
             env=_child_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         try:
             deadline = time.monotonic() + 120.0
-            while not checkpoint.exists():  # written after epoch 1's records.csv
+            while not records_path.exists():  # written after epoch 1's checkpoint.bin
                 assert child.poll() is None, "the child exited before epoch 1 was saved"
                 assert time.monotonic() < deadline, "epoch 1 was never saved"
                 time.sleep(0.001)
@@ -418,6 +418,22 @@ class TestEval:
         code = main(["eval", "--checkpoint", "x.bin", "--out",
                      str(tmp_path / "r.csv"), "--metrics", "rouge"])
         assert code == 2
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("flag", ["--batch-size", "--prefix-len"])
+    def test_non_positive_batch_or_prefix_is_usage_error(self, corpus, tmp_path, capsys, flag):
+        out_dir = tmp_path / "run"
+        config = _write_config(tmp_path / "run.cfg", corpus, out_dir, epochs=1)
+        assert main(["train", "--config", config]) == 0
+        report = tmp_path / "r.csv"
+        args = ["eval", "--checkpoint", str(out_dir / "checkpoint.bin"), "--out", str(report),
+                "--metrics", "ppl,bleu", flag]
+        for value in ("0", "-2"):
+            capsys.readouterr()
+            assert main(args + [value]) == 2
+            assert "must be >= 1" in capsys.readouterr().err
+            assert not report.exists()
+        assert main(args + ["1"]) == 0
         capsys.readouterr()
 
     def test_missing_checkpoint_is_usage_error(self, tmp_path, capsys):

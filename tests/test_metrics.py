@@ -1,6 +1,7 @@
 """BLEU, WMD, the KL diagnostic, and the model evaluation protocol."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from nnrslab.metrics import (
     wmd_score,
 )
 import nnrslab.metrics as metrics_mod
+import nnrslab.model as model_mod
 from nnrslab.model import LstmLm, step
 from nnrslab.trainer import (
     TrainConfig,
@@ -315,6 +317,18 @@ def _random_positive_chain(rng, n):
     return trans / trans.sum(axis=1, keepdims=True)
 
 
+def _stepwise_continuations(model, inputs, prefix):
+    """Greedy continuations with every position through the full `step`."""
+    state = model.zero_state(inputs.shape[0])
+    for t in range(prefix):
+        log_probs, state, _ = step(model, inputs[:, t], state)
+    expected = []
+    for _ in range(inputs.shape[1] - prefix + 1):
+        expected.append(log_probs.argmax(axis=1))
+        log_probs, state, _ = step(model, expected[-1], state)
+    return np.stack(expected, axis=1)
+
+
 @pytest.fixture(scope="module")
 def memorized(tmp_path_factory):
     """A model trained to memorize the deterministic cycle corpus."""
@@ -383,22 +397,42 @@ class TestEvaluateModel:
         assert evaluate_model(model, windows, emb, ["bleu4"]) == bleu
 
     def test_continuations_match_stepwise_reference(self, memorized):
-        # reference: every prefix position goes through the full step
         _, vocab, _, windows = memorized
         model = LstmLm.init(len(vocab), 16, 32, np.random.default_rng(5))
         inputs = windows[0][0]
-        width = inputs.shape[1]
-        for prefix in (1, 4, width):
-            state = model.zero_state(inputs.shape[0])
-            for t in range(prefix):
-                log_probs, state, _ = step(model, inputs[:, t], state)
-            expected = []
-            for i in range(width - prefix + 1):
-                expected.append(log_probs.argmax(axis=1))
-                log_probs, state, _ = step(model, expected[-1], state)
+        for prefix in (1, 4, inputs.shape[1]):
             np.testing.assert_array_equal(
                 metrics_mod._greedy_continuations(model, inputs, prefix),
-                np.stack(expected, axis=1))
+                _stepwise_continuations(model, inputs, prefix))
+
+    @settings(max_examples=60, deadline=None)
+    @given(widths=st.lists(st.integers(1, 5), min_size=1, max_size=8), batch=st.integers(2, 4),
+           vocab=st.integers(2, 30), prefix=st.one_of(st.none(), st.integers(1, 5)),
+           block=st.integers(2, 9), seed=st.integers(0, 2 ** 16))
+    def test_batched_decode_equals_per_window(self, widths, batch, vocab, prefix, block, seed):
+        # windows of one width are stacked into chunks of at most `block`
+        # rows (or one window) and decoded together
+        rng = np.random.default_rng(seed)
+        model = LstmLm.init(vocab, 3, 5, rng)
+        split = [(rng.integers(0, vocab, size=(batch, w)), rng.integers(0, vocab, size=(batch, w)))
+                 for w in widths]
+        chunk_rows = []
+        real = metrics_mod._greedy_continuations
+
+        def recording(model, inputs, prefix_len):
+            chunk_rows.append(inputs.shape[0])
+            return real(model, inputs, prefix_len)
+
+        with mock.patch.object(model_mod, "_ROW_BUDGET", block * vocab), \
+                mock.patch.object(metrics_mod, "_greedy_continuations", recording):
+            decoded = metrics_mod._decode_windows(model, split, prefix)
+        assert max(chunk_rows) <= max(block, batch)
+        assert len(chunk_rows) == sum(-(-widths.count(w) // max(1, block // batch))
+                                      for w in set(widths))
+        for (inputs, _), (p, gen) in zip(split, decoded):
+            width = inputs.shape[1]
+            assert p == min(max(1, width // 2) if prefix is None else prefix, width)
+            np.testing.assert_array_equal(gen, _stepwise_continuations(model, inputs, p))
 
     def test_metric_validation(self, memorized):
         model, _, emb, windows = memorized
@@ -406,6 +440,12 @@ class TestEvaluateModel:
             evaluate_model(model, windows, emb, ["ppl", "speed"])
         with pytest.raises(ValueError):
             evaluate_model(model, [], emb, ["bleu4"])
+        with pytest.raises(ValueError, match="prefix_len"):
+            evaluate_model(model, windows, emb, ["bleu4"], prefix_len=0)
+        inputs = windows[0][0].copy()
+        inputs[1, 2] = -1  # a teacher id after the first position
+        with pytest.raises(ValueError, match="out of range"):
+            evaluate_model(model, [(inputs, windows[0][1])], emb, ["bleu4"], prefix_len=5)
 
 
 class TestReportsCsv:

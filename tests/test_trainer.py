@@ -2,14 +2,17 @@
 
 import csv
 import tempfile
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nnrslab.model as model_mod
 import nnrslab.trainer as trainer_mod
 from nnrslab.embeddings import EmbeddingMatrix
 from nnrslab.model import (
@@ -271,6 +274,58 @@ class TestValidate:
         with pytest.raises(ValueError):
             validate(LstmLm.zeros(5, 2, 3), [])
 
+    @settings(max_examples=80, deadline=None)
+    @given(batch=st.integers(1, 4), bptt=st.integers(1, 12), vocab=st.integers(2, 30),
+           windows=st.integers(1, 3), tail=st.integers(0, 11), block=st.sampled_from([1, 2, 3]),
+           seed=st.integers(0, 2 ** 16))
+    def test_blocked_equals_whole_window(self, batch, bptt, vocab, windows, tail, block, seed):
+        # budget block * |V| gives 2- or 3-row blocks (a 1-row budget still
+        # gives 2); `tail` > 0 adds a short last window
+        rng = np.random.default_rng(seed)
+        model = LstmLm.init(vocab, 3, 5, rng)
+        stream = windows * bptt + tail % bptt + 1
+        batches = make_batches(rng.integers(0, vocab, size=batch * stream), batch, bptt)
+        with mock.patch.object(model_mod, "_ROW_BUDGET", block * vocab):
+            assert model_mod.block_rows(model) == max(2, block)
+            state, total_nll, total_tokens = None, 0.0, 0
+            for inputs, targets in batches:  # the whole (T, B, |V|) output layer per window
+                cache = forward_cached(model, inputs, state)
+                picked = np.take_along_axis(cache.log_probs, targets.T[:, :, None], axis=2)
+                top = cache.h[1][1:].reshape(targets.size, -1)
+                np.testing.assert_array_equal(  # each term, not just the sum
+                    model_mod.target_log_probs(model, top, targets.T.reshape(-1)),
+                    picked.reshape(-1))
+                total_nll -= picked.sum()
+                total_tokens += targets.size
+                state = cache.final_state
+            blocks = []
+            real_output_layer = model_mod._output_layer
+
+            def recording(model, h, out):
+                blocks.append(h.shape[0])
+                return real_output_layer(model, h, out)
+
+            with mock.patch.object(model_mod, "_output_layer", recording):
+                assert validate(model, batches) == float(np.exp(total_nll / total_tokens))
+        # a one-row product goes to BLAS's matrix-vector kernel, whose last bits differ
+        assert max(blocks) <= max(2, block)
+        assert min(blocks) >= min(2, min(t.size for _, t in batches))
+
+    def test_memory_bounded_by_row_budget(self):
+        # |V| = 5000 and one 1024-row window: the whole-window output layer
+        # alone would take 1024 * 5000 * 8 bytes, about 41 MB
+        model = LstmLm.init(5000, 4, 8, np.random.default_rng(3))
+        batches = make_batches(np.arange(4 * 257) % 5000, 4, 256)
+        assert [t.size for _, t in batches] == [1024]
+        budget_bytes = model_mod._ROW_BUDGET * 8
+        tracemalloc.start()
+        try:
+            validate(model, batches)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * budget_bytes  # about 3 MB: two output blocks and the cells
+
 
 class TestFeedback:
     def test_greedy_matches_argmax_of_probs(self, rng):
@@ -474,14 +529,14 @@ class TestRunTraining:
         out_dir = tmp_path / "run"
         cfg = _quick_config(cycle_corpus, out_dir=str(out_dir))
         seen = []
-        real_save = trainer_mod.save_checkpoint
+        real_records_to_csv = trainer_mod.records_to_csv
 
-        def watching_save(path, model, rng_policy, records, *args, **kwargs):
-            # records.csv is already on disk when the checkpoint is written
-            seen.append(len(records_from_csv(out_dir / "records.csv")))
-            real_save(path, model, rng_policy, records, *args, **kwargs)
+        def watching_records_to_csv(records, path):
+            # checkpoint.bin already holds every epoch records.csv is about to name
+            seen.append(len(load_checkpoint(out_dir / "checkpoint.bin")["records"]))
+            real_records_to_csv(records, path)
 
-        monkeypatch.setattr(trainer_mod, "save_checkpoint", watching_save)
+        monkeypatch.setattr(trainer_mod, "records_to_csv", watching_records_to_csv)
         _, records = run_training(cfg)
         assert seen == [1, 2, 3]
         assert records_from_csv(out_dir / "records.csv") == records
