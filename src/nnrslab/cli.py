@@ -14,6 +14,9 @@ snapshot, seed, input hashes, output names) is written before training
 starts. Its `segments` list holds one entry per invocation (command,
 start time, --stop-after, --resume and the resumed checkpoint's
 sha256); a resumed run appends its entry to the manifest already there.
+When the invocation ends, however it ends, its entry is closed with the
+exit status, the last completed epoch (null when the run recorded
+none), the duration in seconds and, on failure, the error text.
 BLEU-style scores are printed and written x100 in eval output; every
 other artifact keeps the internal [0, 1] scale.
 """
@@ -53,6 +56,12 @@ from .vocab import build_vocabulary, read_corpus
 
 class UsageError(Exception):
     """Bad arguments, bad config, missing inputs: exit code 2."""
+
+
+def _exit_code(exc: Exception) -> int:
+    """The exit status of a command that raised `exc`: anything but a
+    UsageError is a runtime failure."""
+    return 2 if isinstance(exc, UsageError) else 3
 
 
 def _checked(fn, *args, **kwargs):
@@ -219,7 +228,21 @@ def _run_training_command(args, trace: bool) -> int:
             }
         manifest["segments"].append(segment)
         _write_json(manifest_path, manifest)
-        _, records = run_training(cfg, stop_after=stop_after, resume_from=resume, trace=trace)
+        started = time.perf_counter()
+        records, status, error = [], None, None
+        try:
+            _, records = run_training(cfg, stop_after=stop_after, resume_from=resume, trace=trace)
+            status = 0
+        except BaseException as exc:  # an interrupt leaves exit_status null
+            records = getattr(exc, "records", records)  # a DivergenceError's
+            status = _exit_code(exc) if isinstance(exc, Exception) else None
+            error = str(exc) or type(exc).__name__
+            raise
+        finally:
+            segment.update(exit_status=status,
+                           last_epoch=records[-1].epoch if records else None,
+                           duration_s=time.perf_counter() - started, error=error)
+            _write_json(manifest_path, manifest)
     last = records[-1]
     print("trained %d epoch(s), final val perplexity %.4f -> %s"
           % (last.epoch, last.val_loss, cfg.out_dir))
@@ -381,12 +404,9 @@ def main(argv=None) -> int:
         return int(code) if code is not None else 0
     try:
         return args.func(args)
-    except UsageError as exc:
+    except Exception as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except Exception as exc:  # anything after validation is a runtime failure
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

@@ -1,13 +1,17 @@
 """Two-layer LSTM language model in plain numpy (float64).
 
-Parameters live in a flat name -> array dict so optimizer,
-serialization, and gradient checks can treat the model as one
-parameter set:
+Parameters live in one contiguous float64 vector; model.params is a
+FlatParams, a name -> array mapping whose arrays are views into that
+vector, so the optimizer runs on the whole vector and serialization and
+gradient checks treat the model as one parameter set. In key order:
 
     embed              (|V|, d)   input lookup, trainable
     lstm1_Wx, lstm1_Wh, lstm1_b   layer 1 fused gate weights
     lstm2_Wx, lstm2_Wh, lstm2_b   layer 2 fused gate weights
     W_out, b_out       (H, |V|), (|V|,) softmax projection
+
+Assigning a key copies into its view; nothing rebinds one. Gradients and
+momentum velocity are FlatParams of the same layout.
 
 Fused gate blocks are ordered [input, forget, cell, output] along the
 4H axis. The model's only input is token ids: every training input
@@ -23,18 +27,28 @@ per step (_cell), then the output layer (_output_layer: one output
 projection and log-softmax) over all the span's rows. Training cuts
 each BPTT window before every scheduled-sampling step, whose input is
 the model's own prediction from the step before. The results land in a
-ForwardCache of (T, B, .) arrays.
+ForwardCache of (T, B, .) arrays. A training run keeps one such cache as
+its window workspace: ForwardCache.window(..., workspace=) gives each
+later window leading-axis views of its arrays, so a window allocates no
+new (T, B, |V|) array.
+
+The log-softmax's exp temporary spans at most block_rows(model) rows
+(about _ROW_BUDGET elements). backward consumes cache.log_probs: it
+forms the softmax gradient in place there, so the loss and the SS
+feedback read the log-probs first. It writes every gradient into
+`out`, a FlatParams the caller reuses from window to window. A training
+window thus holds one (T*B, |V|) array, its log-probs.
 
 Eval never holds a (T, B, |V|) array. Validation runs whole windows
 cells-only and scores the top-layer rows with target_log_probs, in
-blocks of at most block_rows(model) rows (about _ROW_BUDGET elements)
-through one reused buffer. Greedy decoding (metrics) runs every step,
-the teacher-forced prefix included, through one reused one-step cache.
-step is the one-step API and the reference the window paths are tested
-against: bit for bit at B >= 2, to rounding at B = 1, where numpy sends
-step's one-row products to BLAS's matrix-vector kernel. A row of a
-product of two or more rows has the same bits whatever the row count,
-so the output blocks never hold one row unless there is only one.
+blocks of at most block_rows(model) rows through one reused buffer.
+Greedy decoding (metrics) runs every step, the teacher-forced prefix
+included, through one reused one-step cache. step is the one-step API
+and the reference the window paths are tested against: bit for bit at
+B >= 2, to rounding at B = 1, where numpy sends step's one-row products
+to BLAS's matrix-vector kernel. A row of a product of two or more rows
+has the same bits whatever the row count, so the output blocks never
+hold one row unless there is only one.
 
 backward runs only the recurrence per timestep (layer 2's reverse pass,
 then layer 1's); the output layer, every weight gradient, the input
@@ -42,13 +56,53 @@ gradients and the embedding scatter are one product each per window.
 """
 
 import functools
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .neighbors import categorical_draw
 
-_ROW_BUDGET = 1 << 17  # elements of one eval output block, (rows, |V|)
+_ROW_BUDGET = 1 << 17  # elements of one output-layer block, (rows, |V|)
+
+
+class FlatParams(Mapping):
+    """name -> array, each array a view into one contiguous float64 vector.
+
+    `flat` holds the arrays back to back in key order; spans[i] is the
+    (lo, hi) slice of the i-th key. A new FlatParams is all zeros.
+    Assigning a key copies into its view, which must have the same shape.
+    """
+
+    def __init__(self, shapes: dict):
+        self.spans = []
+        lo = 0
+        for shape in shapes.values():
+            self.spans.append((lo, lo + math.prod(shape)))
+            lo = self.spans[-1][1]
+        self.flat = np.zeros(lo)
+        self._views = {key: self.flat[lo:hi].reshape(shape)
+                       for (key, shape), (lo, hi) in zip(shapes.items(), self.spans)}
+
+    def __getitem__(self, key):
+        return self._views[key]
+
+    def __iter__(self):
+        return iter(self._views)
+
+    def __len__(self):
+        return len(self._views)
+
+    def __setitem__(self, key, value):
+        view = self._views[key]
+        if np.shape(value) != view.shape:
+            raise ValueError("%s has shape %s, not %s" % (key, np.shape(value), view.shape))
+        view[...] = value
+
+    def like(self) -> "FlatParams":
+        """Zeros in the same layout."""
+        return FlatParams({key: view.shape for key, view in self._views.items()})
 
 
 @dataclass
@@ -56,7 +110,7 @@ class LstmLm:
     vocab_size: int
     dim: int
     hidden: int
-    params: dict
+    params: FlatParams
 
     @classmethod
     def init(cls, vocab_size: int, dim: int, hidden: int,
@@ -66,43 +120,26 @@ class LstmLm:
         Draw order is fixed (embed unless given, then lstm1, lstm2,
         projection) so runs at equal seeds are reproducible.
         """
+        model = cls.zeros(vocab_size, dim, hidden)
+        params = model.params
         s = 1.0 / np.sqrt(hidden)
-        h4 = 4 * hidden
-
-        def u(*shape):
-            return rng.uniform(-s, s, shape)
-
-        if embed is None:
-            embed = u(vocab_size, dim)
-        else:
-            embed = np.array(embed, dtype=np.float64)
-            if embed.shape != (vocab_size, dim):
-                raise ValueError(
-                    "embed shape %s does not match (%d, %d)" % (embed.shape, vocab_size, dim)
-                )
-        params = {
-            "embed": embed,
-            "lstm1_Wx": u(dim, h4), "lstm1_Wh": u(hidden, h4), "lstm1_b": np.zeros(h4),
-            "lstm2_Wx": u(hidden, h4), "lstm2_Wh": u(hidden, h4), "lstm2_b": np.zeros(h4),
-            "W_out": u(hidden, vocab_size), "b_out": np.zeros(vocab_size),
-        }
+        params["embed"] = rng.uniform(-s, s, params["embed"].shape) if embed is None else embed
+        for key in ("lstm1_Wx", "lstm1_Wh", "lstm2_Wx", "lstm2_Wh", "W_out"):
+            params[key] = rng.uniform(-s, s, params[key].shape)
         for key in ("lstm1_b", "lstm2_b"):
             params[key][hidden:2 * hidden] = 1.0  # forget gate bias
-        return cls(vocab_size, dim, hidden, params)
+        return model
 
     @classmethod
     def zeros(cls, vocab_size: int, dim: int, hidden: int) -> "LstmLm":
         """All-zero parameters: the output is uniform by symmetry."""
         h4 = 4 * hidden
-        params = {
-            "embed": np.zeros((vocab_size, dim)),
-            "lstm1_Wx": np.zeros((dim, h4)), "lstm1_Wh": np.zeros((hidden, h4)),
-            "lstm1_b": np.zeros(h4),
-            "lstm2_Wx": np.zeros((hidden, h4)), "lstm2_Wh": np.zeros((hidden, h4)),
-            "lstm2_b": np.zeros(h4),
-            "W_out": np.zeros((hidden, vocab_size)), "b_out": np.zeros(vocab_size),
-        }
-        return cls(vocab_size, dim, hidden, params)
+        return cls(vocab_size, dim, hidden, FlatParams({
+            "embed": (vocab_size, dim),
+            "lstm1_Wx": (dim, h4), "lstm1_Wh": (hidden, h4), "lstm1_b": (h4,),
+            "lstm2_Wx": (hidden, h4), "lstm2_Wh": (hidden, h4), "lstm2_b": (h4,),
+            "W_out": (hidden, vocab_size), "b_out": (vocab_size,),
+        }))
 
     def zero_state(self, batch_size: int):
         return [(np.zeros((batch_size, self.hidden)), np.zeros((batch_size, self.hidden)))
@@ -157,10 +194,21 @@ def _cell(z, h_prev, c_prev, wh, gates, c, tc, h):
     np.multiply(o, tc, out=h)
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax of a 2-D array, computed in place."""
+def block_rows(model: LstmLm) -> int:
+    """Rows of one output-layer block: max(2, _ROW_BUDGET // |V|)."""
+    return max(2, _ROW_BUDGET // model.vocab_size)
+
+
+def _log_softmax(logits: np.ndarray, rows: int) -> np.ndarray:
+    """Row-wise log-softmax of a 2-D array, computed in place.
+
+    The exp temporary covers `rows` rows at a time; the operation is
+    row-wise, so the bits equal those of one pass over every row.
+    """
     logits -= logits.max(axis=1, keepdims=True)
-    logits -= np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    for lo in range(0, logits.shape[0], rows):
+        block = logits[lo:lo + rows]
+        block -= np.log(np.exp(block).sum(axis=1, keepdims=True))
     return logits
 
 
@@ -168,12 +216,7 @@ def _output_layer(model: LstmLm, h: np.ndarray, out: np.ndarray) -> np.ndarray:
     """log_softmax(h @ W_out + b_out) of top-layer rows h (n, H) into out (n, |V|)."""
     np.matmul(h, model.params["W_out"], out=out)
     out += model.params["b_out"]
-    return _log_softmax(out)
-
-
-def block_rows(model: LstmLm) -> int:
-    """Rows of one eval output block: max(2, _ROW_BUDGET // |V|)."""
-    return max(2, _ROW_BUDGET // model.vocab_size)
+    return _log_softmax(out, block_rows(model))
 
 
 def target_log_probs(model: LstmLm, top: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -204,8 +247,9 @@ class ForwardCache:
     layer (index 0 and 1): gates (T, 4, B, H) the activated [i, f, g, o]
     blocks, tc (T, B, H) tanh of the cell state, and h and c
     (T + 1, B, H) with row 0 the initial state. log_probs (T, B, |V|),
-    or None in a cells-only cache. final_state is the state after the
-    last step run; input_grads (T, B, d) is filled by backward.
+    or None in a cells-only cache; backward overwrites it with the
+    softmax gradient. final_state is the state after the last step run;
+    input_grads (T, B, d) is filled by backward.
 
     ForwardCache(steps, final_state, batch_size) joins consecutive caches
     returned by `step` into one window cache.
@@ -227,24 +271,38 @@ class ForwardCache:
         self.input_grads = None
 
     @classmethod
-    def window(cls, model: LstmLm, state, ids, output: bool = True) -> "ForwardCache":
-        """Empty cache for token ids (T, B), with `state` in row 0;
+    def window(cls, model: LstmLm, state, ids, output: bool = True,
+               workspace: "ForwardCache" = None) -> "ForwardCache":
+        """Cache for token ids (T, B), with `state` copied into row 0;
         nothing is run yet. Copies the ids. With output=False it has no
-        log_probs and runs only cells-only segments."""
+        log_probs and runs only cells-only segments.
+
+        With `workspace`, a cache of at least T steps over the same B
+        rows (with log_probs if output), the arrays are leading-axis views
+        of the workspace's instead of new ones.
+        """
         ids = _token_ids(model, ids)
         t_len, batch = ids.shape
         cache = cls.__new__(cls)
         cache.ids = ids
-        cache.x = np.empty((t_len, batch, model.dim))
-        cache.gates = [np.empty((t_len, 4, batch, model.hidden)) for _ in (0, 1)]
-        cache.tc = [np.empty((t_len, batch, model.hidden)) for _ in (0, 1)]
-        cache.h, cache.c = [], []
-        for h0, c0 in state:
-            for rows, first in ((cache.h, h0), (cache.c, c0)):
-                arr = np.empty((t_len + 1, batch, model.hidden))
-                arr[0] = first
-                rows.append(arr)
-        cache.log_probs = np.empty((t_len, batch, model.vocab_size)) if output else None
+        if workspace is None:
+            hid = model.hidden
+            cache.x = np.empty((t_len, batch, model.dim))
+            cache.gates = [np.empty((t_len, 4, batch, hid)) for _ in (0, 1)]
+            cache.tc = [np.empty((t_len, batch, hid)) for _ in (0, 1)]
+            cache.h = [np.empty((t_len + 1, batch, hid)) for _ in (0, 1)]
+            cache.c = [np.empty((t_len + 1, batch, hid)) for _ in (0, 1)]
+            cache.log_probs = np.empty((t_len, batch, model.vocab_size)) if output else None
+        else:
+            cache.x = workspace.x[:t_len]
+            cache.gates = [a[:t_len] for a in workspace.gates]
+            cache.tc = [a[:t_len] for a in workspace.tc]
+            cache.h = [a[:t_len + 1] for a in workspace.h]
+            cache.c = [a[:t_len + 1] for a in workspace.c]
+            cache.log_probs = workspace.log_probs[:t_len] if output else None
+        for (h0, c0), h, c in zip(state, cache.h, cache.c):
+            h[0] = h0
+            c[0] = c0
         cache.final_state = state
         cache.batch_size = batch
         cache.input_grads = None
@@ -354,8 +412,12 @@ def _reverse_recurrence(cache: ForwardCache, layer: int, dh_in: np.ndarray,
     return dz_rows
 
 
-def backward(model: LstmLm, cache: ForwardCache, targets) -> dict:
+def backward(model: LstmLm, cache: ForwardCache, targets, out: FlatParams = None) -> FlatParams:
     """Exact BPTT gradients of the mean NLL wrt every parameter.
+
+    Writes them into `out`, a FlatParams laid out as model.params (a new
+    one if None), and returns it. Consumes cache.log_probs: the softmax
+    gradient is formed in place there, so read the log-probs first.
 
     Truncation boundary: the window's initial state is a constant.
     Gradients wrt the embedded inputs land in cache.input_grads (T, B, d)
@@ -368,64 +430,66 @@ def backward(model: LstmLm, cache: ForwardCache, targets) -> dict:
     dL/d(input), which is layer 1's dL/dh or the input gradient.
     """
     p = model.params
+    grads = p.like() if out is None else out
     hid = model.hidden
     targets = np.asarray(targets, dtype=np.int64)
     t_len, b = len(cache), cache.batch_size
     rows = t_len * b
-    grads = {}
 
-    # output layer: softmax minus one-hot, over the whole window
-    dlogits = np.exp(cache.log_probs.reshape(rows, model.vocab_size))
+    # output layer: softmax minus one-hot, over the whole window, in place
+    dlogits = cache.log_probs.reshape(rows, model.vocab_size)
+    np.exp(dlogits, out=dlogits)
     dlogits[np.arange(rows), targets.T.reshape(-1)] -= 1.0
     dlogits /= float(rows)
-    grads["W_out"] = cache.h[1][1:].reshape(rows, hid).T @ dlogits
-    grads["b_out"] = dlogits.sum(axis=0)
+    np.matmul(cache.h[1][1:].reshape(rows, hid).T, dlogits, out=grads["W_out"])
+    dlogits.sum(axis=0, out=grads["b_out"])
     dh_in = (dlogits @ p["W_out"].T).reshape(t_len, b, hid)
-    del dlogits
 
     layer_inputs = (cache.x, cache.h[0][1:])
     for layer in (2, 1):
         k = layer - 1
         dz = _reverse_recurrence(cache, k, dh_in, p["lstm%d_Wh" % layer]).reshape(rows, 4 * hid)
         inp = layer_inputs[k].reshape(rows, -1)
-        grads["lstm%d_Wx" % layer] = inp.T @ dz
-        grads["lstm%d_Wh" % layer] = cache.h[k][:-1].reshape(rows, hid).T @ dz
-        grads["lstm%d_b" % layer] = dz.sum(axis=0)
+        np.matmul(inp.T, dz, out=grads["lstm%d_Wx" % layer])
+        np.matmul(cache.h[k][:-1].reshape(rows, hid).T, dz, out=grads["lstm%d_Wh" % layer])
+        dz.sum(axis=0, out=grads["lstm%d_b" % layer])
         dh_in = (dz @ p["lstm%d_Wx" % layer].T).reshape(t_len, b, -1)
 
-    grads["embed"] = np.zeros_like(p["embed"])
+    grads["embed"].fill(0.0)
     np.add.at(grads["embed"], cache.ids.reshape(-1), dh_in.reshape(rows, model.dim))
     cache.input_grads = dh_in
-    return {key: grads[key] for key in p}
+    return grads
 
 
-def grad_global_norm(grads: dict) -> float:
-    return float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
-
-
-def sgd_step(model: LstmLm, grads: dict, lr: float, clip: float,
-             momentum: float = 0.0, velocity: dict = None) -> LstmLm:
+def sgd_step(model: LstmLm, grads: FlatParams, lr: float, clip: float,
+             momentum: float = 0.0, velocity: FlatParams = None) -> LstmLm:
     """Global-norm clip then theta <- theta - lr * grad, in place.
 
-    Non-finite gradients abort the step before any parameter moves.
-    Optional heavy-ball momentum: velocity <- m * velocity + grad.
+    Runs on the flat vectors of model.params, grads and velocity, which
+    share one layout. Non-finite gradients abort the step before any
+    parameter moves; the error names the first such key. The clip norm
+    is the square root of the sum, in key order, of each key's sum of
+    squares. Optional heavy-ball momentum: velocity <- m * velocity + grad.
     """
     if lr <= 0.0:
         raise ValueError("lr must be positive")
-    for key, g in grads.items():
-        if not np.isfinite(g).all():
-            raise ValueError("non-finite gradient in %r, step aborted" % key)
+    g = grads.flat
+    if not np.isfinite(g).all():
+        key = next(key for key, val in grads.items() if not np.isfinite(val).all())
+        raise ValueError("non-finite gradient in %r, step aborted" % key)
+    work = np.empty_like(g)
     scale = 1.0
     if clip:
-        norm = grad_global_norm(grads)
+        np.multiply(g, g, out=work)
+        norm = float(np.sqrt(sum(float(work[lo:hi].sum()) for lo, hi in grads.spans)))
         if norm > clip:
             scale = clip / norm
-    for key, g in grads.items():
-        upd = g * scale
-        if momentum > 0.0:
-            velocity[key] = momentum * velocity[key] + upd
-            upd = velocity[key]
-        model.params[key] -= lr * upd
+    upd = np.multiply(g, scale, out=work)
+    if momentum > 0.0:
+        velocity.flat *= momentum
+        velocity.flat += upd
+        upd = velocity.flat
+    model.params.flat -= np.multiply(upd, lr, out=work)
     return model
 
 

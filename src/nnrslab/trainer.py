@@ -34,6 +34,7 @@ from . import __version__
 from .arrayio import load_arrays, replacing, save_arrays
 from .embeddings import EmbeddingMatrix, load_embeddings
 from .model import (
+    FlatParams,
     ForwardCache,
     LstmLm,
     backward,
@@ -376,9 +377,22 @@ def save_checkpoint(path, model: LstmLm, rng_policy: np.random.Generator, record
 
 
 def load_checkpoint(path, vocab_hash: str = None) -> dict:
-    """Read a checkpoint; refuses a vocab-hash mismatch outright. velocity
-    and gumbel_log_alpha are None when the run had no momentum or GSNS."""
-    data = load_arrays(path)
+    """Read a checkpoint; refuses a vocab-hash mismatch outright. params
+    and velocity are FlatParams in the model's layout, each read straight
+    into its flat vector. velocity and gumbel_log_alpha are None when the
+    run had no momentum or GSNS."""
+    flats = {}
+
+    def into(shapes):
+        if "param_embed" not in shapes or "param_lstm1_Wh" not in shapes:
+            return {}  # not a checkpoint: refused below
+        vocab_size, dim = shapes["param_embed"]
+        for prefix in ("param_", "vel_"):
+            if prefix + "embed" in shapes:
+                flats[prefix] = LstmLm.zeros(vocab_size, dim, shapes["param_lstm1_Wh"][0]).params
+        return {prefix + key: view for prefix, flat in flats.items() for key, view in flat.items()}
+
+    data = load_arrays(path, into)
     if "meta" not in data:
         raise ValueError("%s is not a checkpoint (no meta entry)" % path)
     meta = json.loads(bytes(data["meta"]).decode("utf-8"))
@@ -391,15 +405,16 @@ def load_checkpoint(path, vocab_hash: str = None) -> dict:
         )
     return {
         "meta": meta,
-        "params": {k[len("param_"):]: v for k, v in data.items() if k.startswith("param_")},
-        "velocity": {k[len("vel_"):]: v for k, v in data.items() if k.startswith("vel_")} or None,
+        "params": flats.get("param_"),
+        "velocity": flats.get("vel_"),
         "gumbel_log_alpha": data.get("gumbel_log_alpha"),
         "records": [_record_from_row(row) for row in meta["records"]],
     }
 
 
 def model_from_checkpoint(path, vocab_hash: str = None):
-    """(model, checkpoint dict) for evaluation-style consumers."""
+    """(model, checkpoint dict) for evaluation-style consumers; the model's
+    params are the checkpoint's."""
     ck = load_checkpoint(path, vocab_hash)
     params = ck["params"]
     vocab_size, dim = params["embed"].shape
@@ -450,8 +465,18 @@ def _feedback(log_probs, sample: bool, rng) -> np.ndarray:
     return categorical_draws(np.exp(log_probs), rng)
 
 
+@dataclass
+class _Workspace:
+    """What every training window of a run reuses: the first window's
+    ForwardCache, which no later window is longer than, and the flat
+    gradient buffer. Both are allocated by the first window."""
+
+    cache: ForwardCache = None
+    grads: FlatParams = None
+
+
 def _train_epoch(model, state, cfg, table, gumbel, train_batches, lr,
-                 velocity, trace, epoch):
+                 velocity, trace, epoch, work=None):
     """One pass over the training windows. Returns (train nll, gsns grad parts).
 
     Each window's source mask is drawn first, then the window is cut
@@ -459,8 +484,10 @@ def _train_epoch(model, state, cfg, table, gumbel, train_batches, lr,
     known (teacher or neighbor), so it runs layer-wise in one
     forward_segment call. Draws happen in timestep order, as a loop over
     timesteps would make them: a cut's predict_sample draws, then each
-    Neighbor step's draws for all B rows at once.
+    Neighbor step's draws for all B rows at once. Every window runs in
+    the arrays of `work` (a new _Workspace if None).
     """
+    work = _Workspace() if work is None else work
     hidden = None
     prev_log_probs = None  # the previous window's last step, for SS feedback
     total_nll = 0.0
@@ -476,7 +503,9 @@ def _train_epoch(model, state, cfg, table, gumbel, train_batches, lr,
         if mask[0] == Source.PREDICTION and prev_log_probs is None:
             mask[0] = Source.TEACHER  # nothing to feed back yet
         sources = mask.tolist()
-        cache = ForwardCache.window(model, hidden, ids=inputs.T)
+        cache = ForwardCache.window(model, hidden, inputs.T, workspace=work.cache)
+        if work.cache is None:
+            work.cache = cache
         ids = cache.ids
         starts = [0] + [t for t in range(1, width) if sources[t] == Source.PREDICTION]
         for lo, hi in zip(starts, starts[1:] + [width]):
@@ -491,7 +520,7 @@ def _train_epoch(model, state, cfg, table, gumbel, train_batches, lr,
                 else:
                     ids[t] = sample_neighbors(table, inputs[:, t], state.rng)
             forward_segment(model, cache, lo, hi)
-        prev_log_probs = cache.log_probs[-1].copy()  # not a view: the window's array can go
+        prev_log_probs = cache.log_probs[-1].copy()  # not a view: the next window overwrites it
         hidden = cache.final_state
         if trace is not None:
             for t, src in enumerate(sources):
@@ -500,7 +529,7 @@ def _train_epoch(model, state, cfg, table, gumbel, train_batches, lr,
         nll = loss_from_cache(cache, targets)
         total_nll += nll * targets.size
         total_tokens += targets.size
-        grads = backward(model, cache, targets)
+        grads = work.grads = backward(model, cache, targets, out=work.grads)  # consumes log_probs
         swapped = [t for t, src in enumerate(sources) if src == Source.NEIGHBOR]
         if gumbel is not None and swapped:
             # straight-through: dL/dsoft_j = dL/dx . embed[neighbor_j]
@@ -558,8 +587,7 @@ def run_training(config: TrainConfig, stop_after: int = None,
     model = LstmLm.init(n_vocab, cfg.dim, cfg.hidden, rng_model, embed=emb.vectors)
     state = PolicyState(mode=cfg.mode, rng=rng_policy, tau=cfg.tau_init,
                         best_val_loss=float(n_vocab))
-    velocity = ({key: np.zeros_like(val) for key, val in model.params.items()}
-                if cfg.momentum > 0.0 else None)
+    velocity = model.params.like() if cfg.momentum > 0.0 else None
     records = []
     start_epoch = 1
 
@@ -569,16 +597,21 @@ def run_training(config: TrainConfig, stop_after: int = None,
         if stored_mode != cfg.mode:
             raise ValueError("checkpoint mode %s does not match config mode %s"
                              % (stored_mode, cfg.mode))
+        for key, view in model.params.items():  # refused before any epoch runs
+            if ck["params"][key].shape != view.shape:
+                raise ValueError("checkpoint parameter %s has shape %s, the config's model %s"
+                                 % (key, ck["params"][key].shape, view.shape))
+        model.params.flat[:] = ck["params"].flat
+        if ck["velocity"] is not None:
+            velocity = ck["velocity"]
         records = ck["records"]
         last = records[-1]
-        model.params = ck["params"]
         state.tau = last.tau
         state.best_val_loss = last.best
         state.rng.bit_generator.state = ck["meta"]["rng_policy"]
-        if ck["velocity"] is not None:
-            velocity = ck["velocity"]
         if ck["gumbel_log_alpha"] is not None:
             gumbel = GumbelLogits(ck["gumbel_log_alpha"], beta=cfg.gumbel_beta)
+        del ck  # its parameters are in the model's now
         if isinstance(table, NeighborTable):
             table = renormalize(table, clamp_tau(state.tau))
         start_epoch = last.epoch + 1
@@ -591,6 +624,7 @@ def run_training(config: TrainConfig, stop_after: int = None,
     if cfg.out_dir:
         os.makedirs(cfg.out_dir, exist_ok=True)
     tracer = _Trace(os.path.join(cfg.out_dir, TRACE_FILE), start_epoch) if trace else None
+    work = _Workspace()
     try:
         for epoch in range(start_epoch, cfg.epochs + 1):
             epsilon, gamma = rates_for_epoch(cfg.ss, cfg.nnrs, epoch, cfg.epochs)
@@ -601,7 +635,7 @@ def run_training(config: TrainConfig, stop_after: int = None,
             try:
                 train_nll, gsns_grad, gsns_rows = _train_epoch(
                     model, state, cfg, table, gumbel, train_batches, lr,
-                    velocity, tracer, epoch,
+                    velocity, tracer, epoch, work,
                 )
                 val_ppl = validate(model, val_batches)
 

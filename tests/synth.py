@@ -175,3 +175,40 @@ def assert_same_checkpoint(path_a, path_b):
     assert sorted(arrays_a) == sorted(arrays_b)
     for key in arrays_a:
         assert arrays_a[key].tobytes() == arrays_b[key].tobytes(), key
+
+
+def sum_of_squares_norm(arrays) -> float:
+    """sqrt of the sum, in key order, of each array's sum of squares."""
+    return float(np.sqrt(sum(float((a * a).sum()) for a in arrays.values())))
+
+
+def per_key_sgd_step(model, grads, lr, clip, momentum=0.0, velocity=None):
+    """The SGD rule one parameter key at a time, on any name -> array
+    mappings: the reference the flat model.sgd_step is tested against."""
+    for key, g in grads.items():
+        if not np.isfinite(g).all():
+            raise ValueError("non-finite gradient in %r, step aborted" % key)
+    scale = 1.0
+    if clip:
+        norm = sum_of_squares_norm(grads)
+        if norm > clip:
+            scale = clip / norm
+    for key, g in grads.items():
+        upd = g * scale
+        if momentum > 0.0:
+            velocity[key] = momentum * velocity[key] + upd
+            upd = velocity[key]
+        model.params[key] -= lr * upd
+    return model
+
+
+def assert_views_of_flat(params):
+    """Every array of a FlatParams is the view of its own span of `flat`,
+    the spans back to back in key order."""
+    end = 0
+    for (key, view), (lo, hi) in zip(params.items(), params.spans):
+        assert view.base is params.flat, key
+        assert (lo, hi) == (end, end + view.size), key
+        assert view.ctypes.data == params.flat[lo:].ctypes.data, key
+        end = hi
+    assert end == params.flat.size and len(params.spans) == len(params)

@@ -37,3 +37,36 @@ def test_failed_save_keeps_old_file(tmp_path, monkeypatch):
     assert len(calls) == 2
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
+
+
+def test_read_into_given_arrays(tmp_path, monkeypatch):
+    # a member larger than numpy's read buffer arrives in several chunks
+    monkeypatch.setattr(np.lib.format, "BUFFER_SIZE", 64)
+    rng = np.random.default_rng(0)
+    path = tmp_path / "a.bin"
+    save_arrays(path, w=rng.normal(size=(7, 5)), b=rng.normal(size=3), n=np.arange(4))
+    flat = np.zeros(38)
+    targets = dict(w=flat[:35].reshape(7, 5), b=flat[35:])
+    seen = []
+
+    def into(shapes):
+        seen.append(shapes)
+        return targets
+
+    back = load_arrays(path, into)
+    assert seen == [{"b": (3,), "n": (4,), "w": (7, 5)}]
+    assert back["w"] is targets["w"] and back["b"] is targets["b"]
+    plain = load_arrays(path)
+    for key in plain:
+        assert back[key].tobytes() == plain[key].tobytes()
+    assert flat.tobytes() == plain["w"].tobytes() + plain["b"].tobytes()
+
+    with pytest.raises(ValueError, match=r"w is a \(7, 5\) float64 array, not a \(5, 7\)"):
+        load_arrays(path, lambda shapes: dict(w=np.zeros((5, 7))))
+
+
+def test_not_an_archive(tmp_path):
+    path = tmp_path / "junk.bin"
+    path.write_bytes(b"not an archive")
+    with pytest.raises(ValueError, match="not an array archive"):
+        load_arrays(path)

@@ -261,6 +261,36 @@ class TestTrain:
         assert main(["train", "--config", config, "--resume", checkpoint]) == 2
         assert "manifest.json" in capsys.readouterr().err
 
+    def test_manifest_closes_each_segment(self, corpus, tmp_path, capsys, monkeypatch):
+        def segments():
+            return json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))["segments"]
+
+        out_dir = tmp_path / "run"
+        config = _write_config(tmp_path / "run.cfg", corpus, out_dir)
+        assert main(["train", "--config", config, "--stop-after", "1"]) == 0
+        (clean,) = segments()
+        assert clean["exit_status"] == 0 and clean["last_epoch"] == 1
+        assert clean["error"] is None and clean["duration_s"] > 0.0
+
+        # a config of another model shape is refused before any epoch runs
+        checkpoint = str(out_dir / "checkpoint.bin")
+        wide = _write_config(tmp_path / "wide.cfg", corpus, out_dir, hidden=32)
+        assert main(["train", "--config", wide, "--resume", checkpoint]) == 3
+        err = capsys.readouterr().err
+        assert "lstm1_Wx has shape (8, 64), the config's model (8, 128)" in err
+        refused = segments()[-1]
+        assert refused["exit_status"] == 3 and refused["last_epoch"] is None
+        assert refused["error"] and refused["error"] in err
+
+        # epoch 2 diverges: a DivergenceError, whose records end at epoch 2
+        monkeypatch.setattr(trainer_mod, "validate", lambda *args, **kwargs: 1e9)
+        assert main(["train", "--config", config, "--resume", checkpoint]) == 3
+        capsys.readouterr()
+        diverged = segments()[-1]
+        assert diverged["exit_status"] == 3 and diverged["last_epoch"] == 2
+        assert "exceeded 10x vocabulary size at epoch 2" in diverged["error"]
+        assert diverged["resume_from"] == checkpoint and len(segments()) == 3
+
     def test_runtime_failure_exit_code(self, corpus, tmp_path, capsys, monkeypatch):
         config = _write_config(tmp_path / "run.cfg", corpus, tmp_path / "run")
         monkeypatch.setattr(cli_mod, "run_training",

@@ -12,13 +12,19 @@ from nnrslab.model import (
     cosine_lr,
     forward_cached,
     forward_segment,
-    grad_global_norm,
     greedy_or_sample_predict,
     loss_from_cache,
     sgd_step,
     step,
 )
-from synth import assert_like_step, finite_difference_grads, max_rel_error
+from synth import (
+    assert_like_step,
+    assert_views_of_flat,
+    finite_difference_grads,
+    max_rel_error,
+    per_key_sgd_step,
+    sum_of_squares_norm,
+)
 
 
 def _small_model(rng, vocab=6, dim=3, hidden=4):
@@ -292,15 +298,14 @@ class TestSgdStep:
     def test_zero_grads_noop(self, rng):
         model = _small_model(rng)
         before = {k: v.copy() for k, v in model.params.items()}
-        sgd_step(model, {k: np.zeros_like(v) for k, v in before.items()},
-                 lr=0.5, clip=5.0)
+        sgd_step(model, model.params.like(), lr=0.5, clip=5.0)
         for key in before:
             np.testing.assert_array_equal(model.params[key], before[key])
 
     def test_plain_update(self):
         model = LstmLm.zeros(2, 1, 1)
         model.params["b_out"][:] = 1.0
-        grads = {k: np.zeros_like(v) for k, v in model.params.items()}
+        grads = model.params.like()
         grads["b_out"][:] = 2.0
         sgd_step(model, grads, lr=0.1, clip=0.0)
         np.testing.assert_allclose(model.params["b_out"], 0.8)
@@ -308,29 +313,29 @@ class TestSgdStep:
     def test_clip_scales_global_norm(self, rng):
         model = _small_model(rng)
         before = {k: v.copy() for k, v in model.params.items()}
-        grads = {k: rng.normal(size=v.shape) for k, v in model.params.items()}
-        norm = grad_global_norm(grads)
-        assert norm > 5.0
+        grads = model.params.like()
+        grads.flat[:] = rng.normal(size=grads.flat.size)
+        assert sum_of_squares_norm(grads) > 5.0
         lr = 0.3
         sgd_step(model, grads, lr=lr, clip=5.0)
         delta = {k: before[k] - model.params[k] for k in before}
-        assert grad_global_norm(delta) == pytest.approx(5.0 * lr, abs=1e-9)
+        assert sum_of_squares_norm(delta) == pytest.approx(5.0 * lr, abs=1e-9)
 
     def test_non_finite_aborts_untouched(self, rng):
         model = _small_model(rng)
         before = {k: v.copy() for k, v in model.params.items()}
-        grads = {k: np.zeros_like(v) for k, v in model.params.items()}
+        grads = model.params.like()
         grads["W_out"][0, 0] = np.nan
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'W_out'"):
             sgd_step(model, grads, lr=0.1, clip=5.0)
         for key in before:
             np.testing.assert_array_equal(model.params[key], before[key])
 
     def test_momentum_accumulates(self):
         model = LstmLm.zeros(2, 1, 1)
-        grads = {k: np.zeros_like(v) for k, v in model.params.items()}
+        grads = model.params.like()
         grads["b_out"][:] = 1.0
-        velocity = {k: np.zeros_like(v) for k, v in model.params.items()}
+        velocity = model.params.like()
         sgd_step(model, grads, lr=1.0, clip=0.0, momentum=0.5, velocity=velocity)
         sgd_step(model, grads, lr=1.0, clip=0.0, momentum=0.5, velocity=velocity)
         # steps: v=1 then v=1.5 -> total displacement 2.5
@@ -339,8 +344,48 @@ class TestSgdStep:
     def test_lr_positive(self, rng):
         model = _small_model(rng)
         with pytest.raises(ValueError):
-            sgd_step(model, {k: np.zeros_like(v) for k, v in model.params.items()},
-                     lr=0.0, clip=1.0)
+            sgd_step(model, model.params.like(), lr=0.0, clip=1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), grad_scale=st.sampled_from([1e-3, 1.0, 30.0]),
+           clip=st.sampled_from([0.0, 1.0, 5.0]), momentum=st.sampled_from([0.0, 0.3]))
+    def test_flat_equals_per_key_rule(self, seed, grad_scale, clip, momentum):
+        # the flat update and clip norm have the bits of the per-key rule;
+        # the clip is inactive at grad_scale 1e-3 and active at 30
+        rng = np.random.default_rng(seed)
+        model = LstmLm.init(int(rng.integers(2, 40)), int(rng.integers(1, 6)),
+                            int(rng.integers(1, 9)), rng)
+        ref = LstmLm.zeros(model.vocab_size, model.dim, model.hidden)
+        ref.params.flat[:] = model.params.flat
+        velocity, ref_velocity = model.params.like(), model.params.like()
+        for _ in range(3):
+            grads = model.params.like()
+            grads.flat[:] = grad_scale * rng.normal(size=grads.flat.size)
+            per_key = {k: v.copy() for k, v in grads.items()}
+            sgd_step(model, grads, 0.7, clip, momentum, velocity)
+            per_key_sgd_step(ref, per_key, 0.7, clip, momentum, ref_velocity)
+            assert model.params.flat.tobytes() == ref.params.flat.tobytes()
+            assert velocity.flat.tobytes() == ref_velocity.flat.tobytes()
+
+
+class TestFlatParams:
+    def test_views_of_one_vector_in_key_order(self, rng):
+        model = _small_model(rng)
+        assert list(model.params) == ["embed", "lstm1_Wx", "lstm1_Wh", "lstm1_b", "lstm2_Wx",
+                                      "lstm2_Wh", "lstm2_b", "W_out", "b_out"]
+        for params in (model.params, model.params.like(), LstmLm.zeros(5, 2, 3).params):
+            assert_views_of_flat(params)
+        cache = forward_cached(model, rng.integers(0, 6, size=(2, 3)))
+        assert_views_of_flat(backward(model, cache, rng.integers(0, 6, size=(2, 3))))
+
+    def test_assignment_copies_into_the_view(self, rng):
+        model = _small_model(rng)
+        view = model.params["W_out"]
+        model.params["W_out"] = np.ones((4, 6))
+        lo, hi = model.params.spans[-2]
+        assert model.params["W_out"] is view and (model.params.flat[lo:hi] == 1.0).all()
+        with pytest.raises(ValueError, match=r"W_out has shape \(6,\), not \(4, 6\)"):
+            model.params["W_out"] = np.ones(6)
 
 
 class TestCosineLr:

@@ -1,9 +1,10 @@
 """Training loop: config parsing, batching, validation, checkpoints, runs."""
 
 import csv
+import re
 import tempfile
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -61,7 +62,14 @@ from nnrslab.policy import (
     decide_batch_positions,
     gumbel_sample,
 )
-from synth import assert_like_step, assert_same_checkpoint, bigram_cycle_lines, write_lines
+from synth import (
+    assert_like_step,
+    assert_same_checkpoint,
+    assert_views_of_flat,
+    bigram_cycle_lines,
+    per_key_sgd_step,
+    write_lines,
+)
 
 
 def _quick_config(corpus, mode="MLE", epochs=3, **kw):
@@ -651,6 +659,29 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="mode"):
             run_training(bad, resume_from=str(tmp_path / "checkpoint.bin"))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("hidden", 8, "lstm1_Wx has shape (8, 64), the config's model (8, 32)"),
+        ("dim", 4, "embed has shape (12, 8), the config's model (12, 4)"),  # |V| = 12
+    ], ids=["hidden", "dim"])
+    def test_resume_shape_mismatch_refused_before_any_epoch(self, cycle_corpus, tmp_path,
+                                                            monkeypatch, field, value, message):
+        run_training(_quick_config(cycle_corpus, epochs=2, out_dir=str(tmp_path)),
+                     stop_after=1)
+        monkeypatch.setattr(trainer_mod, "_train_epoch", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(ValueError, match="checkpoint parameter " + re.escape(message)):
+            run_training(_quick_config(cycle_corpus, epochs=2, **{field: value}),
+                         resume_from=str(tmp_path / CHECKPOINT_FILE))
+
+    def test_params_stay_views_after_resume_and_load(self, cycle_corpus, tmp_path):
+        cfg = _quick_config(cycle_corpus, epochs=2, momentum=0.3, out_dir=str(tmp_path))
+        run_training(cfg, stop_after=1)
+        model, _ = run_training(cfg, resume_from=str(tmp_path / CHECKPOINT_FILE))
+        assert_views_of_flat(model.params)
+        loaded, ck = model_from_checkpoint(tmp_path / CHECKPOINT_FILE)
+        assert_views_of_flat(loaded.params)
+        assert_views_of_flat(ck["velocity"])
+        assert loaded.params.flat.tobytes() == model.params.flat.tobytes()
+
     def test_resume_of_finished_run_refused(self, cycle_corpus, tmp_path):
         cfg = _quick_config(cycle_corpus, epochs=2, out_dir=str(tmp_path))
         run_training(cfg)
@@ -716,3 +747,57 @@ class TestStopAndResume:
                 == records_from_csv(full_dir / RECORDS_FILE))
         assert_same_checkpoint(run_dir / CHECKPOINT_FILE, full_dir / CHECKPOINT_FILE)
         assert trace_path.read_bytes() == whole
+
+
+class TestWindowWorkspace:
+    @settings(max_examples=30, deadline=None)
+    @given(mode=st.sampled_from(sorted(_RESUME_POLICIES)), momentum=st.sampled_from([0.0, 0.3]),
+           freeze=st.booleans(), sample=st.booleans(), batch=st.sampled_from([1, 2, 3]),
+           bptt=st.sampled_from([6, 7, 10]))
+    def test_equals_fresh_arrays_per_window(self, resume_runs, mode, momentum, freeze, sample,
+                                            batch, bptt):
+        # one reused cache, one gradient buffer and the flat SGD step against
+        # a new cache per window, per-key gradient copies and the per-key rule
+        root, config, _full = resume_runs
+        run_dir, ref_dir = (Path(tempfile.mkdtemp(dir=root)) for _ in range(2))
+        kw = dict(epochs=2, freeze_embeddings=freeze, batch_size=batch, bptt_len=bptt)
+        cfg = replace(config(run_dir, mode, momentum, sample), **kw)
+        _, train_ids, _, _ = _load_run_inputs(cfg, rng_streams(cfg.seed)[0])
+        widths = [t.shape[1] for _, t in make_batches(train_ids, batch, bptt)]
+        assert widths[-1] < widths[0] == bptt  # a short last window
+        run_training(cfg)
+
+        real_window, real_backward = ForwardCache.window, trainer_mod.backward
+
+        def fresh_window(model, state, ids, output=True, workspace=None):
+            return real_window(model, state, ids, output)
+
+        def per_key_backward(model, cache, targets, out=None):
+            return {key: g.copy() for key, g in real_backward(model, cache, targets).items()}
+
+        with mock.patch.object(ForwardCache, "window", fresh_window), \
+                mock.patch.object(trainer_mod, "backward", per_key_backward), \
+                mock.patch.object(trainer_mod, "sgd_step", per_key_sgd_step):
+            run_training(replace(config(ref_dir, mode, momentum, sample), **kw))
+        assert records_from_csv(run_dir / RECORDS_FILE) == records_from_csv(ref_dir / RECORDS_FILE)
+        assert_same_checkpoint(run_dir / CHECKPOINT_FILE, ref_dir / CHECKPOINT_FILE)
+
+    def test_window_holds_one_output_array(self, cycle_corpus):
+        # |V| = 5000, windows of 64 x 4 = 256 rows, the last one shorter:
+        # one (256, |V|) array is 10 MB. A fresh cache per window, a fresh
+        # softmax gradient or a whole-window exp temporary each add another.
+        model = LstmLm.init(5000, 4, 8, np.random.default_rng(3))
+        batches = make_batches(np.arange(4 * (2 * 64 + 20 + 1)) % 5000, 4, 64)
+        assert [t.shape[1] for _, t in batches] == [64, 64, 20]
+        state = PolicyState(mode="MLE", rng=np.random.default_rng(4))
+        cfg = _quick_config(cycle_corpus, momentum=0.3)
+        velocity = model.params.like()
+        tracemalloc.start()
+        try:
+            trainer_mod._train_epoch(model, state, cfg, None, None, batches, 0.5,
+                                     velocity, None, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        one_array = 256 * 5000 * 8
+        assert peak < one_array + 4 * model_mod._ROW_BUDGET * 8  # 14.4 MB; it peaks near 12.8
