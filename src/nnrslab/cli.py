@@ -149,6 +149,7 @@ def cmd_index(args) -> int:
     tokens = _checked(read_corpus, args.corpus)
     vocab = _checked(build_vocabulary, tokens, args.min_count)
     ids = vocab.encode(tokens)
+    del tokens  # the encoded ids are all that is used from here on
     emb = _checked(load_embeddings, args.embeddings, vocab, args.dim)
     k = k_arg if k_arg is not None else default_k(len(vocab))
     table = _checked(build_neighbor_table, emb, k, args.tau)

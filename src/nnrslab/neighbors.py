@@ -9,10 +9,15 @@ toward uniform. tau is kept inside [0.5, 10] so the distribution is
 never degenerate in either direction.
 
 The neighbor build never holds the |V| x |V| similarity matrix: it
-scores one block of rows at a time against every valid row, so working
-memory is O(rows * |V|) with a block of about 2^20 similarities. The
-block shape depends only on the number of valid rows, which keeps
-reruns byte-identical (matrix-product bits depend on operand shape).
+scores one block of rows at a time against every valid row into one
+reused buffer of about 2^20 similarities, so working memory is
+O(rows * |V|). The block shape depends only on the number of valid rows,
+which keeps reruns byte-identical (matrix-product bits depend on operand
+shape). Per row it never selects over all |V| similarities either: the
+k-th largest of a few dozen column-chunk maxima is a lower bound on the
+row's k-th largest similarity, and only the handful of entries at or
+above it are clipped to [-1, 1] and sorted (the usual first step of
+brute-force k-selection; Johnson et al. 2017, arXiv 1702.08734).
 
 The transition table is the replacement-sampling baseline: per word,
 the top-k successors by corpus bigram count, renormalized.
@@ -22,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arrayio import load_arrays, save_arrays
+from .arrayio import load_arrays, replacing, save_arrays
 from .embeddings import EmbeddingMatrix
 
 TAU_MIN = 0.5
@@ -33,6 +38,17 @@ _ROW_SUM_TOL = 1e-9
 # Similarities scored per block in build_neighbor_table (8 MiB of float64).
 # Fixed, not tunable: sims bits depend on the block shape.
 _BLOCK_ELEMS = 1 << 20
+
+# Column chunks whose maxima bound each row's k-th largest similarity from
+# below: min(m, max(_CHUNKS_PER_K * k, _MIN_CHUNKS)). Any count above k
+# gives the same table; these leave about 14 candidates a row for k = 13
+# at |V| = 7.5k.
+_CHUNKS_PER_K = 4
+_MIN_CHUNKS = 64
+_FINITE_MIN = -np.finfo(np.float64).max
+
+# Rows formatted per write in save_table_csv (rounded down to whole words).
+_CSV_CHUNK_ROWS = 1 << 13
 
 
 def clamp_tau(tau: float) -> float:
@@ -99,10 +115,19 @@ def build_neighbor_table(emb: EmbeddingMatrix, k: int, tau: float = 1.0) -> Neig
     `k` must leave every valid word at least k candidates besides itself.
 
     Rows are scored in blocks of max(1, _BLOCK_ELEMS // m) against all m
-    valid rows, so memory is O(rows * m), never O(m^2). Per row, every
-    candidate at or above the k-th largest similarity is kept, so all
-    ties at the k-th value survive to the final order: similarity
-    descending, ties to the smaller id.
+    valid rows, each block written into the leading rows of one reused
+    buffer, so memory is O(rows * m), never O(m^2).
+
+    Per row, the m columns fall into C = min(m, max(4k, 64)) fixed chunks.
+    The k-th largest chunk maximum is the k-th largest of k or more of
+    the row's own values, so it never exceeds the row's k-th largest
+    similarity; with C > k it is finite, since only self is -inf. Every
+    entry at or above that bound is a candidate: a superset of the exact
+    top-k, all ties at the k-th value included. Only the candidates are
+    clipped to [-1, 1], which can merge values into ties at +-1, so the
+    bound is capped at 1 and, once it is <= -1, every finite entry is a
+    candidate. Sorting the candidates by (similarity descending, id
+    ascending) then yields the same ids and sims bits for any C > k.
     """
     n = len(emb)
     valid = np.flatnonzero(emb.norms > 0.0)
@@ -117,24 +142,36 @@ def build_neighbor_table(emb: EmbeddingMatrix, k: int, tau: float = 1.0) -> Neig
     unit = emb.vectors[valid] / emb.norms[valid, None]
     ids = np.tile(np.arange(n, dtype=np.int64)[:, None], (1, k))
     sims = np.zeros((n, k), dtype=np.float64)
-    step = max(1, _BLOCK_ELEMS // m)
+    step = min(m, max(1, _BLOCK_ELEMS // m))
+    block = np.empty((step, m))
+    chunks = min(m, max(_CHUNKS_PER_K * k, _MIN_CHUNKS))
+    starts = np.arange(chunks) * m // chunks
     slots = np.arange(k)
     for lo in range(0, m, step):
         hi = min(lo + step, m)
-        s = unit[lo:hi] @ unit.T
-        np.clip(s, -1.0, 1.0, out=s)
+        s = block[:hi - lo]
+        np.matmul(unit[lo:hi], unit.T, out=s)
         local = np.arange(hi - lo)
-        s[local, lo + local] = -np.inf  # self is never a candidate; k < m keeps kth finite
-        kth = np.partition(s, m - k, axis=1)[:, m - k]
-        flat = np.flatnonzero(s >= kth[:, None])  # far cheaper than 2-D nonzero
+        s[local, lo + local] = -np.inf  # self is never a candidate
+        # k-th largest chunk maximum: a lower bound on the row's k-th largest
+        # similarity, finite because chunks > k and only self is -inf
+        maxima = np.maximum.reduceat(s, starts, axis=1)
+        bound = np.partition(maxima, chunks - k, axis=1)[:, chunks - k]
+        # the clip below ties every value <= -1 at -1 and every value >= 1 at 1:
+        # the bound must not split such a tie, nor let self's -inf in
+        bound[bound <= -1.0] = _FINITE_MIN
+        np.minimum(bound, 1.0, out=bound)
+        flat = np.flatnonzero(s >= bound[:, None])  # far cheaper than 2-D nonzero
         row, col = np.divmod(flat, m)
         cand = s.ravel()[flat]
+        np.clip(cand, -1.0, 1.0, out=cand)
         order = np.lexsort((col, -cand, row))
         # row is ascending and each row keeps >= k candidates: row r's
         # ordered run starts where r first appears in row
         take = order[np.searchsorted(row, local)[:, None] + slots]
         ids[valid[lo:hi]] = valid[col[take]]
         sims[valid[lo:hi]] = cand[take]
+    del block, s  # before the (n, k) softmax temporaries
 
     probs = _softmax_rows(sims / tau)
     return NeighborTable(
@@ -267,16 +304,22 @@ def save_table_csv(path, table) -> None:
     """Inspection CSV: one "word_id,neighbor_id,sim,prob" row per slot.
 
     Transition tables have no similarity column and omit it. Floats are
-    written as repr, lines end in CRLF (csv.writer's dialect).
+    written as repr, lines end in CRLF (csv.writer's dialect). Rows are
+    formatted and written about _CSV_CHUNK_ROWS at a time, whole words
+    per chunk, through a temporary file renamed over `path`.
     """
     n, k = table.ids.shape
-    cols = [np.repeat(np.arange(n), k).tolist(), table.ids.ravel().tolist()]
     if isinstance(table, NeighborTable):
         header, row = "word_id,neighbor_id,sim,prob\r\n", "%d,%d,%r,%r\r\n"
-        cols.append(table.sims.ravel().tolist())
+        values = (table.sims, table.probs)
     else:
         header, row = "word_id,neighbor_id,prob\r\n", "%d,%d,%r\r\n"
-    cols.append(table.probs.ravel().tolist())
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+        values = (table.probs,)
+    words = max(1, _CSV_CHUNK_ROWS // k)
+    with replacing(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header)
-        fh.write("".join(row % fields for fields in zip(*cols)))
+        for lo in range(0, n, words):
+            hi = min(lo + words, n)
+            cols = [np.repeat(np.arange(lo, hi), k).tolist(), table.ids[lo:hi].ravel().tolist()]
+            cols.extend(v[lo:hi].ravel().tolist() for v in values)
+            fh.write("".join(row % fields for fields in zip(*cols)))

@@ -14,6 +14,8 @@ from collections.abc import Iterable
 
 import numpy as np
 
+from .arrayio import replacing
+
 UNK_TOKEN = "<unk>"
 EOS_TOKEN = "<eos>"
 
@@ -52,7 +54,8 @@ class Vocabulary:
         return "".join("%s\t%d\n" % (tok, cnt) for tok, cnt in zip(self.tokens, self.counts))
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        """Write to_text() through a temporary file renamed over `path`."""
+        with replacing(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(self.to_text())
 
     @classmethod

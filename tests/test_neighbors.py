@@ -1,7 +1,10 @@
 """Neighbor and transition tables: construction, sampling, serialization."""
 
+import contextlib
 import csv
 import dataclasses
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +54,35 @@ def quarter_cosine_embeddings(draw):
     return vectors, k, block_rows * valid
 
 
+# cosine of this vector with itself rounds to 1.0000000000000002 with
+# OpenBLAS's Haswell kernels
+PAST_ONE = [0.9034701816518086, 0.09401229776087457, -0.7434992493538084]
+
+
+@st.composite
+def near_tie_embeddings(draw):
+    """Gaussian rows plus exact copies and negations of them, and zero rows.
+
+    Copies and negations have cosines of +-1 that can round past the
+    clip, and they tie with each other. Returns (vectors, k, block
+    elements, chunk count); the chunk count lies in [k + 1, m + 2] for m
+    valid rows, so it can exceed m.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    base = rng.normal(size=(draw(st.integers(1, 5)), 3))
+    if draw(st.booleans()):
+        base[0] = PAST_ONE
+    copies = draw(st.lists(st.tuples(st.integers(0, len(base) - 1),
+                                     st.sampled_from([1.0, -1.0])), max_size=8))
+    rows = list(base) + [sign * base[i] for i, sign in copies]
+    rows += [np.zeros(3)] * draw(st.integers(0, 2))
+    vectors = np.array(rows)[rng.permutation(len(rows))]
+    m = int((np.abs(vectors).sum(axis=1) > 0).sum())
+    assume(m >= 2)
+    k = draw(st.one_of(st.just(m - 1), st.integers(1, m - 1)))
+    return vectors, k, draw(st.integers(1, 3)) * m, draw(st.integers(k + 1, m + 2))
+
+
 @st.composite
 def tables_and_taus(draw):
     """(vectors, k, ascending temperatures in [TAU_MIN, TAU_MAX])."""
@@ -93,10 +125,7 @@ class TestBuildNeighborTable:
         assert table.ids[1, 0] == 0 and table.sims[1, 0] == 1.0
 
     def test_sims_clipped_to_one(self):
-        # with OpenBLAS's Haswell kernels the duplicates' cosine rounds to
-        # 1.0000000000000002 before the clip
-        v = [0.9034701816518086, 0.09401229776087457, -0.7434992493538084]
-        emb = EmbeddingMatrix.from_vectors(np.array([v, v, [1.0, 0.0, 0.0]]))
+        emb = EmbeddingMatrix.from_vectors(np.array([PAST_ONE, PAST_ONE, [1.0, 0.0, 0.0]]))
         table = build_neighbor_table(emb, k=1)
         np.testing.assert_array_equal(table.sims[:2, 0], [1.0, 1.0])
 
@@ -117,6 +146,67 @@ class TestBuildNeighborTable:
         ids, sims = brute_force_topk(vectors, k)
         np.testing.assert_array_equal(table.ids, ids)
         np.testing.assert_array_equal(table.sims, sims)
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_tie_embeddings())
+    def test_chunk_bound_keeps_exact_top_k(self, case):
+        vectors, k, block_elems, chunks = case
+        emb = EmbeddingMatrix.from_vectors(vectors)
+        m = len(emb) - len(emb.zero_rows)
+        tables = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neighbors_mod, "_BLOCK_ELEMS", block_elems)
+            mp.setattr(neighbors_mod, "_CHUNKS_PER_K", 1)
+            for count in (chunks, m, k + 1):  # min(m, count) chunks
+                mp.setattr(neighbors_mod, "_MIN_CHUNKS", count)
+                tables.append(build_neighbor_table(emb, k))
+        ids, sims = brute_force_topk(vectors, k)
+        np.testing.assert_array_equal(tables[0].ids, ids)
+        np.testing.assert_allclose(tables[0].sims, sims, rtol=0, atol=1e-12)
+        assert np.all(np.abs(tables[0].sims) <= 1.0)
+        for other in tables[1:]:
+            assert other.ids.tobytes() == tables[0].ids.tobytes()
+            assert other.sims.tobytes() == tables[0].sims.tobytes()
+
+    def test_self_never_joins_a_tie_at_minus_one(self):
+        # row 0's k-th similarity is -1, so every finite entry is a
+        # candidate; self (-inf) must not be clipped into that tie
+        emb = EmbeddingMatrix.from_vectors(np.array([[1.0, 0.0], [-1.0, 0.0], [-2.0, 0.0]]))
+        table = build_neighbor_table(emb, k=2)
+        np.testing.assert_array_equal(table.ids[0], [1, 2])
+        np.testing.assert_array_equal(table.sims[0], [-1.0, -1.0])
+
+    @staticmethod
+    def _exact_cosines(xs):
+        """Rows [x, 0] stored with norm 1: each cosine is the one rounded
+        product x_i * x_j, so it sits past +-1 on any BLAS kernel."""
+        return EmbeddingMatrix(vectors=np.array([[x, 0.0] for x in xs]), dim=2,
+                               norms=np.ones(len(xs)), zero_rows=frozenset())
+
+    @pytest.mark.parametrize("xs", [(1.0, 1.0, 1.0 + 2 ** -52), (1.0, -1.0 - 2 ** -52, -1.0)])
+    def test_clip_tie_past_one_goes_to_smaller_id(self, xs):
+        # row 0's cosines with rows 1 and 2 differ by one ulp and both clip
+        # to +-1, so the tie goes to row 1 although row 2 is larger
+        table = build_neighbor_table(self._exact_cosines(xs), k=1)
+        assert table.ids[0, 0] == 1 and table.sims[0, 0] == np.sign(xs[2])
+
+    def test_peak_memory_is_one_block(self):
+        m = 4000
+        emb = EmbeddingMatrix.from_vectors(np.random.default_rng(7).normal(size=(m, 8)))
+        k = default_k(m)
+        block = (neighbors_mod._BLOCK_ELEMS // m) * m * 8
+        tables = 3 * m * k * 8  # ids, sims, probs
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            build_neighbor_table(emb, k)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # a second block-sized array (a partition copy, a fresh product per
+        # block) would add 8 MB; the 1 MB candidate mask fits in the slack
+        assert peak < block + tables + block // 4
 
     def test_block_size_keeps_ids(self, rng, monkeypatch):
         emb = EmbeddingMatrix.from_vectors(rng.normal(size=(40, 8)))
@@ -391,17 +481,55 @@ class TestSerialization:
                     row.append(repr(float(table.probs[wid, slot])))
                     writer.writerow(row)
 
-    def test_csv_bytes_match_rowwise_writer(self, tmp_path, rng):
+    @staticmethod
+    def _tables(rng):
         vecs = rng.normal(size=(25, 6))
         vecs[4] = 0.0  # flagged placeholder row
         neigh = build_neighbor_table(EmbeddingMatrix.from_vectors(vecs), k=4, tau=0.7)
         vocab = build_vocabulary(["t%d" % i for i in range(15)], min_count=1)
         trans = build_transition_table(rng.integers(0, 15, size=200), vocab, k=3)
-        for name, table in (("n", neigh), ("t", trans)):
-            fast, slow = tmp_path / (name + "_fast.csv"), tmp_path / (name + "_slow.csv")
-            save_table_csv(fast, table)
+        return (("n", neigh), ("t", trans))
+
+    def test_csv_bytes_match_rowwise_writer(self, tmp_path, rng):
+        for name, table in self._tables(rng):
+            slow = tmp_path / (name + "_slow.csv")
             self._rowwise_csv(slow, table)
-            assert fast.read_bytes() == slow.read_bytes()
+            # chunks of 1, 3 and 7 words (25 and 15 words cross them) and the default
+            for words in (1, 3, 7, None):
+                fast = tmp_path / ("%s_fast_%s.csv" % (name, words))
+                with pytest.MonkeyPatch.context() as mp:
+                    if words is not None:
+                        mp.setattr(neighbors_mod, "_CSV_CHUNK_ROWS", words * table.k)
+                    save_table_csv(fast, table)
+                assert fast.read_bytes() == slow.read_bytes(), words
+
+    def test_failed_csv_write_keeps_old_file(self, tmp_path, rng, monkeypatch):
+        (_, table), _ = self._tables(rng)
+        path = tmp_path / "neighbors.csv"
+        path.write_bytes(b"previous contents\r\n")
+        real = neighbors_mod.replacing
+
+        class SecondChunkFails:
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes == 3:  # header, first chunk, second chunk
+                    raise OSError("disk full")
+                return self.fh.write(text)
+
+        @contextlib.contextmanager
+        def failing(*args, **kwargs):
+            with real(*args, **kwargs) as fh:
+                yield SecondChunkFails(fh)
+
+        monkeypatch.setattr(neighbors_mod, "replacing", failing)
+        monkeypatch.setattr(neighbors_mod, "_CSV_CHUNK_ROWS", table.k)  # one word a chunk
+        with pytest.raises(OSError, match="disk full"):
+            save_table_csv(path, table)
+        assert path.read_bytes() == b"previous contents\r\n"
+        assert os.listdir(tmp_path) == ["neighbors.csv"]
 
     def test_csv_transition_has_no_sim_column(self, tmp_path):
         vocab = build_vocabulary(["a", "b"], min_count=1)

@@ -1,5 +1,7 @@
 """Vocabulary construction, lookup, and serialization."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,21 @@ class TestSerialization:
         assert again.counts == vocab.counts
         assert again.to_text() == vocab.to_text()
         assert again.content_hash() == vocab.content_hash()
+
+    def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "vocab.tsv"
+        build_vocabulary(["a", "b"], min_count=1).save(path)
+        before = path.read_bytes()
+        vocab = build_vocabulary(["c", "d", "d"], min_count=1)
+
+        def fails():
+            raise OSError("disk full")
+
+        monkeypatch.setattr(vocab, "to_text", fails)  # raises with the new file open
+        with pytest.raises(OSError, match="disk full"):
+            vocab.save(path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["vocab.tsv"]
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "bad.tsv"
