@@ -310,7 +310,7 @@ def cmd_schedule(args) -> int:
     if args.epochs < 1:
         raise UsageError("--epochs must be >= 1")
     rates = schedule.table(args.epochs)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    with replacing(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "z", "rate"])
         for epoch, rate in enumerate(rates):
@@ -329,7 +329,7 @@ def cmd_kl_diag(args) -> int:
     p_chain = _checked(_load_chain, args.p)
     q_chain = _checked(_load_chain, args.q)
     terms = _checked(kl_decomposition, p_chain, q_chain, args.eps, args.gamma)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    with replacing(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["term", "value"])
         for name in ("marginal", "ss_teacher", "ss_model",

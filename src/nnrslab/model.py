@@ -41,7 +41,13 @@ window thus holds one (T*B, |V|) array, its log-probs.
 
 Eval never holds a (T, B, |V|) array. Validation runs whole windows
 cells-only and scores the top-layer rows with target_log_probs, in
-blocks of at most block_rows(model) rows through one reused buffer.
+blocks of at most block_rows(model) rows through one reused buffer. A
+cells-only cache (ForwardCache.window(..., output=False)) keeps every
+step of h, which layer 2 projects and the scoring reads, but only one
+step of gates, tanh(c) and c per layer: each of those is a zero-stride
+view over one buffer along time, so forward_segment runs unchanged and
+every value keeps its bits. backward refuses such a cache. Validation
+runs all its windows in the first window's cache.
 Greedy decoding (metrics) runs every step, the teacher-forced prefix
 included, through one reused one-step cache. step is the one-step API
 and the reference the window paths are tested against: bit for bit at
@@ -199,6 +205,12 @@ def block_rows(model: LstmLm) -> int:
     return max(2, _ROW_BUDGET // model.vocab_size)
 
 
+def _one_step(shape) -> np.ndarray:
+    """A writable array of `shape` whose rows along axis 0 all view one buffer."""
+    buf = np.empty(shape[1:])
+    return np.lib.stride_tricks.as_strided(buf, shape, (0,) + buf.strides)
+
+
 def _log_softmax(logits: np.ndarray, rows: int) -> np.ndarray:
     """Row-wise log-softmax of a 2-D array, computed in place.
 
@@ -212,20 +224,27 @@ def _log_softmax(logits: np.ndarray, rows: int) -> np.ndarray:
     return logits
 
 
-def _output_layer(model: LstmLm, h: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """log_softmax(h @ W_out + b_out) of top-layer rows h (n, H) into out (n, |V|)."""
+def _logits(model: LstmLm, h: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """h @ W_out + b_out of top-layer rows h (n, H) into out (n, |V|)."""
     np.matmul(h, model.params["W_out"], out=out)
     out += model.params["b_out"]
-    return _log_softmax(out, block_rows(model))
+    return out
+
+
+def _output_layer(model: LstmLm, h: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """log_softmax(h @ W_out + b_out) of top-layer rows h (n, H) into out (n, |V|)."""
+    return _log_softmax(_logits(model, h, out), block_rows(model))
 
 
 def target_log_probs(model: LstmLm, top: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """log p(targets[i]) given top-layer rows top (n, H); returns (n,).
 
-    The output layer runs on blocks of at most block_rows(model) rows
-    through one buffer, and only the targets' entries are kept, so
-    memory stays bounded as n and |V| grow. The bits equal those of one
-    (n, |V|) output layer: a one-row tail block is run together with the
+    The logits run on blocks of at most block_rows(model) rows through
+    one buffer, so memory stays bounded as n and |V| grow. Each block
+    keeps its targets' max-shifted logits, is exponentiated in place,
+    and only those entries get the row's log-sum-exp subtracted. The
+    bits equal those of one (n, |V|) output layer: the same ops run on
+    every kept entry, and a one-row tail block is run together with the
     row before it.
     """
     n = top.shape[0]
@@ -235,8 +254,11 @@ def target_log_probs(model: LstmLm, top: np.ndarray, targets: np.ndarray) -> np.
     for lo in range(0, n, size):
         hi = min(lo + size, n)
         first = min(lo, max(hi - 2, 0))
-        block = _output_layer(model, top[first:hi], buf[:hi - first])
+        block = _logits(model, top[first:hi], buf[:hi - first])
+        block -= block.max(axis=1, keepdims=True)
         picked[lo:hi] = block[np.arange(lo - first, hi - first), targets[lo:hi]]
+        np.exp(block, out=block)
+        picked[lo:hi] -= np.log(block[lo - first:].sum(axis=1))
     return picked
 
 
@@ -246,10 +268,14 @@ class ForwardCache:
     ids (T, B) the token ids fed; x (T, B, d) their embedding rows. Per
     layer (index 0 and 1): gates (T, 4, B, H) the activated [i, f, g, o]
     blocks, tc (T, B, H) tanh of the cell state, and h and c
-    (T + 1, B, H) with row 0 the initial state. log_probs (T, B, |V|),
-    or None in a cells-only cache; backward overwrites it with the
-    softmax gradient. final_state is the state after the last step run;
-    input_grads (T, B, d) is filled by backward.
+    (T + 1, B, H) with row 0 the initial state. log_probs (T, B, |V|);
+    backward overwrites it with the softmax gradient. final_state is the
+    state after the last step run; input_grads (T, B, d) is filled by
+    backward.
+
+    A cells-only cache has log_probs None, and its gates, tc and c are
+    zero-stride along time: every step's row is one buffer, holding the
+    last step run. Its h keeps every step. backward refuses it.
 
     ForwardCache(steps, final_state, batch_size) joins consecutive caches
     returned by `step` into one window cache.
@@ -274,12 +300,13 @@ class ForwardCache:
     def window(cls, model: LstmLm, state, ids, output: bool = True,
                workspace: "ForwardCache" = None) -> "ForwardCache":
         """Cache for token ids (T, B), with `state` copied into row 0;
-        nothing is run yet. Copies the ids. With output=False it has no
-        log_probs and runs only cells-only segments.
+        nothing is run yet. Copies the ids. With output=False it is
+        cells-only: no log_probs, one step of gates, tc and c, and only
+        cells-only segments run in it.
 
         With `workspace`, a cache of at least T steps over the same B
-        rows (with log_probs if output), the arrays are leading-axis views
-        of the workspace's instead of new ones.
+        rows and of the same kind, the arrays are leading-axis views of
+        the workspace's instead of new ones.
         """
         ids = _token_ids(model, ids)
         t_len, batch = ids.shape
@@ -287,11 +314,12 @@ class ForwardCache:
         cache.ids = ids
         if workspace is None:
             hid = model.hidden
+            history = np.empty if output else _one_step
             cache.x = np.empty((t_len, batch, model.dim))
-            cache.gates = [np.empty((t_len, 4, batch, hid)) for _ in (0, 1)]
-            cache.tc = [np.empty((t_len, batch, hid)) for _ in (0, 1)]
+            cache.gates = [history((t_len, 4, batch, hid)) for _ in (0, 1)]
+            cache.tc = [history((t_len, batch, hid)) for _ in (0, 1)]
             cache.h = [np.empty((t_len + 1, batch, hid)) for _ in (0, 1)]
-            cache.c = [np.empty((t_len + 1, batch, hid)) for _ in (0, 1)]
+            cache.c = [history((t_len + 1, batch, hid)) for _ in (0, 1)]
             cache.log_probs = np.empty((t_len, batch, model.vocab_size)) if output else None
         else:
             cache.x = workspace.x[:t_len]
@@ -317,9 +345,9 @@ def forward_segment(model: LstmLm, cache: ForwardCache, lo: int, hi: int,
     """Run timesteps lo..hi-1 of `cache`, whose inputs are all set, layer by layer.
 
     Per layer: one input projection over the n * B rows of all n steps,
-    then the recurrence per step; then, unless output=False, the output
-    layer over all rows. Leaves the state after step hi - 1 in
-    cache.final_state.
+    into one buffer both layers share, then the recurrence per step;
+    then, unless output=False, the output layer over all rows. Leaves
+    the state after step hi - 1 in cache.final_state.
 
     For B >= 2 every step's bits equal those of `step` on the same input
     and state, as a row of a stacked product equals the per-step product.
@@ -330,10 +358,11 @@ def forward_segment(model: LstmLm, cache: ForwardCache, lo: int, hi: int,
     rows = (hi - lo) * cache.batch_size
     cache.x[lo:hi] = p["embed"][cache.ids[lo:hi]]
     inp = cache.x[lo:hi]
+    proj = None  # layer 2's projection reuses layer 1's (rows, 4H) buffer
     for layer, (gates, h, c, tc) in enumerate(zip(cache.gates, cache.h, cache.c, cache.tc), 1):
-        z = inp.reshape(rows, -1) @ p["lstm%d_Wx" % layer]
-        z += p["lstm%d_b" % layer]
-        z = z.reshape(hi - lo, cache.batch_size, -1)
+        proj = np.matmul(inp.reshape(rows, -1), p["lstm%d_Wx" % layer], out=proj)
+        proj += p["lstm%d_b" % layer]
+        z = proj.reshape(hi - lo, cache.batch_size, -1)
         wh = p["lstm%d_Wh" % layer]
         for t in range(lo, hi):
             _cell(z[t - lo], h[t], c[t], wh, gates[t], c[t + 1], tc[t], h[t + 1])
@@ -355,17 +384,16 @@ def step(model: LstmLm, ids, state):
     return cache.log_probs[0], cache.final_state, cache
 
 
-def forward_cached(model: LstmLm, ids, init_state=None, output: bool = True) -> ForwardCache:
+def forward_cached(model: LstmLm, ids, init_state=None) -> ForwardCache:
     """Layer-wise forward over one (B, T) id window from init_state
     (zeros if None): one input projection per layer, the recurrence per
-    step, one output projection unless output=False. The cache is what
-    backward reads."""
+    step, one output projection. The cache is what backward reads."""
     ids = np.asarray(ids)
     if ids.ndim != 2 or ids.shape[1] == 0:
         raise ValueError("ids must be a (B, T) array with T >= 1, got shape %s" % (ids.shape,))
     state = model.zero_state(ids.shape[0]) if init_state is None else init_state
-    cache = ForwardCache.window(model, state, ids.T, output)
-    return forward_segment(model, cache, 0, ids.shape[1], output)
+    cache = ForwardCache.window(model, state, ids.T)
+    return forward_segment(model, cache, 0, ids.shape[1])
 
 
 def loss_from_cache(cache: ForwardCache, targets) -> float:
@@ -428,7 +456,13 @@ def backward(model: LstmLm, cache: ForwardCache, targets, out: FlatParams = None
     stacked in (t, b) order: the output layer (dlogits, W_out, b_out and
     dL/dh of layer 2), then per layer the Wx, Wh and b gradients and
     dL/d(input), which is layer 1's dL/dh or the input gradient.
+
+    A cells-only cache is refused: it has no log-probs, and its gates,
+    tanh(c) and c hold only the last step.
     """
+    if cache.log_probs is None:
+        raise ValueError("backward needs a cache with log-probs and every step's "
+                         "gates; this one is cells-only")
     p = model.params
     grads = p.like() if out is None else out
     hid = model.hidden

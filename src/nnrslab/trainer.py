@@ -39,7 +39,6 @@ from .model import (
     LstmLm,
     backward,
     cosine_lr,
-    forward_cached,
     forward_segment,
     loss_from_cache,
     sgd_step,
@@ -296,26 +295,30 @@ def validate(model: LstmLm, val_batches) -> float:
     """Teacher-forced perplexity over a window list, state carried.
 
     exp(total NLL / total tokens); never touches parameters and never
-    applies a sampling policy. Each window runs cells-only through
-    model.forward_cached (one input projection per layer, the recurrence
-    per step) from the previous window's final state, zeros for the
-    first. model.target_log_probs then scores its top-layer rows in
-    blocks of a fixed budget through one buffer, so no (T, B, |V|) array
-    is built; the result has the bits of the whole-window output layer.
+    applies a sampling policy. Every window runs cells-only through
+    model.forward_segment (one input projection per layer, the
+    recurrence per step) in the first window's cache, which keeps one
+    step of gates, tanh(c) and c and every step of h; the previous
+    window's final state is copied into its row 0, zeros for the first.
+    model.target_log_probs then scores the top-layer rows in blocks of a
+    fixed budget through one buffer, so no (T, B, |V|) array is built;
+    the result has the bits of the whole-window output layer.
     """
     if not val_batches:
         raise ValueError("empty validation split")
-    state = None
+    state = model.zero_state(val_batches[0][0].shape[0])
+    first = None
     total_nll = 0.0
     total_tokens = 0
     for inputs, targets in val_batches:
-        cache = forward_cached(model, inputs, state, output=False)
+        cache = ForwardCache.window(model, state, inputs.T, output=False, workspace=first)
+        first = cache if first is None else first
+        forward_segment(model, cache, 0, len(cache), output=False)
         top = cache.h[1][1:].reshape(targets.size, model.hidden)  # rows in (t, b) order
         picked = target_log_probs(model, top, targets.T.reshape(-1))
         total_nll -= picked.reshape(targets.T.shape).T.ravel().sum()  # in targets' (b, t) order
         total_tokens += targets.size
         state = cache.final_state
-        del cache  # the next window's forward must not run with this one's arrays alive
     return float(np.exp(total_nll / total_tokens))
 
 

@@ -9,6 +9,7 @@ corpus already contains them literally their ids are reused.
 """
 
 import hashlib
+import itertools
 from collections import Counter
 from collections.abc import Iterable
 
@@ -47,7 +48,9 @@ class Vocabulary:
         return self.index.get(token, self.unk_id)
 
     def encode(self, tokens: Iterable[str]) -> np.ndarray:
-        return np.array([self.id(t) for t in tokens], dtype=np.int64)
+        """int64 ids of `tokens`, unk_id for unknown ones, as `id` gives them."""
+        ids = map(self.index.get, tokens, itertools.repeat(self.unk_id))
+        return np.fromiter(ids, dtype=np.int64)
 
     def to_text(self) -> str:
         """Newline-delimited "token<TAB>count" serialization."""

@@ -504,6 +504,44 @@ class TestSchedule:
         capsys.readouterr()
 
 
+class TestTableWritersReplace:
+    """schedule and kl-diag write through a temporary file renamed into place."""
+
+    @pytest.mark.parametrize("command", ["schedule", "kl-diag"])
+    def test_failed_write_keeps_old_file(self, tmp_path, capsys, monkeypatch, command):
+        out = tmp_path / "out.csv"
+        if command == "schedule":
+            argv = ["schedule", "--kind", "linear", "--start", "0", "--end", "0.5",
+                    "--epochs", "10", "--out", str(out)]
+        else:
+            chains = []
+            for name, trans in (("p", [[0.9, 0.1], [0.2, 0.8]]), ("q", [[0.6, 0.4], [0.5, 0.5]])):
+                np.savetxt(tmp_path / ("%s.txt" % name), np.asarray(trans), delimiter=",")
+                chains += ["--%s" % name, str(tmp_path / ("%s.txt" % name))]
+            argv = ["kl-diag", *chains, "--eps", "0.5", "--gamma", "0.5", "--out", str(out)]
+        out.write_bytes(b"old contents\n")
+        real_writer = csv.writer
+
+        def failing_writer(fh, *args, **kwargs):
+            writer = real_writer(fh, *args, **kwargs)
+            rows = []
+
+            class Failing:
+                def writerow(self, row):
+                    rows.append(row)
+                    if len(rows) == 3:  # the header and one row are already written
+                        raise OSError("disk full")
+                    return writer.writerow(row)
+
+            return Failing()
+
+        monkeypatch.setattr(cli_mod.csv, "writer", failing_writer)
+        assert main(argv) == 3
+        assert "disk full" in capsys.readouterr().err
+        assert out.read_bytes() == b"old contents\n"
+        assert not list(tmp_path.glob("*.tmp"))
+
+
 class TestKlDiag:
     def _write_chain(self, path, trans):
         np.savetxt(path, np.asarray(trans), delimiter=",")

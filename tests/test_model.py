@@ -195,6 +195,15 @@ class TestBackward:
                 fd[t, b, j] = (plus - minus) / (2.0 * h)
         assert max_rel_error({"x": cache.input_grads}, {"x": fd}) < 1e-4
 
+    def test_cells_only_cache_refused(self, rng):
+        # no log-probs, and its gates, tanh(c) and c hold only the last step
+        model = _small_model(rng)
+        ids = rng.integers(0, 6, size=(2, 5))
+        cache = ForwardCache.window(model, model.zero_state(2), ids.T, output=False)
+        forward_segment(model, cache, 0, 5, output=False)
+        with pytest.raises(ValueError, match="cells-only"):
+            backward(model, cache, ids)
+
     def test_finite_differences_batch_with_repeated_ids(self, rng):
         # B=3, T=5: rows are stacked in (t, b) order, and a token
         # repeated within a timestep scatters twice into one embed row

@@ -307,17 +307,74 @@ class TestValidate:
                 total_tokens += targets.size
                 state = cache.final_state
             blocks = []
-            real_output_layer = model_mod._output_layer
+            real_logits = model_mod._logits
 
-            def recording(model, h, out):
+            def recording(model, h, out):  # every scored block's logits
                 blocks.append(h.shape[0])
-                return real_output_layer(model, h, out)
+                return real_logits(model, h, out)
 
-            with mock.patch.object(model_mod, "_output_layer", recording):
+            with mock.patch.object(model_mod, "_logits", recording):
                 assert validate(model, batches) == float(np.exp(total_nll / total_tokens))
         # a one-row product goes to BLAS's matrix-vector kernel, whose last bits differ
         assert max(blocks) <= max(2, block)
         assert min(blocks) >= min(2, min(t.size for _, t in batches))
+
+    @settings(max_examples=60, deadline=None)
+    @given(batch=st.integers(1, 4), bptt=st.integers(1, 12), vocab=st.integers(2, 30),
+           windows=st.integers(1, 3), tail=st.integers(1, 11), seed=st.integers(0, 2 ** 16))
+    def test_one_step_cache_equals_full_history(self, batch, bptt, vocab, windows, tail, seed):
+        # validate's cells-only cache against full-history forward_cached
+        # caches: every window's top-layer h, final state and target
+        # log-probs, then the perplexity; bptt > 1 adds a short last window
+        rng = np.random.default_rng(seed)
+        model = LstmLm.init(vocab, 3, 5, rng)
+        stream = windows * bptt + tail % bptt + 1
+        batches = make_batches(rng.integers(0, vocab, size=batch * stream), batch, bptt)
+        seen, scored = [], []
+        real_segment, real_target = trainer_mod.forward_segment, trainer_mod.target_log_probs
+
+        def recording_segment(model, cache, lo, hi, output=True):
+            real_segment(model, cache, lo, hi, output)
+            seen.append((cache.h[1][1:].copy(),  # the next window overwrites the cache
+                         [(h.copy(), c.copy()) for h, c in cache.final_state]))
+            return cache
+
+        def recording_target(model, top, targets):
+            scored.append(real_target(model, top, targets))
+            return scored[-1]
+
+        with mock.patch.object(trainer_mod, "forward_segment", recording_segment), \
+                mock.patch.object(trainer_mod, "target_log_probs", recording_target):
+            ppl = validate(model, batches)
+        assert len(seen) == len(scored) == len(batches)
+        state, total_nll, total_tokens = None, 0.0, 0
+        for (inputs, targets), (top, final), picked in zip(batches, seen, scored):
+            ref = forward_cached(model, inputs, state)
+            np.testing.assert_array_equal(top, ref.h[1][1:])
+            for (h, c), (ref_h, ref_c) in zip(final, ref.final_state):
+                np.testing.assert_array_equal(h, ref_h)
+                np.testing.assert_array_equal(c, ref_c)
+            ref_picked = np.take_along_axis(ref.log_probs, targets.T[:, :, None], axis=2)
+            np.testing.assert_array_equal(picked, ref_picked.reshape(-1))
+            total_nll -= ref_picked[:, :, 0].T.ravel().sum()  # in targets' (b, t) order
+            total_tokens += targets.size
+            state = ref.final_state
+        assert ppl == float(np.exp(total_nll / total_tokens))
+
+    def test_memory_one_step_of_cell_history(self):
+        # desk shape, three windows: the peak is about 4.2 MB; per-step
+        # gates, tanh(c) and c of both layers would add about 7 MB
+        model = LstmLm.init(2000, 64, 128, np.random.default_rng(5))
+        batches = make_batches(np.arange(16 * (3 * 35 + 1)) % 2000, 16, 35)
+        assert [t.shape for _, t in batches] == [(16, 35)] * 3
+        validate(model, batches[:1])  # warm the lazily built gate constants
+        tracemalloc.start()
+        try:
+            validate(model, batches)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7e6
 
     def test_memory_bounded_by_row_budget(self):
         # |V| = 5000 and one 1024-row window: the whole-window output layer

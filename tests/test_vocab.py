@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nnrslab.vocab import (
     EOS_TOKEN,
@@ -62,6 +64,19 @@ class TestVocabularyLookup:
         assert ids.dtype == np.int64
         assert ids[1] == vocab.unk_id
         assert [vocab.tokens[i] for i in ids] == ["x", UNK_TOKEN, "y"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(corpus=st.lists(st.sampled_from("abcdef"), min_size=1, max_size=20),
+           tokens=st.lists(st.sampled_from(["a", "b", "c", "d", "e", "f", "zz", UNK_TOKEN,
+                                            EOS_TOKEN]), max_size=30),
+           min_count=st.integers(1, 3))
+    def test_encode_equals_per_token_id(self, corpus, tokens, min_count):
+        # tokens outside the corpus, or below min_count, are unknown words
+        vocab = build_vocabulary(corpus, min_count=min_count)
+        ids = vocab.encode(tokens)
+        assert ids.dtype == np.int64
+        np.testing.assert_array_equal(ids, np.array([vocab.id(t) for t in tokens], dtype=np.int64))
+        assert ids.shape == (len(tokens),)  # an empty list gives an empty int64 array
 
     def test_duplicate_tokens_rejected(self):
         with pytest.raises(ValueError):
