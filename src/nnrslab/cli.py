@@ -43,6 +43,7 @@ from .trainer import (
     RECORDS_FILE,
     TRACE_FILE,
     _load_run_inputs,
+    check_stop_after,
     config_from_dict,
     config_to_dict,
     make_batches,
@@ -198,10 +199,11 @@ def _run_training_command(args, trace: bool) -> int:
     cfg = _checked(parse_config_file, args.config)
     if not cfg.out_dir:
         raise UsageError("config must set out_dir")
+    stop_after, resume = getattr(args, "stop_after", None), getattr(args, "resume", None)
+    _checked(check_stop_after, stop_after, cfg.epochs)  # before the lock and the manifest
     os.makedirs(cfg.out_dir, exist_ok=True)
 
     with _DirLock(cfg.out_dir):
-        stop_after, resume = getattr(args, "stop_after", None), getattr(args, "resume", None)
         command = "trace" if trace else "train"
         segment = {
             "command": command,

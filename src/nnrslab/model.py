@@ -33,11 +33,17 @@ later window leading-axis views of its arrays, so a window allocates no
 new (T, B, |V|) array.
 
 The log-softmax's exp temporary spans at most block_rows(model) rows
-(about _ROW_BUDGET elements). backward consumes cache.log_probs: it
-forms the softmax gradient in place there, so the loss and the SS
-feedback read the log-probs first. It writes every gradient into
-`out`, a FlatParams the caller reuses from window to window. A training
-window thus holds one (T*B, |V|) array, its log-probs.
+(about _ROW_BUDGET elements). A training cache's log-probs are the
+leading (T, B, |V|) view of one flat buffer of T*B*max(|V|, 6H)
+elements, which has three tenants in turn: the log-probs, then the
+softmax gradient, which backward forms in place there (so the loss and
+the SS feedback read the log-probs first), then, once the output layer's
+gradients are taken, the reverse recurrence's gate factors and dz.
+backward writes every gradient into `out`, a FlatParams the caller
+reuses from window to window, and sgd_step consumes those gradients,
+forming the update in place. A training window thus holds one
+(T*B, max(|V|, 6H)) array, its buffer; every other temporary it makes
+is at most (T*B, H), (T*B, d) or one parameter key in size.
 
 Eval never holds a (T, B, |V|) array. Validation runs whole windows
 cells-only and scores the top-layer rows with target_log_probs, in
@@ -262,20 +268,31 @@ def target_log_probs(model: LstmLm, top: np.ndarray, targets: np.ndarray) -> np.
     return picked
 
 
+def _window_buffer_size(t_len: int, batch: int, vocab: int, hidden: int) -> int:
+    """Elements of a training window's buffer: its log-probs or the
+    reverse recurrence's 6H per row, whichever is larger."""
+    return t_len * batch * max(vocab, 6 * hidden)
+
+
 class ForwardCache:
     """A forward pass over T timesteps of B rows, as (T, B, .) arrays.
 
     ids (T, B) the token ids fed; x (T, B, d) their embedding rows. Per
     layer (index 0 and 1): gates (T, 4, B, H) the activated [i, f, g, o]
     blocks, tc (T, B, H) tanh of the cell state, and h and c
-    (T + 1, B, H) with row 0 the initial state. log_probs (T, B, |V|);
-    backward overwrites it with the softmax gradient. final_state is the
+    (T + 1, B, H) with row 0 the initial state. buffer is one flat
+    array of T * B * max(|V|, 6H) elements and log_probs (T, B, |V|) its
+    leading view. Its tenants in turn: the log-probs, then the softmax
+    gradient (backward overwrites the log-probs with it), then, once the
+    output layer's gradients are taken, backward's reverse-recurrence
+    scratch (dz, dc/dh and one temporary, 6H per row). final_state is the
     state after the last step run; input_grads (T, B, d) is filled by
-    backward.
+    backward and lives outside the buffer.
 
-    A cells-only cache has log_probs None, and its gates, tc and c are
-    zero-stride along time: every step's row is one buffer, holding the
-    last step run. Its h keeps every step. backward refuses it.
+    A cells-only cache has buffer and log_probs None, and its gates, tc
+    and c are zero-stride along time: every step's row is one buffer,
+    holding the last step run. Its h keeps every step. backward refuses
+    it.
 
     ForwardCache(steps, final_state, batch_size) joins consecutive caches
     returned by `step` into one window cache.
@@ -291,7 +308,11 @@ class ForwardCache:
                   for k in (0, 1)]
         self.c = [np.concatenate([steps[0].c[k][:1]] + [s.c[k][1:] for s in steps])
                   for k in (0, 1)]
-        self.log_probs = np.concatenate([s.log_probs for s in steps])
+        t_len, _, batch, hid = self.gates[0].shape
+        vocab = steps[0].log_probs.shape[-1]
+        self.buffer = np.empty(_window_buffer_size(t_len, batch, vocab, hid))
+        self.log_probs = self.buffer[:t_len * batch * vocab].reshape(t_len, batch, vocab)
+        np.concatenate([s.log_probs for s in steps], out=self.log_probs)
         self.final_state = final_state
         self.batch_size = batch_size
         self.input_grads = None
@@ -301,33 +322,37 @@ class ForwardCache:
                workspace: "ForwardCache" = None) -> "ForwardCache":
         """Cache for token ids (T, B), with `state` copied into row 0;
         nothing is run yet. Copies the ids. With output=False it is
-        cells-only: no log_probs, one step of gates, tc and c, and only
-        cells-only segments run in it.
+        cells-only: no buffer or log_probs, one step of gates, tc and c,
+        and only cells-only segments run in it.
 
         With `workspace`, a cache of at least T steps over the same B
         rows and of the same kind, the arrays are leading-axis views of
-        the workspace's instead of new ones.
+        the workspace's, and the buffer its leading part, instead of new
+        ones.
         """
         ids = _token_ids(model, ids)
         t_len, batch = ids.shape
+        hid, vocab = model.hidden, model.vocab_size
+        size = _window_buffer_size(t_len, batch, vocab, hid) if output else 0
         cache = cls.__new__(cls)
         cache.ids = ids
         if workspace is None:
-            hid = model.hidden
             history = np.empty if output else _one_step
             cache.x = np.empty((t_len, batch, model.dim))
             cache.gates = [history((t_len, 4, batch, hid)) for _ in (0, 1)]
             cache.tc = [history((t_len, batch, hid)) for _ in (0, 1)]
             cache.h = [np.empty((t_len + 1, batch, hid)) for _ in (0, 1)]
             cache.c = [history((t_len + 1, batch, hid)) for _ in (0, 1)]
-            cache.log_probs = np.empty((t_len, batch, model.vocab_size)) if output else None
+            cache.buffer = np.empty(size) if output else None
         else:
             cache.x = workspace.x[:t_len]
             cache.gates = [a[:t_len] for a in workspace.gates]
             cache.tc = [a[:t_len] for a in workspace.tc]
             cache.h = [a[:t_len + 1] for a in workspace.h]
             cache.c = [a[:t_len + 1] for a in workspace.c]
-            cache.log_probs = workspace.log_probs[:t_len] if output else None
+            cache.buffer = workspace.buffer[:size] if output else None
+        cache.log_probs = (cache.buffer[:t_len * batch * vocab].reshape(t_len, batch, vocab)
+                           if output else None)
         for (h0, c0), h, c in zip(state, cache.h, cache.c):
             h[0] = h0
             c[0] = c0
@@ -407,24 +432,40 @@ def _reverse_recurrence(cache: ForwardCache, layer: int, dh_in: np.ndarray,
                         wh: np.ndarray) -> np.ndarray:
     """Gate pre-activation gradients dz (T, B, 4H) of one layer.
 
-    dh_in (T, B, H) is dL/dh arriving from above at each step. The gate
-    factors that do not depend on the carried (dh, dc) are computed for
-    the whole window first, so the reverse loop runs six elementwise
-    ops and one product per step.
+    dh_in (T, B, H) is dL/dh arriving from above at each step. Runs in
+    cache.buffer, whose contents must be dead: it holds dz (4H per row),
+    dc/dh and one temporary, and the returned rows are its leading view.
+    dz's four slots first receive the gate factors that do not depend on
+    the carried (dh, dc), for the whole window at once; the reverse loop
+    then multiplies them in place, six elementwise ops and one product
+    per step. Products are commutative in IEEE arithmetic, so the order
+    of their operands keeps the bits.
     """
     t_len, _, batch, hid = cache.gates[layer].shape
-    i, f, g, o = (cache.gates[layer][:, k, :, None, :] for k in range(4))  # (T, B, 1, H)
-    tc = cache.tc[layer][:, :, None, :]
-    dc_dh = o * (1.0 - tc * tc)
-    cell_factors = np.concatenate(
-        [g * i * (1.0 - i), cache.c[layer][:-1, :, None, :] * f * (1.0 - f), i * (1.0 - g * g)],
-        axis=2,
-    )
-    out_factor = tc * o * (1.0 - o)
-    dz = np.empty((t_len, batch, 4, hid))
+    n = t_len * batch * hid
+    scratch = cache.buffer
+    dz = scratch[:4 * n].reshape(t_len, batch, 4, hid)
+    dc_dh = scratch[4 * n:5 * n].reshape(t_len, batch, 1, hid)
+    tmp = scratch[5 * n:6 * n].reshape(t_len, batch, hid)
+    gates = cache.gates[layer]
+    i, f, g, o = (gates[:, k] for k in range(4))  # (T, B, H)
+    tc = cache.tc[layer]
+    np.subtract(1.0, gates.transpose(0, 2, 1, 3), out=dz)  # 1 - gate in every slot
+    dz_i, dz_f, dz_g, dz_o = (dz[:, :, k] for k in range(4))
+    dz_i *= np.multiply(g, i, out=tmp)  # g * i * (1 - i)
+    dz_f *= np.multiply(cache.c[layer][:-1], f, out=tmp)  # c_prev * f * (1 - f)
+    dz_o *= np.multiply(tc, o, out=tmp)  # tc * o * (1 - o)
+    np.multiply(g, g, out=tmp)  # i * (1 - g * g)
+    np.subtract(1.0, tmp, out=tmp)
+    np.multiply(i, tmp, out=dz_g)
+    np.multiply(tc, tc, out=tmp)  # dc/dh = o * (1 - tc * tc)
+    np.subtract(1.0, tmp, out=tmp)
+    np.multiply(o, tmp, out=dc_dh[:, :, 0])
+
     dz_cell, dz_out = dz[:, :, :3], dz[:, :, 3:]
     dz_rows = dz.reshape(t_len, batch, 4 * hid)
     dh_in = dh_in.reshape(t_len, batch, 1, hid)
+    f = f[:, :, None, :]
     wh_t = np.ascontiguousarray(wh.T)
     dh_carry = np.zeros((batch, 1, hid))
     dc_carry = np.zeros((batch, 1, hid))
@@ -432,8 +473,9 @@ def _reverse_recurrence(cache: ForwardCache, layer: int, dh_in: np.ndarray,
         dh = dh_in[t] + dh_carry
         dc = dh * dc_dh[t]
         dc += dc_carry
-        np.multiply(cell_factors[t], dc, out=dz_cell[t])
-        np.multiply(out_factor[t], dh, out=dz_out[t])
+        cell, out = dz_cell[t], dz_out[t]  # bound first: `dz_cell[t] *= dc` would assign back
+        cell *= dc
+        out *= dh
         if t:
             np.matmul(dz_rows[t], wh_t, out=dh_carry[:, 0])
             np.multiply(dc, f[t], out=dc_carry)
@@ -444,12 +486,13 @@ def backward(model: LstmLm, cache: ForwardCache, targets, out: FlatParams = None
     """Exact BPTT gradients of the mean NLL wrt every parameter.
 
     Writes them into `out`, a FlatParams laid out as model.params (a new
-    one if None), and returns it. Consumes cache.log_probs: the softmax
-    gradient is formed in place there, so read the log-probs first.
+    one if None), and returns it. Consumes cache.buffer: the softmax
+    gradient is formed in place over the log-probs, so read them first,
+    and the reverse recurrence then reuses the buffer as its scratch.
 
     Truncation boundary: the window's initial state is a constant.
-    Gradients wrt the embedded inputs land in cache.input_grads (T, B, d)
-    and are scattered into the embedding rows of the ids fed.
+    Gradients wrt the embedded inputs land in cache.input_grads (T, B, d),
+    a new array, and are scattered into the embedding rows of the ids fed.
 
     Only the recurrence runs per timestep, layer 2's whole reverse pass
     before layer 1's. Everything else is one product per window on rows
@@ -477,7 +520,7 @@ def backward(model: LstmLm, cache: ForwardCache, targets, out: FlatParams = None
     dlogits /= float(rows)
     np.matmul(cache.h[1][1:].reshape(rows, hid).T, dlogits, out=grads["W_out"])
     dlogits.sum(axis=0, out=grads["b_out"])
-    dh_in = (dlogits @ p["W_out"].T).reshape(t_len, b, hid)
+    dh_in = (dlogits @ p["W_out"].T).reshape(t_len, b, hid)  # dlogits is dead from here
 
     layer_inputs = (cache.x, cache.h[0][1:])
     for layer in (2, 1):
@@ -500,30 +543,37 @@ def sgd_step(model: LstmLm, grads: FlatParams, lr: float, clip: float,
     """Global-norm clip then theta <- theta - lr * grad, in place.
 
     Runs on the flat vectors of model.params, grads and velocity, which
-    share one layout. Non-finite gradients abort the step before any
-    parameter moves; the error names the first such key. The clip norm
-    is the square root of the sum, in key order, of each key's sum of
-    squares. Optional heavy-ball momentum: velocity <- m * velocity + grad.
+    share one layout. Consumes grads: the update is formed in place in
+    grads.flat, so read the gradients first. The clip norm is the square
+    root of the sum, in key order, of each key's sum of squares, taken
+    one key at a time. Non-finite gradients abort the step before any
+    parameter moves, and the error names the first such key; the scan
+    for them runs only when the norm is not finite or not taken
+    (clip == 0). Finite gradients whose squares overflow have an infinite
+    norm and scale 0. Optional heavy-ball momentum:
+    velocity <- m * velocity + grad.
     """
     if lr <= 0.0:
         raise ValueError("lr must be positive")
+    if momentum > 0.0 and velocity is None:
+        raise ValueError("momentum > 0 needs a velocity")
     g = grads.flat
-    if not np.isfinite(g).all():
-        key = next(key for key, val in grads.items() if not np.isfinite(val).all())
-        raise ValueError("non-finite gradient in %r, step aborted" % key)
-    work = np.empty_like(g)
-    scale = 1.0
+    norm = math.nan  # not taken at clip == 0, so the scan below runs
     if clip:
-        np.multiply(g, g, out=work)
-        norm = float(np.sqrt(sum(float(work[lo:hi].sum()) for lo, hi in grads.spans)))
-        if norm > clip:
-            scale = clip / norm
-    upd = np.multiply(g, scale, out=work)
+        norm = float(np.sqrt(sum(float((g[lo:hi] * g[lo:hi]).sum()) for lo, hi in grads.spans)))
+    if not math.isfinite(norm):
+        for key, val in grads.items():
+            if not np.isfinite(val).all():
+                raise ValueError("non-finite gradient in %r, step aborted" % key)
+    if norm > clip:
+        g *= clip / norm
     if momentum > 0.0:
         velocity.flat *= momentum
-        velocity.flat += upd
-        upd = velocity.flat
-    model.params.flat -= np.multiply(upd, lr, out=work)
+        velocity.flat += g
+        np.multiply(velocity.flat, lr, out=g)
+    else:
+        g *= lr
+    model.params.flat -= g
     return model
 
 

@@ -471,8 +471,9 @@ def _feedback(log_probs, sample: bool, rng) -> np.ndarray:
 @dataclass
 class _Workspace:
     """What every training window of a run reuses: the first window's
-    ForwardCache, which no later window is longer than, and the flat
-    gradient buffer. Both are allocated by the first window."""
+    ForwardCache, which no later window is longer than, with its buffer
+    (log-probs, then backward's scratch), and the flat gradient buffer,
+    which sgd_step consumes. Both are allocated by the first window."""
 
     cache: ForwardCache = None
     grads: FlatParams = None
@@ -532,7 +533,7 @@ def _train_epoch(model, state, cfg, table, gumbel, train_batches, lr,
         nll = loss_from_cache(cache, targets)
         total_nll += nll * targets.size
         total_tokens += targets.size
-        grads = work.grads = backward(model, cache, targets, out=work.grads)  # consumes log_probs
+        grads = work.grads = backward(model, cache, targets, out=work.grads)  # consumes the buffer
         swapped = [t for t, src in enumerate(sources) if src == Source.NEIGHBOR]
         if gumbel is not None and swapped:
             # straight-through: dL/dsoft_j = dL/dx . embed[neighbor_j]
@@ -543,9 +544,15 @@ def _train_epoch(model, state, cfg, table, gumbel, train_batches, lr,
             gsns_rows.update(words.tolist())
         if cfg.freeze_embeddings:
             grads["embed"][:] = 0.0
-        sgd_step(model, grads, lr, cfg.clip, cfg.momentum, velocity)
+        sgd_step(model, grads, lr, cfg.clip, cfg.momentum, velocity)  # consumes grads
 
     return total_nll / total_tokens, gsns_grad, gsns_rows
+
+
+def check_stop_after(stop_after, epochs: int) -> None:
+    """Refuse a stop_after outside [1, epochs]; None runs every epoch."""
+    if stop_after is not None and not 1 <= stop_after <= epochs:
+        raise ValueError("stop_after must be in [1, epochs = %d], got %d" % (epochs, stop_after))
 
 
 def run_training(config: TrainConfig, stop_after: int = None,
@@ -566,8 +573,7 @@ def run_training(config: TrainConfig, stop_after: int = None,
     """
     cfg = config
     cfg.check()
-    if stop_after is not None and not 1 <= stop_after <= cfg.epochs:
-        raise ValueError("stop_after must be in [1, epochs]")
+    check_stop_after(stop_after, cfg.epochs)
     if trace and not cfg.out_dir:
         raise ValueError("a decision trace needs out_dir")
 

@@ -202,6 +202,61 @@ def per_key_sgd_step(model, grads, lr, clip, momentum=0.0, velocity=None):
     return model
 
 
+def reference_backward(model, cache, targets):
+    """BPTT gradients of the mean NLL as separate arrays: the reference
+    model.backward is tested against. Reads cache.log_probs without
+    consuming them and allocates every factor of the reverse recurrence
+    apart. Returns (name -> gradient dict, input gradients (T, B, d))."""
+    p = model.params
+    hid = model.hidden
+    targets = np.asarray(targets, dtype=np.int64)
+    t_len, b = len(cache), cache.batch_size
+    rows = t_len * b
+    grads = {}
+
+    dlogits = np.exp(cache.log_probs.reshape(rows, model.vocab_size))
+    dlogits[np.arange(rows), targets.T.reshape(-1)] -= 1.0
+    dlogits /= float(rows)
+    grads["W_out"] = cache.h[1][1:].reshape(rows, hid).T @ dlogits
+    grads["b_out"] = dlogits.sum(axis=0)
+    dh_in = (dlogits @ p["W_out"].T).reshape(t_len, b, hid)
+
+    layer_inputs = (cache.x, cache.h[0][1:])
+    for layer in (2, 1):
+        k = layer - 1
+        i, f, g, o = (cache.gates[k][:, j, :, None, :] for j in range(4))  # (T, B, 1, H)
+        tc = cache.tc[k][:, :, None, :]
+        dc_dh = o * (1.0 - tc * tc)
+        cell_factors = np.concatenate(
+            [g * i * (1.0 - i), cache.c[k][:-1, :, None, :] * f * (1.0 - f), i * (1.0 - g * g)],
+            axis=2,
+        )
+        out_factor = tc * o * (1.0 - o)
+        dz = np.empty((t_len, b, 4, hid))
+        dh_up = dh_in.reshape(t_len, b, 1, hid)
+        wh_t = np.ascontiguousarray(p["lstm%d_Wh" % layer].T)
+        dh_carry = np.zeros((b, 1, hid))
+        dc_carry = np.zeros((b, 1, hid))
+        for t in range(t_len - 1, -1, -1):
+            dh = dh_up[t] + dh_carry
+            dc = dh * dc_dh[t]
+            dc += dc_carry
+            dz[t, :, :3] = cell_factors[t] * dc
+            dz[t, :, 3:] = out_factor[t] * dh
+            if t:
+                dh_carry = (dz[t].reshape(b, 4 * hid) @ wh_t)[:, None, :]
+                dc_carry = dc * f[t]
+        dz = dz.reshape(rows, 4 * hid)
+        grads["lstm%d_Wx" % layer] = layer_inputs[k].reshape(rows, -1).T @ dz
+        grads["lstm%d_Wh" % layer] = cache.h[k][:-1].reshape(rows, hid).T @ dz
+        grads["lstm%d_b" % layer] = dz.sum(axis=0)
+        dh_in = (dz @ p["lstm%d_Wx" % layer].T).reshape(t_len, b, -1)
+
+    grads["embed"] = np.zeros_like(p["embed"])
+    np.add.at(grads["embed"], cache.ids.reshape(-1), dh_in.reshape(rows, model.dim))
+    return grads, dh_in
+
+
 def assert_views_of_flat(params):
     """Every array of a FlatParams is the view of its own span of `flat`,
     the spans back to back in key order."""

@@ -211,6 +211,17 @@ class TestTrain:
         assert main(["train", "--config", config]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["train", "trace"])
+    @pytest.mark.parametrize("stop", ["0", "3"])
+    def test_stop_after_out_of_range_is_usage_error(self, corpus, tmp_path, capsys, command,
+                                                     stop):
+        # epochs = 2: refused before the lock, the manifest or any epoch
+        out_dir = tmp_path / "run"
+        config = _write_config(tmp_path / "run.cfg", corpus, out_dir, epochs=2)
+        assert main([command, "--config", config, "--stop-after", stop]) == 2
+        assert "stop_after must be in [1, epochs = 2], got %s" % stop in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_resume_matches_uninterrupted(self, corpus, tmp_path, capsys):
         kw = dict(mode="SS_NNRS", epochs="6", ss_kind="linear", ss_end="0.5",
                   nnrs_kind="static", nnrs_end="0.2")

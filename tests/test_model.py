@@ -1,5 +1,7 @@
 """LSTM language model: forward, loss, BPTT gradients, SGD."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from synth import (
     finite_difference_grads,
     max_rel_error,
     per_key_sgd_step,
+    reference_backward,
     sum_of_squares_norm,
 )
 
@@ -303,6 +306,86 @@ class TestSegmentedForward:
         assert max_rel_error(analytic, fd) < 1e-4
 
 
+@st.composite
+def workspace_windows(draw):
+    width = draw(st.integers(1, 12))
+    return dict(batch=draw(st.integers(1, 4)), width=width,
+                ws_width=width + draw(st.sampled_from([0, 1, 5])),
+                cuts=draw(st.sets(st.integers(1, width - 1))) if width > 1 else set(),
+                hidden=draw(st.sampled_from([1, 3, 8])),
+                vocab=draw(st.sampled_from([2, 7, 24, 60])), dim=draw(st.sampled_from([1, 4])),
+                seed=draw(st.integers(0, 2 ** 32 - 1)))
+
+
+class TestBackwardInWindowBuffer:
+    @settings(max_examples=100, deadline=None)
+    @given(workspace_windows())
+    def test_equals_reference_bit_for_bit(self, case):
+        # |V| 2 lies below every 6H drawn and 60 above, so the buffer is
+        # sized by either; the window runs in views of a workspace whose
+        # whole buffer backward has used once already, and the gradients
+        # land in the FlatParams that window wrote
+        rng = np.random.default_rng(case["seed"])
+        batch, width, vocab = case["batch"], case["width"], case["vocab"]
+        model = LstmLm.init(vocab, case["dim"], case["hidden"], rng)
+        workspace = ForwardCache.window(
+            model, _random_state(rng, batch, case["hidden"]),
+            rng.integers(0, vocab, size=(case["ws_width"], batch)))
+        forward_segment(model, workspace, 0, case["ws_width"])
+        grads = backward(model, workspace, rng.integers(0, vocab, size=(batch, case["ws_width"])))
+
+        state = _random_state(rng, batch, case["hidden"])
+        ids = rng.integers(0, vocab, size=(width, batch))
+        targets = rng.integers(0, vocab, size=(batch, width))
+        cache = ForwardCache.window(model, state, ids, workspace=workspace)
+        starts = [0] + sorted(case["cuts"])
+        for lo, hi in zip(starts, starts[1:] + [width]):
+            forward_segment(model, cache, lo, hi)
+        assert np.shares_memory(cache.log_probs, workspace.buffer)
+        ref, ref_input_grads = reference_backward(model, cache, targets)
+        assert backward(model, cache, targets, out=grads) is grads
+        for key in model.params:
+            assert grads[key].tobytes() == ref[key].tobytes(), key
+        assert cache.input_grads.tobytes() == ref_input_grads.tobytes()
+
+        # the GSNS straight-through read comes after backward, so the input
+        # gradients must not live in the buffer backward reused
+        assert not np.shares_memory(cache.input_grads, workspace.buffer)
+        swapped = sorted(rng.choice(width, size=rng.integers(1, width + 1), replace=False))
+        words = ids[swapped].reshape(-1)
+        embed_rows = model.params["embed"][words][:, None, :]
+        slot = embed_rows @ cache.input_grads[swapped].reshape(-1, model.dim, 1)
+        ref_slot = embed_rows @ ref_input_grads[swapped].reshape(-1, model.dim, 1)
+        assert slot.tobytes() == ref_slot.tobytes()
+
+    def test_memory_backward_and_sgd_step(self):
+        # desk shape, the gradient buffer reused on a second window: the
+        # reverse recurrence runs in the consumed log-probs, so backward's
+        # peak is its (T*B, H) products and W_h^T, about 1.3 MB where
+        # per-window gate factors took about 8.7 MB; sgd_step's is one
+        # key's squares, 2.05 MB (W_out), where a parameter-sized scratch
+        # and a finiteness mask took about 4.9 MB
+        rng = np.random.default_rng(9)
+        model = LstmLm.init(2000, 64, 128, rng)
+        ids = rng.integers(0, 2000, size=(16, 35))
+        targets = rng.integers(0, 2000, size=(16, 35))
+        grads = backward(model, forward_cached(model, ids), targets)
+        cache = forward_cached(model, ids)
+        tracemalloc.start()
+        try:
+            backward(model, cache, targets, out=grads)
+            backward_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            sgd_step(model, grads, lr=0.5, clip=5.0)
+            sgd_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert backward_peak < 2e6
+        largest_key = max(view.nbytes for view in grads.values())
+        assert sgd_peak < largest_key + 64 * 1024
+
+
 class TestSgdStep:
     def test_zero_grads_noop(self, rng):
         model = _small_model(rng)
@@ -342,13 +425,57 @@ class TestSgdStep:
 
     def test_momentum_accumulates(self):
         model = LstmLm.zeros(2, 1, 1)
-        grads = model.params.like()
-        grads["b_out"][:] = 1.0
         velocity = model.params.like()
-        sgd_step(model, grads, lr=1.0, clip=0.0, momentum=0.5, velocity=velocity)
-        sgd_step(model, grads, lr=1.0, clip=0.0, momentum=0.5, velocity=velocity)
+        for _ in range(2):  # sgd_step consumes its grads, so each step gets fresh ones
+            grads = model.params.like()
+            grads["b_out"][:] = 1.0
+            sgd_step(model, grads, lr=1.0, clip=0.0, momentum=0.5, velocity=velocity)
         # steps: v=1 then v=1.5 -> total displacement 2.5
         np.testing.assert_allclose(model.params["b_out"], -2.5)
+
+    def test_momentum_needs_velocity(self, rng):
+        model = _small_model(rng)
+        with pytest.raises(ValueError, match="velocity"):
+            sgd_step(model, model.params.like(), lr=0.1, clip=1.0, momentum=0.5)
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.3])
+    def test_overflowing_squares_scale_to_zero(self, rng, momentum):
+        # finite gradients whose squares overflow: the norm is infinite, so
+        # the clip scale is 0 and only the momentum term moves, with no error
+        model = _small_model(rng)
+        ref = LstmLm.zeros(model.vocab_size, model.dim, model.hidden)
+        ref.params.flat[:] = model.params.flat
+        before = model.params.flat.copy()
+        velocity, ref_velocity = model.params.like(), model.params.like()
+        velocity.flat[:] = ref_velocity.flat[:] = rng.normal(size=velocity.flat.size)
+        grads = model.params.like()
+        grads.flat[:] = rng.normal(size=grads.flat.size)
+        grads["W_out"][0, 0] = 1e200
+        per_key = {k: v.copy() for k, v in grads.items()}
+        with np.errstate(over="ignore"):
+            assert np.isfinite(grads.flat).all() and sum_of_squares_norm(grads) == np.inf
+            sgd_step(model, grads, 0.7, 5.0, momentum, velocity)
+            per_key_sgd_step(ref, per_key, 0.7, 5.0, momentum, ref_velocity)
+        assert model.params.flat.tobytes() == ref.params.flat.tobytes()
+        assert velocity.flat.tobytes() == ref_velocity.flat.tobytes()
+        if not momentum:
+            assert model.params.flat.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("clip", [0.0, 5.0])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_aborts_at_any_clip(self, rng, clip, bad):
+        # the scan runs when the norm is not taken (clip 0) or not finite
+        model = _small_model(rng)
+        before = model.params.flat.copy()
+        velocity = model.params.like()
+        grads = model.params.like()
+        grads.flat[:] = rng.normal(size=grads.flat.size)
+        grads["lstm2_Wh"][1, 2] = bad
+        grads["W_out"][0, 0] = bad
+        with pytest.raises(ValueError, match="'lstm2_Wh'"):
+            sgd_step(model, grads, lr=0.1, clip=clip, momentum=0.3, velocity=velocity)
+        assert model.params.flat.tobytes() == before.tobytes()
+        assert not velocity.flat.any()
 
     def test_lr_positive(self, rng):
         model = _small_model(rng)
