@@ -11,7 +11,6 @@ previous file intact.
 """
 
 import contextlib
-import io
 import os
 import zipfile
 
@@ -40,13 +39,15 @@ def replacing(path, mode="wb", **open_kwargs):
 
 
 def save_arrays(path, **arrays) -> None:
-    """Write named arrays to `path` as a zip of .npy members, byte-stably."""
+    """Write named arrays to `path` as a zip of .npy members, byte-stably.
+    Each member is streamed in, with zip64 headers where writestr would
+    use them, so no serialized copy of it is held."""
     with replacing(path) as fh, zipfile.ZipFile(fh, "w", compression=zipfile.ZIP_STORED) as zf:
         for name in sorted(arrays):
-            buf = io.BytesIO()
-            np.lib.format.write_array(buf, np.asarray(arrays[name]))
+            array = np.asarray(arrays[name])
             info = zipfile.ZipInfo(name + ".npy", date_time=_EPOCH)
-            zf.writestr(info, buf.getvalue())
+            with zf.open(info, "w", force_zip64=array.nbytes * 1.05 > zipfile.ZIP64_LIMIT) as zm:
+                np.lib.format.write_array(zm, array)
 
 
 def _read_header(fh):

@@ -2,7 +2,7 @@
 
     nnrslab index    --corpus C --embeddings E --out-dir D [--k K] [--tau T]
     nnrslab train    --config F [--resume CKPT] [--stop-after N] [--trace]
-    nnrslab trace    --config F        (train with the decision trace on)
+    nnrslab trace    ...               (an alias of train --trace)
     nnrslab eval     --checkpoint CKPT --out R.csv [--metrics bleu,wmd,ppl]
     nnrslab schedule --kind linear --start 0 --end 0.5 --epochs 40 --out S.csv
     nnrslab kl-diag  --p P.csv --q Q.csv --eps 0.5 --gamma 0.5 --out D.csv
@@ -195,18 +195,19 @@ def _read_manifest(path):
     return manifest
 
 
-def _run_training_command(args, trace: bool) -> int:
+def cmd_train(args) -> int:
+    """`train`, or its alias `trace`, which turns the decision trace on."""
     cfg = _checked(parse_config_file, args.config)
     if not cfg.out_dir:
         raise UsageError("config must set out_dir")
-    stop_after, resume = getattr(args, "stop_after", None), getattr(args, "resume", None)
+    trace = args.trace or args.command == "trace"
+    stop_after, resume = args.stop_after, args.resume
     _checked(check_stop_after, stop_after, cfg.epochs)  # before the lock and the manifest
     os.makedirs(cfg.out_dir, exist_ok=True)
 
     with _DirLock(cfg.out_dir):
-        command = "trace" if trace else "train"
         segment = {
-            "command": command,
+            "command": args.command,  # as typed: train or trace
             "created_unix": time.time(),
             "stop_after": stop_after,
             "resume_from": resume,
@@ -220,7 +221,7 @@ def _run_training_command(args, trace: bool) -> int:
                 if extra:
                     inputs[extra] = _checked(_sha256, extra)
             manifest = {
-                "command": command,
+                "command": args.command,
                 "version": __version__,
                 "created_unix": segment["created_unix"],
                 "seed": cfg.seed,
@@ -250,14 +251,6 @@ def _run_training_command(args, trace: bool) -> int:
     print("trained %d epoch(s), final val perplexity %.4f -> %s"
           % (last.epoch, last.val_loss, cfg.out_dir))
     return 0
-
-
-def cmd_train(args) -> int:
-    return _run_training_command(args, trace=bool(args.trace))
-
-
-def cmd_trace(args) -> int:
-    return _run_training_command(args, trace=True)
 
 
 _METRIC_NAMES = {
@@ -359,17 +352,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-count", type=int, default=1)
     p.set_defaults(func=cmd_index)
 
-    p = sub.add_parser("train", help="run a training config")
+    p = sub.add_parser("train", aliases=["trace"],
+                       help="run a training config (trace: with --trace on)")
     p.add_argument("--config", required=True)
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
     p.add_argument("--stop-after", type=int, default=None)
     p.add_argument("--trace", action="store_true", help="also write decisions.csv")
     p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("trace", help="train with the per-token decision trace enabled")
-    p.add_argument("--config", required=True)
-    p.add_argument("--stop-after", type=int, default=None)
-    p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("eval", help="score a checkpoint")
     p.add_argument("--checkpoint", required=True)

@@ -29,7 +29,8 @@ import numpy as np
 
 from .arrayio import replacing
 from .embeddings import EmbeddingMatrix
-from .model import ForwardCache, _token_ids, block_rows, forward_segment
+from .model import (ForwardCache, _token_ids, block_rows, forward_segment,
+                    greedy_or_sample_predict)
 from .trainer import validate
 
 _BLEU_EPS = 1e-9  # numerator floor for zero n-gram matches
@@ -324,11 +325,11 @@ def reports_from_csv(path):
 def _greedy_continuations(model, inputs: np.ndarray, prefix_len: int) -> np.ndarray:
     """Teacher-force a prefix, then greedy-decode to the window end.
 
-    Returns the (B, width - prefix_len + 1) token ids: the argmax of the
-    log-probs after the prefix's last position, then after each decoded
-    token. Every step runs through one reused one-step cache, whose state
-    rows are copied forward between steps; steps before the prefix's last
-    skip the output layer.
+    Returns the (B, width - prefix_len + 1) token ids: the greedy choice
+    (greedy_or_sample_predict) after the prefix's last position, then
+    after each decoded token. Every step runs through one reused one-step
+    cache, whose state rows are copied forward between steps; steps
+    before the prefix's last skip the output layer.
     """
     inputs = _token_ids(model, inputs)  # the steps below copy ids in unchecked
     batch, width = inputs.shape
@@ -342,7 +343,7 @@ def _greedy_continuations(model, inputs: np.ndarray, prefix_len: int) -> np.ndar
         decoding = t >= prefix_len - 1
         forward_segment(model, cache, 0, 1, output=decoding)
         if decoding:
-            out[:, t - prefix_len + 1] = cache.log_probs[0].argmax(axis=1)
+            out[:, t - prefix_len + 1] = greedy_or_sample_predict(cache.log_probs[0])
     return out
 
 

@@ -26,11 +26,12 @@ over the span's (T*B, .) rows stacked in (t, b) order, the recurrence
 per step (_cell), then the output layer (_output_layer: one output
 projection and log-softmax) over all the span's rows. Training cuts
 each BPTT window before every scheduled-sampling step, whose input is
-the model's own prediction from the step before. The results land in a
-ForwardCache of (T, B, .) arrays. A training run keeps one such cache as
-its window workspace: ForwardCache.window(..., workspace=) gives each
-later window leading-axis views of its arrays, so a window allocates no
-new (T, B, |V|) array.
+the model's own prediction from the step before (greedy_or_sample_predict,
+which greedy decoding calls too). The results land in a ForwardCache of
+(T, B, .) arrays. A training run keeps one such cache as its window
+workspace: ForwardCache.window(..., workspace=) gives each later window
+leading-axis views of its arrays, so a window allocates no new
+(T, B, |V|) array.
 
 The log-softmax's exp temporary spans at most block_rows(model) rows
 (about _ROW_BUDGET elements). A training cache's log-probs are the
@@ -74,7 +75,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .neighbors import categorical_draw
+from .neighbors import categorical_draws
 
 _ROW_BUDGET = 1 << 17  # elements of one output-layer block, (rows, |V|)
 
@@ -584,15 +585,13 @@ def cosine_lr(base_lr: float, epoch: int, total: int) -> float:
     return float(base_lr * (1.0 + np.cos(np.pi * epoch / total)) / 2.0)
 
 
-def greedy_or_sample_predict(distribution, sample: bool = False,
-                             rng: np.random.Generator = None) -> int:
-    """Next-token choice from one distribution: argmax (ties to the
-    smaller id) or a categorical draw when sample=True."""
-    dist = np.asarray(distribution, dtype=np.float64)
-    if dist.ndim != 1 or dist.size == 0:
-        raise ValueError("distribution must be a 1-D vector")
+def greedy_or_sample_predict(log_probs: np.ndarray, sample: bool = False,
+                             rng: np.random.Generator = None) -> np.ndarray:
+    """The model's next token for each (N, |V|) log-prob row, as (N,) int64
+    ids: the argmax (ties to the smaller id), or with sample=True one
+    categorical draw per row from exp(log_probs)."""
     if not sample:
-        return int(np.argmax(dist))
+        return log_probs.argmax(axis=1).astype(np.int64)
     if rng is None:
         raise ValueError("rng is required for sampling mode")
-    return categorical_draw(dist, rng)
+    return categorical_draws(np.exp(log_probs), rng)

@@ -51,6 +51,12 @@ _FINITE_MIN = -np.finfo(np.float64).max
 _CSV_CHUNK_ROWS = 1 << 13
 
 
+def check_tau(tau: float) -> None:
+    """Refuse a temperature outside [TAU_MIN, TAU_MAX]."""
+    if not TAU_MIN <= tau <= TAU_MAX:
+        raise ValueError("tau must be in [%g, %g], got %g" % (TAU_MIN, TAU_MAX, tau))
+
+
 def clamp_tau(tau: float) -> float:
     return min(max(float(tau), TAU_MIN), TAU_MAX)
 
@@ -136,8 +142,7 @@ def build_neighbor_table(emb: EmbeddingMatrix, k: int, tau: float = 1.0) -> Neig
         raise ValueError(
             "k must satisfy 1 <= k < number of valid rows (%d), got %d" % (m, k)
         )
-    if not TAU_MIN <= tau <= TAU_MAX:
-        raise ValueError("tau must be in [%g, %g], got %g" % (TAU_MIN, TAU_MAX, tau))
+    check_tau(tau)
 
     unit = emb.vectors[valid] / emb.norms[valid, None]
     ids = np.tile(np.arange(n, dtype=np.int64)[:, None], (1, k))
@@ -182,8 +187,7 @@ def build_neighbor_table(emb: EmbeddingMatrix, k: int, tau: float = 1.0) -> Neig
 
 def renormalize(table: NeighborTable, tau: float) -> NeighborTable:
     """New table whose probs are softmax(sims / tau); ids/sims shared."""
-    if not TAU_MIN <= tau <= TAU_MAX:
-        raise ValueError("tau must be in [%g, %g], got %g" % (TAU_MIN, TAU_MAX, tau))
+    check_tau(tau)
     return replace(table, probs=_softmax_rows(table.sims / tau), tau=float(tau))
 
 

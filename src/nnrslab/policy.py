@@ -4,7 +4,8 @@ Two independent rates drive the decision. epsilon is the probability
 the model's own previous prediction replaces the teacher token
 (scheduled sampling); gamma is the probability a tabled neighbor of
 the teacher token replaces it. When both fire on the same draw, a fair
-coin picks between them.
+coin picks between them. MODES is the one table of which rate each
+mode takes and which replacement table it draws from.
 
 The temperature controller reacts to validation loss: no improvement
 raises tau (flatter neighbor sampling, more exploration), improvement
@@ -24,9 +25,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .neighbors import TAU_MAX, TAU_MIN, sample_neighbor
+from .neighbors import check_tau, clamp_tau, sample_neighbor
 
-MODES = ("MLE", "SS", "NNRS", "TPRS", "SS_NNRS", "GSNS")
+# mode -> (takes epsilon, replacement table kind): a mode takes gamma
+# exactly when it has a table
+MODES = {
+    "MLE": (False, None),
+    "SS": (True, None),
+    "NNRS": (False, "neighbor"),
+    "TPRS": (False, "transition"),
+    "SS_NNRS": (True, "neighbor"),
+    "GSNS": (False, "neighbor"),
+}
 
 GUMBEL_TAU = 0.5
 _EPS = 1e-20  # keeps both logs in -log(-log u) away from 0
@@ -49,17 +59,18 @@ class TokenDecision:
 
 
 def check_mode_rates(mode: str, epsilon_on: bool, gamma_on: bool) -> None:
-    """The one mode/rate rule: MLE takes neither rate, SS no gamma, NNRS,
-    TPRS and GSNS no epsilon, SS_NNRS both. Unknown modes are refused.
+    """The one mode/rate rule, from MODES: MLE takes neither rate, SS no
+    gamma, NNRS, TPRS and GSNS no epsilon, SS_NNRS both. Unknown modes are refused.
 
     epsilon_on / gamma_on say whether the SS / NNRS rate is nonzero: a
     training config passes its schedules, PolicyState its current rates.
     """
     if mode not in MODES:
         raise ValueError("unknown mode %r (expected one of %s)" % (mode, ", ".join(MODES)))
-    if epsilon_on and mode not in ("SS", "SS_NNRS"):
+    takes_epsilon, table_kind = MODES[mode]
+    if epsilon_on and not takes_epsilon:
         raise ValueError("mode %s requires epsilon (the ss rate) = 0" % mode)
-    if gamma_on and mode not in ("NNRS", "TPRS", "SS_NNRS", "GSNS"):
+    if gamma_on and table_kind is None:
         raise ValueError("mode %s requires gamma (the nnrs rate) = 0" % mode)
 
 
@@ -152,10 +163,9 @@ def update_temperature(state: PolicyState, val_loss: float) -> PolicyState:
         raise ValueError("val_loss must be finite and positive, got %r" % (val_loss,))
     delta = abs(state.tau - (2.0 ** state.tau - 1.0))
     if val_loss - state.best_val_loss >= 0.0:
-        state.tau = state.tau + delta
+        state.tau = clamp_tau(state.tau + delta)
     else:
-        state.tau = state.tau - delta
-    state.tau = min(max(state.tau, TAU_MIN), TAU_MAX)
+        state.tau = clamp_tau(state.tau - delta)
     state.best_val_loss = min(state.best_val_loss, val_loss)
     return state
 
@@ -187,8 +197,7 @@ def gumbel_sample(logits: GumbelLogits, word: int, tau: float = GUMBEL_TAU,
     slot actually used forward; softmax((log_alpha + G) / tau) is the
     relaxation the backward pass differentiates (straight-through).
     """
-    if not TAU_MIN <= tau <= TAU_MAX:
-        raise ValueError("tau must be in [%g, %g], got %g" % (TAU_MIN, TAU_MAX, tau))
+    check_tau(tau)
     if rng is None:
         raise ValueError("rng is required")
     scores = _gumbel_scores(logits.log_alpha[word], rng)

@@ -40,21 +40,21 @@ from .model import (
     backward,
     cosine_lr,
     forward_segment,
+    greedy_or_sample_predict,
     loss_from_cache,
     sgd_step,
     target_log_probs,
 )
 from .neighbors import (
-    NeighborTable,
     build_neighbor_table,
     build_transition_table,
-    categorical_draws,
     clamp_tau,
     default_k,
     renormalize,
     sample_neighbors,
 )
 from .policy import (
+    MODES,
     GumbelLogits,
     PolicyState,
     Source,
@@ -401,6 +401,8 @@ def load_checkpoint(path, vocab_hash: str = None) -> dict:
     meta = json.loads(bytes(data["meta"]).decode("utf-8"))
     if meta.get("magic") != CHECKPOINT_MAGIC:
         raise ValueError("%s is not a checkpoint" % path)
+    if "param_" not in flats:
+        raise ValueError("%s holds no model parameters" % path)
     if vocab_hash is not None and meta["vocab_hash"] != vocab_hash:
         raise ValueError(
             "checkpoint vocabulary hash %s does not match current vocabulary %s"
@@ -460,14 +462,6 @@ class _Trace:
         self._fh.close()
 
 
-def _feedback(log_probs, sample: bool, rng) -> np.ndarray:
-    """SS inputs from the previous step's (B, |V|) log-probs: the argmax
-    per row (ties to the smaller id), or one categorical draw per row."""
-    if not sample:
-        return log_probs.argmax(axis=1).astype(np.int64)  # exp is monotone
-    return categorical_draws(np.exp(log_probs), rng)
-
-
 @dataclass
 class _Workspace:
     """What every training window of a run reuses: the first window's
@@ -515,7 +509,7 @@ def _train_epoch(model, state, cfg, table, gumbel, train_batches, lr,
         for lo, hi in zip(starts, starts[1:] + [width]):
             if sources[lo] == Source.PREDICTION:
                 prev = cache.log_probs[lo - 1] if lo else prev_log_probs
-                ids[lo] = _feedback(prev, cfg.predict_sample, state.rng)
+                ids[lo] = greedy_or_sample_predict(prev, cfg.predict_sample, state.rng)
             for t in range(lo, hi):
                 if sources[t] != Source.NEIGHBOR:
                     continue
@@ -564,10 +558,11 @@ def run_training(config: TrainConfig, stop_after: int = None,
     at cosine_lr(base_lr, i - 1, epochs) (the first epoch trains at
     base_lr). A scheduled-sampling position at the very first step of
     an epoch falls back to the teacher token since no prediction
-    exists yet. Neighbor tables are (re)built at the clamped
-    temperature; TPRS tables are static, so only NNRS-family modes run
-    the temperature controller. A ValueError inside an epoch, such as
-    a non-finite gradient, is re-raised as DivergenceError carrying the
+    exists yet. policy.MODES gives each mode's table: neighbor tables
+    are (re)built at the clamped temperature and follow the controller
+    (GSNS: its Gumbel logits), transition tables are static. A resume
+    past stop_after is refused. A ValueError inside an epoch, such as a
+    non-finite gradient, is re-raised as DivergenceError carrying the
     records of the epochs before it.
     The run directory and `trace` are described in the module docstring.
     """
@@ -582,13 +577,11 @@ def run_training(config: TrainConfig, stop_after: int = None,
     n_vocab = len(vocab)
     vocab_hash = vocab.content_hash()
 
-    table = None
-    gumbel = None
-    if cfg.mode in ("NNRS", "SS_NNRS", "GSNS"):
-        k = cfg.k or default_k(n_vocab)
+    table = gumbel = None
+    table_kind, k = MODES[cfg.mode][1], cfg.k or default_k(n_vocab)
+    if table_kind == "neighbor":
         table = build_neighbor_table(emb, k, tau=clamp_tau(cfg.tau_init))
-    elif cfg.mode == "TPRS":
-        k = cfg.k or default_k(n_vocab)
+    elif table_kind == "transition":
         table = build_transition_table(train_ids, vocab, k)
     if cfg.mode == "GSNS":
         gumbel = GumbelLogits.from_table(table, beta=cfg.gumbel_beta)
@@ -621,11 +614,14 @@ def run_training(config: TrainConfig, stop_after: int = None,
         if ck["gumbel_log_alpha"] is not None:
             gumbel = GumbelLogits(ck["gumbel_log_alpha"], beta=cfg.gumbel_beta)
         del ck  # its parameters are in the model's now
-        if isinstance(table, NeighborTable):
+        if table_kind == "neighbor":
             table = renormalize(table, clamp_tau(state.tau))
         start_epoch = last.epoch + 1
         if start_epoch > cfg.epochs:
             raise ValueError("checkpoint already holds all %d epochs" % cfg.epochs)
+        if stop_after is not None and stop_after < start_epoch:
+            raise ValueError("stop_after %d is before the checkpoint's next epoch, %d"
+                             % (stop_after, start_epoch))
 
     train_batches = make_batches(train_ids, cfg.batch_size, cfg.bptt_len)
     val_batches = make_batches(val_ids, 1, cfg.bptt_len)
@@ -648,14 +644,12 @@ def run_training(config: TrainConfig, stop_after: int = None,
                 )
                 val_ppl = validate(model, val_batches)
 
-                if cfg.mode == "GSNS":
+                if gumbel is not None:
                     gumbel = gumbel_update(gumbel, gsns_grad, gsns_rows)
-                    state.best_val_loss = min(state.best_val_loss, val_ppl)
-                elif cfg.mode in ("NNRS", "SS_NNRS"):
+                elif table_kind == "neighbor":
                     update_temperature(state, val_ppl)
                     table = renormalize(table, state.tau)
-                else:
-                    state.best_val_loss = min(state.best_val_loss, val_ppl)
+                state.best_val_loss = min(state.best_val_loss, val_ppl)
             except ValueError as exc:  # e.g. sgd_step refusing a non-finite gradient
                 raise DivergenceError("epoch %d failed: %s" % (epoch, exc), records) from exc
 

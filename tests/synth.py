@@ -1,6 +1,8 @@
 """Synthetic corpora and embeddings shared across the test suite."""
 
 import functools
+import io
+import zipfile
 
 import numpy as np
 
@@ -267,3 +269,15 @@ def assert_views_of_flat(params):
         assert view.ctypes.data == params.flat[lo:].ctypes.data, key
         end = hi
     assert end == params.flat.size and len(params.spans) == len(params)
+
+
+def writestr_save_arrays(path, **arrays) -> None:
+    """Reference archive writer: each member serialized whole in memory,
+    then stored with ZipFile.writestr, at save_arrays's fixed timestamp
+    and member order."""
+    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
+        for name in sorted(arrays):
+            buf = io.BytesIO()
+            np.lib.format.write_array(buf, np.asarray(arrays[name]))
+            zf.writestr(zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0)),
+                        buf.getvalue())

@@ -1,9 +1,12 @@
 """Byte-stable, crash-safe array archives."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from nnrslab.arrayio import load_arrays, save_arrays
+from synth import writestr_save_arrays
 
 
 def test_round_trip_and_byte_stable(tmp_path):
@@ -16,6 +19,41 @@ def test_round_trip_and_byte_stable(tmp_path):
     assert sorted(back) == ["a", "b"]
     np.testing.assert_array_equal(back["b"], arrays["b"])
     assert sorted(p.name for p in tmp_path.iterdir()) == ["one.bin", "two.bin"]
+
+
+def test_streamed_members_equal_writestr_reference(tmp_path):
+    rng = np.random.default_rng(3)
+    arrays = dict(
+        scalar=np.float64(2.5), zero_d=np.array(7, dtype=np.int32),
+        empty=np.zeros((0, 4)), ints=np.arange(12, dtype=np.int64).reshape(3, 4),
+        fortran=np.asfortranarray(rng.normal(size=(5, 3))),
+        strided=rng.normal(size=(6, 4))[::2, 1:],
+        meta=np.frombuffer(b'{"magic": 1}', dtype=np.uint8), wide=rng.normal(size=(300, 1000)),
+    )
+    streamed, reference = tmp_path / "streamed.bin", tmp_path / "reference.bin"
+    save_arrays(streamed, **arrays)
+    writestr_save_arrays(reference, **arrays)
+    assert streamed.read_bytes() == reference.read_bytes()
+    back = load_arrays(streamed)
+    for name, array in arrays.items():
+        assert back[name].dtype == np.asarray(array).dtype
+        np.testing.assert_array_equal(back[name], array)
+    assert np.isfortran(back["fortran"])
+
+
+def test_save_holds_no_serialized_copy(tmp_path):
+    # each member is streamed: the peak is about one member's bytes (the
+    # chunk numpy copies out), not the member plus its serialized copy
+    rng = np.random.default_rng(4)
+    arrays = dict(w=rng.normal(size=(128, 10000)), e=rng.normal(size=(10000, 64)))
+    largest = max(a.nbytes for a in arrays.values())
+    tracemalloc.start()
+    try:
+        save_arrays(tmp_path / "big.bin", **arrays)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * largest
 
 
 def test_failed_save_keeps_old_file(tmp_path, monkeypatch):

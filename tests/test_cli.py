@@ -13,6 +13,7 @@ import pytest
 
 import nnrslab.cli as cli_mod
 import nnrslab.trainer as trainer_mod
+from nnrslab.arrayio import load_arrays, save_arrays
 from nnrslab.cli import main
 from nnrslab.metrics import kl_decomposition, ToyChain
 from nnrslab.neighbors import NeighborTable, TransitionTable, load_table
@@ -302,6 +303,24 @@ class TestTrain:
         assert "exceeded 10x vocabulary size at epoch 2" in diverged["error"]
         assert diverged["resume_from"] == checkpoint and len(segments()) == 3
 
+    def test_resume_past_stop_after_is_refused(self, corpus, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        config = _write_config(tmp_path / "run.cfg", corpus, out_dir)
+        assert main(["train", "--config", config, "--stop-after", "2"]) == 0
+        checkpoint = out_dir / "checkpoint.bin"
+        saved = checkpoint.read_bytes(), (out_dir / "records.csv").read_bytes()
+        capsys.readouterr()
+        assert main(["train", "--config", config, "--resume", str(checkpoint),
+                     "--stop-after", "1"]) == 3
+        captured = capsys.readouterr()
+        assert "stop_after 1 is before the checkpoint's next epoch, 3" in captured.err
+        assert "trained" not in captured.out
+        segment = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))[
+            "segments"][-1]
+        assert segment["exit_status"] == 3 and segment["last_epoch"] is None
+        assert segment["stop_after"] == 1
+        assert (checkpoint.read_bytes(), (out_dir / "records.csv").read_bytes()) == saved
+
     def test_runtime_failure_exit_code(self, corpus, tmp_path, capsys, monkeypatch):
         config = _write_config(tmp_path / "run.cfg", corpus, tmp_path / "run")
         monkeypatch.setattr(cli_mod, "run_training",
@@ -376,6 +395,29 @@ class TestTrace:
         with open(out_dir / "decisions.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert rows and all(r["source"] == "Teacher" for r in rows)
+
+    def test_trace_is_train_with_trace_on(self, corpus, tmp_path, capsys):
+        # the alias takes every train option, --resume included, and the
+        # manifest records the command as typed
+        policy = dict(mode="SS_NNRS", ss_kind="linear", ss_end="0.5", nnrs_kind="static",
+                      nnrs_start="0.2", nnrs_end="0.2")
+        full_dir, part_dir = tmp_path / "full", tmp_path / "part"
+        assert main(["train", "--trace", "--config", _write_config(
+            tmp_path / "full.cfg", corpus, full_dir, **policy)]) == 0
+        part = _write_config(tmp_path / "part.cfg", corpus, part_dir, **policy)
+        assert main(["trace", "--config", part, "--stop-after", "1"]) == 0
+        assert main(["trace", "--config", part, "--resume", str(part_dir / "checkpoint.bin")]) == 0
+        capsys.readouterr()
+        assert ((part_dir / "decisions.csv").read_bytes()
+                == (full_dir / "decisions.csv").read_bytes())
+        assert_same_checkpoint(part_dir / "checkpoint.bin", full_dir / "checkpoint.bin")
+
+        def commands(out_dir):
+            manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+            return [manifest["command"]] + [seg["command"] for seg in manifest["segments"]]
+
+        assert commands(part_dir) == ["trace", "trace", "trace"]
+        assert commands(full_dir) == ["train", "train"]
 
     @_TRACED_POLICIES
     def test_resumed_trace_matches_uninterrupted(self, corpus, tmp_path, capsys, policy):
@@ -476,6 +518,17 @@ class TestEval:
             assert not report.exists()
         assert main(args + ["1"]) == 0
         capsys.readouterr()
+
+    def test_checkpoint_without_parameters_is_usage_error(self, corpus, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        config = _write_config(tmp_path / "run.cfg", corpus, out_dir, epochs=1)
+        assert main(["train", "--config", config]) == 0
+        meta_only = tmp_path / "meta_only.bin"
+        save_arrays(meta_only, meta=load_arrays(out_dir / "checkpoint.bin")["meta"])
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(meta_only), "--out",
+                     str(tmp_path / "r.csv")]) == 2
+        assert "holds no model parameters" in capsys.readouterr().err
 
     def test_missing_checkpoint_is_usage_error(self, tmp_path, capsys):
         code = main(["eval", "--checkpoint", str(tmp_path / "nope.bin"),

@@ -2,10 +2,10 @@
 
 The training loop draws all B rows of a Neighbor step at once
 (sample_neighbors, gumbel_slots) and all B scheduled-sampling rows of a
-Prediction step at once (trainer._feedback). Each must return what a
-loop over the one-row functions returns, and leave the generator where
-that loop leaves it, so the policy stream, decisions.csv and resumed
-runs do not depend on which form ran.
+Prediction step at once (model.greedy_or_sample_predict over (B, |V|)
+log-probs). Each must return what a loop over one-row calls returns, and
+leave the generator where that loop leaves it, so the policy stream,
+decisions.csv and resumed runs do not depend on which form ran.
 """
 
 from dataclasses import replace
@@ -14,7 +14,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import nnrslab.trainer as trainer_mod
 from nnrslab.model import greedy_or_sample_predict
 from nnrslab.neighbors import (
     NeighborTable,
@@ -99,9 +98,14 @@ class TestBatchedEqualsPerRow:
         probs[:, case["n"] // 2] = 0.0  # a zero-probability column
         probs /= probs.sum(axis=1, keepdims=True)
         log_probs = np.log(np.maximum(probs, 1e-300))
-        got, want = _same_draws(lambda g: trainer_mod._feedback(log_probs, True, g),
-                                lambda g, r: greedy_or_sample_predict(np.exp(log_probs[r]),
-                                                                      sample=True, rng=g),
+        got, want = _same_draws(lambda g: greedy_or_sample_predict(log_probs, True, g),
+                                lambda g, r: int(greedy_or_sample_predict(log_probs[r:r + 1],
+                                                                          True, g)[0]),
+                                case["seed"])
+        assert got == want
+        # and the rule itself: the one-row draw on each row's probabilities
+        got, want = _same_draws(lambda g: greedy_or_sample_predict(log_probs, True, g),
+                                lambda g, r: categorical_draw(np.exp(log_probs[r]), g),
                                 case["seed"])
         assert got == want
         got, want = _same_draws(lambda g: categorical_draws(probs, g),

@@ -54,3 +54,25 @@ def test_benchmark_trace_targets_resolve():
         str(ROOT / "benchmarks" / "child.py"),
     )
     assert missing == []
+
+
+
+def test_benchmark_tracer_installs_every_target():
+    # the benchmark's traced runs call Tracer.install, which getattr()s each
+    # target (a deleted name fails there) and wraps it at its callers' lookup
+    # names: the one feedback-and-decode rule must be wrapped where training
+    # and the decoder look it up
+    holders = _fresh_json(
+        "import importlib.util, json, sys\n"
+        "spec = importlib.util.spec_from_file_location('bench_child', sys.argv[1])\n"
+        "child = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(child)\n"
+        "import nnrslab.cli, nnrslab.model\n"
+        "orig = nnrslab.model.greedy_or_sample_predict\n"
+        "child.Tracer().install()\n"
+        "print(json.dumps(sorted(n for n, m in sys.modules.items() if n.startswith('nnrslab.')\n"
+        "                        and getattr(getattr(m, 'greedy_or_sample_predict', None),\n"
+        "                                    '__wrapped__', None) is orig)))\n",
+        str(ROOT / "benchmarks" / "child.py"),
+    )
+    assert {"nnrslab.metrics", "nnrslab.trainer"} <= set(holders)

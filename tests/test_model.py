@@ -224,12 +224,12 @@ class TestBackward:
 def _segmented(model, ids, state, cuts, feed=False):
     """The training forward: one forward_segment call per run of steps
     between cuts. With feed, a cut step's ids are first set to the
-    argmax of the previous step's log-probs, as greedy SS feedback does."""
+    greedy choice from the previous step's log-probs, as SS feedback does."""
     cache = ForwardCache.window(model, state, ids=ids)
     starts = [0] + sorted(cuts)
     for lo, hi in zip(starts, starts[1:] + [ids.shape[0]]):
         if feed and lo:
-            cache.ids[lo] = cache.log_probs[lo - 1].argmax(axis=1)
+            cache.ids[lo] = greedy_or_sample_predict(cache.log_probs[lo - 1])
         forward_segment(model, cache, lo, hi)
     return cache
 
@@ -536,24 +536,54 @@ class TestCosineLr:
 
 
 class TestPredict:
+    """greedy_or_sample_predict, the one rule for the token the model picks:
+    fed back at a Prediction step and emitted by the greedy decoder."""
+
     def test_one_hot_both_modes(self, rng):
-        dist = np.zeros(5)
-        dist[3] = 1.0
-        assert greedy_or_sample_predict(dist) == 3
-        assert greedy_or_sample_predict(dist, sample=True, rng=rng) == 3
+        log_probs = np.full((1, 5), -np.inf)
+        log_probs[0, 3] = 0.0
+        for sample in (False, True):
+            got = greedy_or_sample_predict(log_probs, sample=sample, rng=rng)
+            np.testing.assert_array_equal(got, [3])
+            assert got.dtype == np.int64
 
     def test_uniform_tie_rule(self):
-        assert greedy_or_sample_predict(np.full(4, 0.25)) == 0
+        got = greedy_or_sample_predict(np.log(np.full((2, 4), 0.25)))
+        np.testing.assert_array_equal(got, [0, 0])
 
     def test_sampling_frequencies(self, rng):
-        dist = np.array([0.7, 0.3])
-        draws = np.array([greedy_or_sample_predict(dist, sample=True, rng=rng)
-                          for _ in range(100_000)])
+        log_probs = np.log(np.tile([0.7, 0.3], (100_000, 1)))
+        draws = greedy_or_sample_predict(log_probs, sample=True, rng=rng)
         assert abs(np.mean(draws == 0) - 0.7) < 0.01
 
     def test_sampling_needs_rng(self):
         with pytest.raises(ValueError):
-            greedy_or_sample_predict(np.array([1.0]), sample=True)
+            greedy_or_sample_predict(np.zeros((1, 1)), sample=True)
+
+    def test_greedy_matches_argmax_of_probs(self, rng):
+        model = LstmLm.init(50, 4, 6, rng)
+        log_probs, _, _ = step(model, rng.integers(0, 50, size=64), model.zero_state(64))
+        got = greedy_or_sample_predict(log_probs)
+        np.testing.assert_array_equal(got, np.exp(log_probs).argmax(axis=1))
+        assert got.dtype == np.int64
+
+    def test_greedy_ties_pick_lower_id(self):
+        log_probs = np.log(np.array([
+            [0.1, 0.4, 0.1, 0.4],
+            [0.25, 0.25, 0.25, 0.25],
+            [0.1, 0.1, 0.4, 0.4],
+        ]))
+        got = greedy_or_sample_predict(log_probs)
+        np.testing.assert_array_equal(got, [1, 0, 2])
+        np.testing.assert_array_equal(got, np.exp(log_probs).argmax(axis=1))
+        zero = LstmLm.zeros(9, 2, 3)
+        uniform, _, _ = step(zero, np.arange(4), zero.zero_state(4))
+        np.testing.assert_array_equal(greedy_or_sample_predict(uniform), 0)
+
+    def test_sampling_draws_from_probs(self):
+        log_probs = np.log(np.array([[1e-12, 1.0, 1e-12], [1e-12, 1e-12, 1.0]]))
+        got = greedy_or_sample_predict(log_probs, True, np.random.default_rng(0))
+        np.testing.assert_array_equal(got, [1, 2])
 
 
 class TestOverfitSanity:

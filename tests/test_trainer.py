@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import nnrslab.model as model_mod
 import nnrslab.trainer as trainer_mod
+from nnrslab.arrayio import load_arrays, save_arrays
 from nnrslab.embeddings import EmbeddingMatrix
 from nnrslab.model import (
     ForwardCache,
@@ -392,33 +393,6 @@ class TestValidate:
         assert peak < 4 * budget_bytes  # about 3 MB: two output blocks and the cells
 
 
-class TestFeedback:
-    def test_greedy_matches_argmax_of_probs(self, rng):
-        model = LstmLm.init(50, 4, 6, rng)
-        log_probs, _, _ = step(model, rng.integers(0, 50, size=64), model.zero_state(64))
-        got = trainer_mod._feedback(log_probs, False, None)
-        np.testing.assert_array_equal(got, np.exp(log_probs).argmax(axis=1))
-        assert got.dtype == np.int64
-
-    def test_greedy_ties_pick_lower_id(self):
-        log_probs = np.log(np.array([
-            [0.1, 0.4, 0.1, 0.4],
-            [0.25, 0.25, 0.25, 0.25],
-            [0.1, 0.1, 0.4, 0.4],
-        ]))
-        got = trainer_mod._feedback(log_probs, False, None)
-        np.testing.assert_array_equal(got, [1, 0, 2])
-        np.testing.assert_array_equal(got, np.exp(log_probs).argmax(axis=1))
-        zero = LstmLm.zeros(9, 2, 3)
-        uniform, _, _ = step(zero, np.arange(4), zero.zero_state(4))
-        np.testing.assert_array_equal(trainer_mod._feedback(uniform, False, None), 0)
-
-    def test_sampling_draws_from_probs(self):
-        log_probs = np.log(np.array([[1e-12, 1.0, 1e-12], [1e-12, 1e-12, 1.0]]))
-        got = trainer_mod._feedback(log_probs, True, np.random.default_rng(0))
-        np.testing.assert_array_equal(got, [1, 2])
-
-
 class _Rows:
     """Stands in for the decision trace: keeps every row in memory."""
 
@@ -432,7 +406,8 @@ class _Rows:
 def _stepwise_epoch(model, state, cfg, table, gumbel, batches, lr, trace):
     """Reference epoch, one timestep and one batch row at a time: step
     per timestep, sample_neighbor / gumbel_sample / greedy_or_sample_predict
-    per row, the window's step caches joined for backward."""
+    per row (one log-prob row per call), the window's step caches joined
+    for backward."""
     hidden, prev, total, count = None, None, 0.0, 0
     gsns_grad = np.zeros_like(gumbel.log_alpha) if gumbel is not None else None
     gsns_rows = set()
@@ -450,8 +425,8 @@ def _stepwise_epoch(model, state, cfg, table, gumbel, batches, lr, trace):
             if src == Source.TEACHER:
                 xs = teachers
             elif src == Source.PREDICTION:
-                xs = np.array([greedy_or_sample_predict(row, cfg.predict_sample, state.rng)
-                               for row in np.exp(prev)])
+                xs = np.concatenate([greedy_or_sample_predict(prev[b:b + 1], cfg.predict_sample,
+                                                              state.rng) for b in range(batch)])
             elif gumbel is not None:
                 xs = np.array([table.ids[w, gumbel_sample(gumbel, w, rng=state.rng)[0]]
                                for w in teachers.tolist()])
@@ -744,6 +719,27 @@ class TestCheckpoint:
         run_training(cfg)
         with pytest.raises(ValueError, match="all 2 epochs"):
             run_training(cfg, resume_from=str(tmp_path / "checkpoint.bin"))
+
+    def test_resume_past_stop_after_refused_before_any_epoch(self, cycle_corpus, tmp_path,
+                                                             monkeypatch):
+        cfg = _quick_config(cycle_corpus, epochs=3, out_dir=str(tmp_path))
+        run_training(cfg, stop_after=2)
+        checkpoint = (tmp_path / CHECKPOINT_FILE).read_bytes()
+        monkeypatch.setattr(trainer_mod, "_train_epoch", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(ValueError, match="stop_after 1 is before the checkpoint's next "
+                                             "epoch, 3"):
+            run_training(cfg, stop_after=1, resume_from=str(tmp_path / CHECKPOINT_FILE))
+        assert (tmp_path / CHECKPOINT_FILE).read_bytes() == checkpoint
+
+    def test_archive_without_parameters_refused(self, cycle_corpus, tmp_path):
+        cfg = _quick_config(cycle_corpus, epochs=2, out_dir=str(tmp_path / "run"))
+        run_training(cfg, stop_after=1)
+        path = tmp_path / "meta_only.bin"
+        save_arrays(path, meta=load_arrays(tmp_path / "run" / CHECKPOINT_FILE)["meta"])
+        with pytest.raises(ValueError, match="holds no model parameters"):
+            load_checkpoint(path)
+        with pytest.raises(ValueError, match="holds no model parameters"):
+            run_training(cfg, resume_from=str(path))
 
 
 _RESUME_POLICIES = {
