@@ -23,49 +23,71 @@ straight-through update reads, and scatters it into the embedding rows.
 Every forward path runs forward_segment: layer by layer over a span of
 timesteps whose inputs are all known, one input projection per layer
 over the span's (T*B, .) rows stacked in (t, b) order, the recurrence
-per step (_cell), then the output layer (_output_layer: one output
-projection and log-softmax) over all the span's rows. Training cuts
-each BPTT window before every scheduled-sampling step, whose input is
-the model's own prediction from the step before (greedy_or_sample_predict,
-which greedy decoding calls too). The results land in a ForwardCache of
-(T, B, .) arrays. A training run keeps one such cache as its window
-workspace: ForwardCache.window(..., workspace=) gives each later window
-leading-axis views of its arrays, so a window allocates no new
-(T, B, |V|) array.
+per step (_cell), then, if asked, the output layer (_output_layer: one
+output projection and log-softmax) over all the span's rows. Training
+cuts each BPTT window before every scheduled-sampling step, whose input
+is the model's own prediction from the step before
+(greedy_or_sample_predict over step_log_probs, the output layer of that
+one step; greedy decoding calls greedy_or_sample_predict too). The
+results land in a ForwardCache of (T, B, .) arrays. A training run keeps
+one such cache as its window workspace: ForwardCache.window(...,
+workspace=) gives each later window leading-axis views of its arrays, so
+a window allocates no array of its own size.
 
-The log-softmax's exp temporary spans at most block_rows(model) rows
-(about _ROW_BUDGET elements). A training cache's log-probs are the
-leading (T, B, |V|) view of one flat buffer of T*B*max(|V|, 6H)
-elements, which has three tenants in turn: the log-probs, then the
-softmax gradient, which backward forms in place there (so the loss and
-the SS feedback read the log-probs first), then, once the output layer's
-gradients are taken, the reverse recurrence's gate factors and dz.
-backward writes every gradient into `out`, a FlatParams the caller
-reuses from window to window, and sgd_step consumes those gradients,
-forming the update in place. A training window thus holds one
-(T*B, max(|V|, 6H)) array, its buffer; every other temporary it makes
-is at most (T*B, H), (T*B, d) or one parameter key in size.
+A cache is one of three kinds. A log-probs cache (step, forward_cached,
+the decoder's one-step cache) keeps log_probs (T, B, |V|) as the leading
+view of a buffer of T*B*max(|V|, 6H) elements. A training cache
+(ForwardCache.window(..., output=False, train=True)) keeps every step of
+the cell history but no log-probs, and its buffer holds
+max(min(T*B, _BACKWARD_ROWS + H) * |V|, 6H * T*B) elements. A
+cells-only cache (output=False) keeps only what validation reads; see
+below. The log-softmax's exp temporary spans at most block_rows(model)
+rows (about _ROW_BUDGET elements).
+
+backward runs the output layer itself, from the top-layer states
+cache.h[1], in blocks of _BACKWARD_ROWS rows (one block when the window
+has at most _BACKWARD_ROWS + H rows). Per block, in the cache's buffer:
+the logits and log-softmax, the targets' log-probs (whose mean is the
+window's NLL, left in cache.nll), the softmax gradient formed in place,
+its W_out and b_out terms (a later block adds its W_out term through an
+(H, |V|) temporary that follows the block in the buffer), and the
+block's rows of dL/dh. Once every block is done, the buffer holds the
+reverse recurrence's gate factors and dz. backward writes every
+gradient into `out`, a FlatParams the caller reuses from window to
+window, and sgd_step consumes those gradients, forming the update in
+place. A training window thus holds one buffer, never larger than
+(T*B, max(|V|, 6H)) and at |V| >> H about (_BACKWARD_ROWS + H, |V|);
+every other temporary it makes is at most (T*B, H), (T*B, d), one
+exp block or one parameter key in size. A log-probs cache can be run
+backward too; backward ignores its log-probs and overwrites them.
 
 Eval never holds a (T, B, |V|) array. Validation runs whole windows
 cells-only and scores the top-layer rows with target_log_probs, in
 blocks of at most block_rows(model) rows through one reused buffer. A
-cells-only cache (ForwardCache.window(..., output=False)) keeps every
-step of h, which layer 2 projects and the scoring reads, but only one
-step of gates, tanh(c) and c per layer: each of those is a zero-stride
-view over one buffer along time, so forward_segment runs unchanged and
-every value keeps its bits. backward refuses such a cache. Validation
-runs all its windows in the first window's cache.
+cells-only cache keeps every step of h, which layer 2 projects and the
+scoring reads, but only one step of gates, tanh(c) and c per layer:
+each of those is a zero-stride view over one buffer along time, so
+forward_segment runs unchanged and every value keeps its bits. backward
+refuses such a cache. Validation runs all its windows in the first
+window's cache.
 Greedy decoding (metrics) runs every step, the teacher-forced prefix
 included, through one reused one-step cache. step is the one-step API
 and the reference the window paths are tested against: bit for bit at
 B >= 2, to rounding at B = 1, where numpy sends step's one-row products
 to BLAS's matrix-vector kernel. A row of a product of two or more rows
-has the same bits whatever the row count, so the output blocks never
-hold one row unless there is only one.
+and columns has the same bits whatever the row count, so no output
+product has one row unless there is only one (_row_blocks): backward's
+and target_log_probs's blocks, and step_log_probs at B = 1, run a lone
+row together with the row before it. (OpenBLAS keeps that row rule at
+the shapes the tests draw and at desk shape, not at every shape: at
+H = 1 backward's dL/dh product has one column, and at some widths, such
+as 50 columns over H >= 16, rows from three rows up differ from rows of
+a two-row product.)
 
 backward runs only the recurrence per timestep (layer 2's reverse pass,
-then layer 1's); the output layer, every weight gradient, the input
-gradients and the embedding scatter are one product each per window.
+then layer 1's); the output layer runs per block, and every other
+weight gradient, the input gradients and the embedding scatter are one
+product each per window.
 """
 
 import functools
@@ -78,6 +100,7 @@ import numpy as np
 from .neighbors import categorical_draws
 
 _ROW_BUDGET = 1 << 17  # elements of one output-layer block, (rows, |V|)
+_BACKWARD_ROWS = 128  # rows of one of backward's output-layer blocks
 
 
 class FlatParams(Mapping):
@@ -243,6 +266,16 @@ def _output_layer(model: LstmLm, h: np.ndarray, out: np.ndarray) -> np.ndarray:
     return _log_softmax(_logits(model, h, out), block_rows(model))
 
 
+def _row_blocks(n: int, size: int):
+    """(first, lo, hi) for each block of at most `size` >= 2 rows over n rows:
+    the block's own rows are lo..hi-1 and its product runs over rows
+    first..hi-1, where first is lo - 1 for a one-row tail (numpy sends a
+    one-row product to BLAS's matrix-vector kernel, whose bits differ)."""
+    for lo in range(0, n, size):
+        hi = min(lo + size, n)
+        yield min(lo, max(hi - 2, 0)), lo, hi
+
+
 def target_log_probs(model: LstmLm, top: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """log p(targets[i]) given top-layer rows top (n, H); returns (n,).
 
@@ -251,16 +284,13 @@ def target_log_probs(model: LstmLm, top: np.ndarray, targets: np.ndarray) -> np.
     keeps its targets' max-shifted logits, is exponentiated in place,
     and only those entries get the row's log-sum-exp subtracted. The
     bits equal those of one (n, |V|) output layer: the same ops run on
-    every kept entry, and a one-row tail block is run together with the
-    row before it.
+    every kept entry, and the blocks are _row_blocks'.
     """
     n = top.shape[0]
     size = block_rows(model)
     buf = np.empty((min(size, n), model.vocab_size))
     picked = np.empty(n)
-    for lo in range(0, n, size):
-        hi = min(lo + size, n)
-        first = min(lo, max(hi - 2, 0))
+    for first, lo, hi in _row_blocks(n, size):
         block = _logits(model, top[first:hi], buf[:hi - first])
         block -= block.max(axis=1, keepdims=True)
         picked[lo:hi] = block[np.arange(lo - first, hi - first), targets[lo:hi]]
@@ -269,10 +299,21 @@ def target_log_probs(model: LstmLm, top: np.ndarray, targets: np.ndarray) -> np.
     return picked
 
 
-def _window_buffer_size(t_len: int, batch: int, vocab: int, hidden: int) -> int:
-    """Elements of a training window's buffer: its log-probs or the
-    reverse recurrence's 6H per row, whichever is larger."""
-    return t_len * batch * max(vocab, 6 * hidden)
+def _backward_block(rows: int, hidden: int) -> int:
+    """Rows of one of backward's output blocks over a window of `rows`
+    rows: _BACKWARD_ROWS, or all of them when they take no more room
+    than a block and its (H, |V|) accumulation temporary."""
+    return rows if rows <= _BACKWARD_ROWS + hidden else _BACKWARD_ROWS
+
+
+def _window_buffer_size(t_len: int, batch: int, vocab: int, hidden: int,
+                        log_probs: bool = True) -> int:
+    """Elements of a window's buffer: the reverse recurrence's 6H per
+    row, or, if larger, the log-probs (log_probs=True) or else one of
+    backward's output blocks and the accumulation temporary after it."""
+    rows = t_len * batch
+    output = rows if log_probs else min(rows, _BACKWARD_ROWS + hidden)
+    return max(output * vocab, 6 * hidden * rows)
 
 
 class ForwardCache:
@@ -282,18 +323,19 @@ class ForwardCache:
     layer (index 0 and 1): gates (T, 4, B, H) the activated [i, f, g, o]
     blocks, tc (T, B, H) tanh of the cell state, and h and c
     (T + 1, B, H) with row 0 the initial state. buffer is one flat
-    array of T * B * max(|V|, 6H) elements and log_probs (T, B, |V|) its
-    leading view. Its tenants in turn: the log-probs, then the softmax
-    gradient (backward overwrites the log-probs with it), then, once the
-    output layer's gradients are taken, backward's reverse-recurrence
-    scratch (dz, dc/dh and one temporary, 6H per row). final_state is the
-    state after the last step run; input_grads (T, B, d) is filled by
-    backward and lives outside the buffer.
+    array (_window_buffer_size); in a log-probs cache log_probs
+    (T, B, |V|) is its leading view. backward runs in the buffer: first
+    its output-layer blocks, then the reverse recurrence's scratch (dz,
+    dc/dh and one temporary, 6H per row). final_state is the state after
+    the last step run; backward leaves the window's mean NLL in nll and
+    the input gradients in input_grads (T, B, d), which lives outside
+    the buffer.
 
-    A cells-only cache has buffer and log_probs None, and its gates, tc
-    and c are zero-stride along time: every step's row is one buffer,
-    holding the last step run. Its h keeps every step. backward refuses
-    it.
+    A training cache has log_probs None and a buffer sized for backward
+    alone. A cells-only cache has buffer and log_probs None, and its
+    gates, tc and c are zero-stride along time: every step's row is one
+    buffer, holding the last step run. Its h keeps every step. backward
+    refuses it.
 
     ForwardCache(steps, final_state, batch_size) joins consecutive caches
     returned by `step` into one window cache.
@@ -316,15 +358,17 @@ class ForwardCache:
         np.concatenate([s.log_probs for s in steps], out=self.log_probs)
         self.final_state = final_state
         self.batch_size = batch_size
+        self.nll = None
         self.input_grads = None
 
     @classmethod
     def window(cls, model: LstmLm, state, ids, output: bool = True,
-               workspace: "ForwardCache" = None) -> "ForwardCache":
+               workspace: "ForwardCache" = None, train: bool = False) -> "ForwardCache":
         """Cache for token ids (T, B), with `state` copied into row 0;
-        nothing is run yet. Copies the ids. With output=False it is
-        cells-only: no buffer or log_probs, one step of gates, tc and c,
-        and only cells-only segments run in it.
+        nothing is run yet. Copies the ids. With output=False it has no
+        log_probs and only segments without output run in it; it is a
+        training cache with train=True, else cells-only: no buffer and
+        one step of gates, tc and c.
 
         With `workspace`, a cache of at least T steps over the same B
         rows and of the same kind, the arrays are leading-axis views of
@@ -334,24 +378,25 @@ class ForwardCache:
         ids = _token_ids(model, ids)
         t_len, batch = ids.shape
         hid, vocab = model.hidden, model.vocab_size
-        size = _window_buffer_size(t_len, batch, vocab, hid) if output else 0
+        history = output or train
+        size = _window_buffer_size(t_len, batch, vocab, hid, output) if history else 0
         cache = cls.__new__(cls)
         cache.ids = ids
         if workspace is None:
-            history = np.empty if output else _one_step
+            steps = np.empty if history else _one_step
             cache.x = np.empty((t_len, batch, model.dim))
-            cache.gates = [history((t_len, 4, batch, hid)) for _ in (0, 1)]
-            cache.tc = [history((t_len, batch, hid)) for _ in (0, 1)]
+            cache.gates = [steps((t_len, 4, batch, hid)) for _ in (0, 1)]
+            cache.tc = [steps((t_len, batch, hid)) for _ in (0, 1)]
             cache.h = [np.empty((t_len + 1, batch, hid)) for _ in (0, 1)]
-            cache.c = [history((t_len + 1, batch, hid)) for _ in (0, 1)]
-            cache.buffer = np.empty(size) if output else None
+            cache.c = [steps((t_len + 1, batch, hid)) for _ in (0, 1)]
+            cache.buffer = np.empty(size) if history else None
         else:
             cache.x = workspace.x[:t_len]
             cache.gates = [a[:t_len] for a in workspace.gates]
             cache.tc = [a[:t_len] for a in workspace.tc]
             cache.h = [a[:t_len + 1] for a in workspace.h]
             cache.c = [a[:t_len + 1] for a in workspace.c]
-            cache.buffer = workspace.buffer[:size] if output else None
+            cache.buffer = workspace.buffer[:size] if history else None
         cache.log_probs = (cache.buffer[:t_len * batch * vocab].reshape(t_len, batch, vocab)
                            if output else None)
         for (h0, c0), h, c in zip(state, cache.h, cache.c):
@@ -359,6 +404,7 @@ class ForwardCache:
             c[0] = c0
         cache.final_state = state
         cache.batch_size = batch
+        cache.nll = None
         cache.input_grads = None
         return cache
 
@@ -420,6 +466,21 @@ def forward_cached(model: LstmLm, ids, init_state=None) -> ForwardCache:
     state = model.zero_state(ids.shape[0]) if init_state is None else init_state
     cache = ForwardCache.window(model, state, ids.T)
     return forward_segment(model, cache, 0, ids.shape[1])
+
+
+def step_log_probs(model: LstmLm, cache: ForwardCache, t: int) -> np.ndarray:
+    """Log-probs (B, |V|) of step t of a run cache, as a new array: the
+    output layer over that step's top-layer rows alone, which at B = 1
+    runs together with the row before it (the step before, or the
+    initial state), as _row_blocks does. What scheduled sampling feeds
+    back from a cache without log-probs; the bits equal the step's rows
+    of a whole-window output layer."""
+    b = cache.batch_size
+    top = cache.h[1].reshape(-1, model.hidden)  # row block 0 is the initial state
+    lo, hi = (t + 1) * b, (t + 2) * b
+    first = min(lo, hi - 2)
+    out = np.empty((hi - first, model.vocab_size))
+    return _output_layer(model, top[first:hi], out)[lo - first:]
 
 
 def loss_from_cache(cache: ForwardCache, targets) -> float:
@@ -487,41 +548,62 @@ def backward(model: LstmLm, cache: ForwardCache, targets, out: FlatParams = None
     """Exact BPTT gradients of the mean NLL wrt every parameter.
 
     Writes them into `out`, a FlatParams laid out as model.params (a new
-    one if None), and returns it. Consumes cache.buffer: the softmax
-    gradient is formed in place over the log-probs, so read them first,
-    and the reverse recurrence then reuses the buffer as its scratch.
+    one if None), and returns it. The window's mean NLL of targets, with
+    the bits of loss_from_cache over a whole-window output layer, lands
+    in cache.nll. Consumes cache.buffer, and with it a log-probs cache's
+    log_probs, which backward does not read.
 
     Truncation boundary: the window's initial state is a constant.
     Gradients wrt the embedded inputs land in cache.input_grads (T, B, d),
     a new array, and are scattered into the embedding rows of the ids fed.
 
-    Only the recurrence runs per timestep, layer 2's whole reverse pass
-    before layer 1's. Everything else is one product per window on rows
-    stacked in (t, b) order: the output layer (dlogits, W_out, b_out and
-    dL/dh of layer 2), then per layer the Wx, Wh and b gradients and
-    dL/d(input), which is layer 1's dL/dh or the input gradient.
+    The output layer runs on the top-layer rows, stacked in (t, b)
+    order, in _row_blocks of _backward_block rows through the buffer:
+    per block its log-softmax, the targets' log-probs, the softmax
+    gradient in place, the block's W_out and b_out terms (summed over
+    the blocks in order) and its rows of dL/dh of layer 2. Then only the
+    recurrence runs per timestep, layer 2's whole reverse pass before
+    layer 1's, and per layer the Wx, Wh and b gradients and dL/d(input),
+    which is layer 1's dL/dh or the input gradient, are one product each
+    per window.
 
-    A cells-only cache is refused: it has no log-probs, and its gates,
+    A cells-only cache is refused: it has no buffer, and its gates,
     tanh(c) and c hold only the last step.
     """
-    if cache.log_probs is None:
-        raise ValueError("backward needs a cache with log-probs and every step's "
-                         "gates; this one is cells-only")
+    if cache.buffer is None:
+        raise ValueError("backward needs a cache with every step's gates and a "
+                         "buffer; this one is cells-only")
     p = model.params
     grads = p.like() if out is None else out
-    hid = model.hidden
+    hid, vocab = model.hidden, model.vocab_size
     targets = np.asarray(targets, dtype=np.int64)
     t_len, b = len(cache), cache.batch_size
     rows = t_len * b
 
-    # output layer: softmax minus one-hot, over the whole window, in place
-    dlogits = cache.log_probs.reshape(rows, model.vocab_size)
-    np.exp(dlogits, out=dlogits)
-    dlogits[np.arange(rows), targets.T.reshape(-1)] -= 1.0
-    dlogits /= float(rows)
-    np.matmul(cache.h[1][1:].reshape(rows, hid).T, dlogits, out=grads["W_out"])
-    dlogits.sum(axis=0, out=grads["b_out"])
-    dh_in = (dlogits @ p["W_out"].T).reshape(t_len, b, hid)  # dlogits is dead from here
+    top = cache.h[1][1:].reshape(rows, hid)
+    flat_targets = targets.T.reshape(-1)
+    size = _backward_block(rows, hid)
+    block_buf = cache.buffer[:size * vocab].reshape(size, vocab)
+    w_term = cache.buffer[size * vocab:(size + hid) * vocab]  # (H, |V|) after the first block
+    picked = np.empty(rows)
+    dh_in = np.empty((rows, hid))
+    for first, lo, hi in _row_blocks(rows, size):
+        own = np.arange(lo - first, hi - first)
+        dlogits = _output_layer(model, top[first:hi], block_buf[:hi - first])
+        picked[lo:hi] = dlogits[own, flat_targets[lo:hi]]
+        np.exp(dlogits, out=dlogits)  # softmax minus one-hot, in place
+        dlogits[own, flat_targets[lo:hi]] -= 1.0
+        dlogits /= float(rows)
+        mine = dlogits[lo - first:]
+        if lo == 0:
+            np.matmul(top[lo:hi].T, mine, out=grads["W_out"])
+            mine.sum(axis=0, out=grads["b_out"])
+        else:
+            grads["W_out"] += np.matmul(top[lo:hi].T, mine, out=w_term.reshape(hid, vocab))
+            grads["b_out"] += mine.sum(axis=0)
+        dh_in[lo:hi] = (dlogits @ p["W_out"].T)[lo - first:]
+    cache.nll = float(-picked.sum() / rows)
+    dh_in = dh_in.reshape(t_len, b, hid)  # the buffer is dead from here
 
     layer_inputs = (cache.x, cache.h[0][1:])
     for layer in (2, 1):

@@ -41,8 +41,8 @@ from .model import (
     cosine_lr,
     forward_segment,
     greedy_or_sample_predict,
-    loss_from_cache,
     sgd_step,
+    step_log_probs,
     target_log_probs,
 )
 from .neighbors import (
@@ -383,7 +383,9 @@ def load_checkpoint(path, vocab_hash: str = None) -> dict:
     """Read a checkpoint; refuses a vocab-hash mismatch outright. params
     and velocity are FlatParams in the model's layout, each read straight
     into its flat vector. velocity and gumbel_log_alpha are None when the
-    run had no momentum or GSNS."""
+    run had no momentum or GSNS. An archive that lacks one parameter, or
+    holds only part of the velocity, is refused, naming the first member
+    missing."""
     flats = {}
 
     def into(shapes):
@@ -401,8 +403,13 @@ def load_checkpoint(path, vocab_hash: str = None) -> dict:
     meta = json.loads(bytes(data["meta"]).decode("utf-8"))
     if meta.get("magic") != CHECKPOINT_MAGIC:
         raise ValueError("%s is not a checkpoint" % path)
-    if "param_" not in flats:
-        raise ValueError("%s holds no model parameters" % path)
+    keys = LstmLm.zeros(1, 1, 1).params  # the parameter names, in layout order
+    for prefix in ("param_", "vel_"):
+        missing = [prefix + key for key in keys if prefix + key not in data]
+        if prefix == "param_" and len(missing) == len(keys):
+            raise ValueError("%s holds no model parameters" % path)
+        if len(missing) not in (0, len(keys)):
+            raise ValueError("%s lacks checkpoint member %s" % (path, missing[0]))
     if vocab_hash is not None and meta["vocab_hash"] != vocab_hash:
         raise ValueError(
             "checkpoint vocabulary hash %s does not match current vocabulary %s"
@@ -465,9 +472,10 @@ class _Trace:
 @dataclass
 class _Workspace:
     """What every training window of a run reuses: the first window's
-    ForwardCache, which no later window is longer than, with its buffer
-    (log-probs, then backward's scratch), and the flat gradient buffer,
-    which sgd_step consumes. Both are allocated by the first window."""
+    training ForwardCache, which no later window is longer than, with
+    its buffer (backward's output blocks, then its scratch), and the
+    flat gradient buffer, which sgd_step consumes. Both are allocated by
+    the first window."""
 
     cache: ForwardCache = None
     grads: FlatParams = None
@@ -480,13 +488,19 @@ def _train_epoch(model, state, cfg, table, gumbel, train_batches, lr,
     Each window's source mask is drawn first, then the window is cut
     before every Prediction step: within a segment every input id is
     known (teacher or neighbor), so it runs layer-wise in one
-    forward_segment call. Draws happen in timestep order, as a loop over
-    timesteps would make them: a cut's predict_sample draws, then each
-    Neighbor step's draws for all B rows at once. Every window runs in
-    the arrays of `work` (a new _Workspace if None).
+    forward_segment call, without the output layer. Output rows are
+    computed only where a prediction is fed back: the step before a cut,
+    and in modes that take epsilon the window's last step, before
+    sgd_step moves the parameters. backward runs the output layer over
+    the whole window and reports its NLL. Draws happen in timestep
+    order, as a loop over timesteps would make them: a cut's
+    predict_sample draws, then each Neighbor step's draws for all B rows
+    at once. Every window runs in the arrays of `work` (a new _Workspace
+    if None).
     """
     work = _Workspace() if work is None else work
     hidden = None
+    feeds_back = MODES[cfg.mode][0]
     prev_log_probs = None  # the previous window's last step, for SS feedback
     total_nll = 0.0
     total_tokens = 0
@@ -501,14 +515,15 @@ def _train_epoch(model, state, cfg, table, gumbel, train_batches, lr,
         if mask[0] == Source.PREDICTION and prev_log_probs is None:
             mask[0] = Source.TEACHER  # nothing to feed back yet
         sources = mask.tolist()
-        cache = ForwardCache.window(model, hidden, inputs.T, workspace=work.cache)
+        cache = ForwardCache.window(model, hidden, inputs.T, output=False, train=True,
+                                    workspace=work.cache)
         if work.cache is None:
             work.cache = cache
         ids = cache.ids
         starts = [0] + [t for t in range(1, width) if sources[t] == Source.PREDICTION]
         for lo, hi in zip(starts, starts[1:] + [width]):
             if sources[lo] == Source.PREDICTION:
-                prev = cache.log_probs[lo - 1] if lo else prev_log_probs
+                prev = step_log_probs(model, cache, lo - 1) if lo else prev_log_probs
                 ids[lo] = greedy_or_sample_predict(prev, cfg.predict_sample, state.rng)
             for t in range(lo, hi):
                 if sources[t] != Source.NEIGHBOR:
@@ -517,17 +532,17 @@ def _train_epoch(model, state, cfg, table, gumbel, train_batches, lr,
                     ids[t] = table.ids[inputs[:, t], gumbel_slots(gumbel, inputs[:, t], state.rng)]
                 else:
                     ids[t] = sample_neighbors(table, inputs[:, t], state.rng)
-            forward_segment(model, cache, lo, hi)
-        prev_log_probs = cache.log_probs[-1].copy()  # not a view: the next window overwrites it
+            forward_segment(model, cache, lo, hi, output=False)
+        if feeds_back:
+            prev_log_probs = step_log_probs(model, cache, width - 1)
         hidden = cache.final_state
         if trace is not None:
             for t, src in enumerate(sources):
                 trace.rows(epoch, step_idx, t, src, inputs[:, t], ids[t])
 
-        nll = loss_from_cache(cache, targets)
-        total_nll += nll * targets.size
-        total_tokens += targets.size
         grads = work.grads = backward(model, cache, targets, out=work.grads)  # consumes the buffer
+        total_nll += cache.nll * targets.size
+        total_tokens += targets.size
         swapped = [t for t, src in enumerate(sources) if src == Source.NEIGHBOR]
         if gumbel is not None and swapped:
             # straight-through: dL/dsoft_j = dL/dx . embed[neighbor_j]

@@ -206,9 +206,16 @@ def per_key_sgd_step(model, grads, lr, clip, momentum=0.0, velocity=None):
 
 def reference_backward(model, cache, targets):
     """BPTT gradients of the mean NLL as separate arrays: the reference
-    model.backward is tested against. Reads cache.log_probs without
-    consuming them and allocates every factor of the reverse recurrence
-    apart. Returns (name -> gradient dict, input gradients (T, B, d))."""
+    model.backward is tested against. Runs the output layer over the
+    whole window in one product (a log-probs cache's log_probs are not
+    read), sums the W_out and b_out terms over backward's row blocks in
+    order, takes dL/dh of layer 2 per block (a product with one column,
+    at H = 1, goes to the matrix-vector kernel, whose row bits depend on
+    the row count), and allocates every factor of the reverse recurrence
+    apart.
+    Returns (name -> gradient dict, input gradients (T, B, d), mean NLL)."""
+    from nnrslab.model import _backward_block, _row_blocks
+
     p = model.params
     hid = model.hidden
     targets = np.asarray(targets, dtype=np.int64)
@@ -216,12 +223,24 @@ def reference_backward(model, cache, targets):
     rows = t_len * b
     grads = {}
 
-    dlogits = np.exp(cache.log_probs.reshape(rows, model.vocab_size))
+    top = cache.h[1][1:].reshape(rows, hid)
+    logits = top @ p["W_out"] + p["b_out"]
+    logits -= logits.max(axis=1, keepdims=True)
+    log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    picked = log_probs[np.arange(rows), targets.T.reshape(-1)]
+    nll = float(-picked.sum() / rows)
+    dlogits = np.exp(log_probs)
     dlogits[np.arange(rows), targets.T.reshape(-1)] -= 1.0
     dlogits /= float(rows)
-    grads["W_out"] = cache.h[1][1:].reshape(rows, hid).T @ dlogits
-    grads["b_out"] = dlogits.sum(axis=0)
-    dh_in = (dlogits @ p["W_out"].T).reshape(t_len, b, hid)
+    terms, dh_rows = [], []
+    for first, lo, hi in _row_blocks(rows, _backward_block(rows, hid)):
+        terms.append((top[lo:hi].T @ dlogits[lo:hi], dlogits[lo:hi].sum(axis=0)))
+        dh_rows.append((dlogits[first:hi] @ p["W_out"].T)[lo - first:])
+    grads["W_out"], grads["b_out"] = terms[0]
+    for w_term, b_term in terms[1:]:
+        grads["W_out"] = grads["W_out"] + w_term
+        grads["b_out"] = grads["b_out"] + b_term
+    dh_in = np.concatenate(dh_rows).reshape(t_len, b, hid)
 
     layer_inputs = (cache.x, cache.h[0][1:])
     for layer in (2, 1):
@@ -256,7 +275,7 @@ def reference_backward(model, cache, targets):
 
     grads["embed"] = np.zeros_like(p["embed"])
     np.add.at(grads["embed"], cache.ids.reshape(-1), dh_in.reshape(rows, model.dim))
-    return grads, dh_in
+    return grads, dh_in, nll
 
 
 def assert_views_of_flat(params):

@@ -530,6 +530,19 @@ class TestEval:
                      str(tmp_path / "r.csv")]) == 2
         assert "holds no model parameters" in capsys.readouterr().err
 
+    def test_checkpoint_missing_a_parameter_is_usage_error(self, corpus, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        config = _write_config(tmp_path / "run.cfg", corpus, out_dir, epochs=1)
+        assert main(["train", "--config", config]) == 0
+        arrays = load_arrays(out_dir / "checkpoint.bin")
+        del arrays["param_W_out"]
+        partial = tmp_path / "partial.bin"
+        save_arrays(partial, **arrays)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(partial), "--out",
+                     str(tmp_path / "r.csv")]) == 2
+        assert "lacks checkpoint member param_W_out" in capsys.readouterr().err
+
     def test_missing_checkpoint_is_usage_error(self, tmp_path, capsys):
         code = main(["eval", "--checkpoint", str(tmp_path / "nope.bin"),
                      "--out", str(tmp_path / "r.csv")])

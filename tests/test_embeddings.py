@@ -1,5 +1,7 @@
 """word2vec text loading and row normalization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,35 @@ class TestLoadEmbeddings:
         for w in words:
             np.testing.assert_array_equal(emb.vectors[vocab.id(w)], by_word[w])
 
+    def test_malformed_line_wins_over_earlier_non_finite(self, tmp_path):
+        vocab = build_vocabulary(["a", "b", "c"], min_count=1)
+        path = _write(tmp_path / "e.txt", "a 1 0\nb inf 0\nc 1\n")
+        with pytest.raises(ValueError, match="malformed embedding line 3"):
+            load_embeddings(path, vocab, dim=2)
+
+    def test_first_occurrence_wins_over_later_non_finite(self, tmp_path):
+        vocab = build_vocabulary(["a", "b"], min_count=1)
+        path = _write(tmp_path / "e.txt", "a 1 0\nb 0 1\na nan 1\nb 7 7\n")
+        emb = load_embeddings(path, vocab, dim=2)
+        np.testing.assert_array_equal(emb.vectors[vocab.id("a")], [1.0, 0.0])
+        np.testing.assert_array_equal(emb.vectors[vocab.id("b")], [0.0, 1.0])
+
+    def test_memory_near_the_matrix_size(self, tmp_path, rng):
+        # 2k x 64 rows, about 1 MB as a matrix: the file's lines and a
+        # per-word array each took several times that
+        words = ["w%d" % i for i in range(2000)]
+        lines = ["2000 64"] + ["%s %s" % (w, " ".join(repr(float(v)) for v in rng.normal(size=64)))
+                               for w in words]
+        path = _write(tmp_path / "e.txt", "\n".join(lines) + "\n")
+        vocab = build_vocabulary(words, min_count=1)
+        tracemalloc.start()
+        try:
+            emb = load_embeddings(path, vocab, dim=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * emb.vectors.nbytes  # about 1.16x
+
 
 class TestNormalizeRows:
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -97,6 +128,16 @@ class TestNormalizeRows:
         vecs[2, 1] = bad
         vecs[3, 0] = bad
         with pytest.raises(ValueError, match="row 2 "):
+            EmbeddingMatrix.from_vectors(vecs)
+
+    def test_from_vectors_blocks_keep_norm_bits_and_row_numbers(self, rng):
+        # more rows than one block of checks: the norms have the bits of
+        # one whole-matrix norm and a bad row is named by its own index
+        vecs = rng.normal(size=(5000, 8)) * rng.uniform(0.1, 1e3, size=(5000, 1))
+        emb = EmbeddingMatrix.from_vectors(vecs)
+        assert emb.norms.tobytes() == np.linalg.norm(vecs, axis=1).tobytes()
+        vecs[4500, 3] = np.nan
+        with pytest.raises(ValueError, match="row 4500 "):
             EmbeddingMatrix.from_vectors(vecs)
 
     def test_from_vectors_requires_2d(self):

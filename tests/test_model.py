@@ -1,12 +1,14 @@
 """LSTM language model: forward, loss, BPTT gradients, SGD."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nnrslab import model as model_mod
 from nnrslab.model import (
     ForwardCache,
     LstmLm,
@@ -18,6 +20,7 @@ from nnrslab.model import (
     loss_from_cache,
     sgd_step,
     step,
+    step_log_probs,
 )
 from synth import (
     assert_like_step,
@@ -314,6 +317,7 @@ def workspace_windows(draw):
                 cuts=draw(st.sets(st.integers(1, width - 1))) if width > 1 else set(),
                 hidden=draw(st.sampled_from([1, 3, 8])),
                 vocab=draw(st.sampled_from([2, 7, 24, 60])), dim=draw(st.sampled_from([1, 4])),
+                block=draw(st.sampled_from([2, 3, 5, 128])), train=draw(st.booleans()),
                 seed=draw(st.integers(0, 2 ** 32 - 1)))
 
 
@@ -322,31 +326,39 @@ class TestBackwardInWindowBuffer:
     @given(workspace_windows())
     def test_equals_reference_bit_for_bit(self, case):
         # |V| 2 lies below every 6H drawn and 60 above, so the buffer is
-        # sized by either; the window runs in views of a workspace whose
-        # whole buffer backward has used once already, and the gradients
-        # land in the FlatParams that window wrote
+        # sized by either; backward's output blocks of 2, 3 or 5 rows give
+        # windows of one block, of several and with a one-row tail. The
+        # window, a log-probs or a training cache, runs in views of a
+        # workspace whose whole buffer backward has used once already, and
+        # the gradients land in the FlatParams that window wrote
         rng = np.random.default_rng(case["seed"])
         batch, width, vocab = case["batch"], case["width"], case["vocab"]
+        output = not case["train"]
         model = LstmLm.init(vocab, case["dim"], case["hidden"], rng)
-        workspace = ForwardCache.window(
-            model, _random_state(rng, batch, case["hidden"]),
-            rng.integers(0, vocab, size=(case["ws_width"], batch)))
-        forward_segment(model, workspace, 0, case["ws_width"])
-        grads = backward(model, workspace, rng.integers(0, vocab, size=(batch, case["ws_width"])))
+        with mock.patch.object(model_mod, "_BACKWARD_ROWS", case["block"]):
+            workspace = ForwardCache.window(
+                model, _random_state(rng, batch, case["hidden"]),
+                rng.integers(0, vocab, size=(case["ws_width"], batch)), output=output, train=True)
+            forward_segment(model, workspace, 0, case["ws_width"], output=output)
+            grads = backward(model, workspace,
+                             rng.integers(0, vocab, size=(batch, case["ws_width"])))
 
-        state = _random_state(rng, batch, case["hidden"])
-        ids = rng.integers(0, vocab, size=(width, batch))
-        targets = rng.integers(0, vocab, size=(batch, width))
-        cache = ForwardCache.window(model, state, ids, workspace=workspace)
-        starts = [0] + sorted(case["cuts"])
-        for lo, hi in zip(starts, starts[1:] + [width]):
-            forward_segment(model, cache, lo, hi)
-        assert np.shares_memory(cache.log_probs, workspace.buffer)
-        ref, ref_input_grads = reference_backward(model, cache, targets)
-        assert backward(model, cache, targets, out=grads) is grads
+            state = _random_state(rng, batch, case["hidden"])
+            ids = rng.integers(0, vocab, size=(width, batch))
+            targets = rng.integers(0, vocab, size=(batch, width))
+            cache = ForwardCache.window(model, state, ids, output=output, train=True,
+                                        workspace=workspace)
+            starts = [0] + sorted(case["cuts"])
+            for lo, hi in zip(starts, starts[1:] + [width]):
+                forward_segment(model, cache, lo, hi, output=output)
+            assert np.shares_memory(cache.buffer, workspace.buffer)
+            assert (cache.log_probs is None) == case["train"]
+            ref, ref_input_grads, ref_nll = reference_backward(model, cache, targets)
+            assert backward(model, cache, targets, out=grads) is grads
         for key in model.params:
             assert grads[key].tobytes() == ref[key].tobytes(), key
         assert cache.input_grads.tobytes() == ref_input_grads.tobytes()
+        assert cache.nll == ref_nll
 
         # the GSNS straight-through read comes after backward, so the input
         # gradients must not live in the buffer backward reused
@@ -358,11 +370,62 @@ class TestBackwardInWindowBuffer:
         ref_slot = embed_rows @ ref_input_grads[swapped].reshape(-1, model.dim, 1)
         assert slot.tobytes() == ref_slot.tobytes()
 
+    @settings(max_examples=80, deadline=None)
+    @given(batch=st.integers(1, 3), width=st.integers(1, 14), block=st.sampled_from([2, 3, 4]),
+           hidden=st.sampled_from([1, 2]), vocab=st.sampled_from([3, 30]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(batch=1, width=1, block=2, hidden=1, vocab=3, seed=1)  # one row
+    @example(batch=1, width=4, block=3, hidden=1, vocab=30, seed=2)  # at block + H: one block
+    @example(batch=1, width=5, block=3, hidden=1, vocab=30, seed=3)  # one past it
+    @example(batch=1, width=7, block=3, hidden=2, vocab=3, seed=4)  # a one-row tail block
+    @example(batch=2, width=4, block=4, hidden=1, vocab=3, seed=5)  # ends at a block edge
+    def test_nll_equals_loss_from_cache(self, batch, width, block, hidden, vocab, seed):
+        # backward's NLL, from its blocks of a training cache, against the
+        # whole-window log-probs of forward_cached; 6H is 6 or 12, so |V|
+        # lies on either side of it
+        rng = np.random.default_rng(seed)
+        model = LstmLm.init(vocab, 2, hidden, rng)
+        state = _random_state(rng, batch, hidden)
+        ids = rng.integers(0, vocab, size=(batch, width))
+        targets = rng.integers(0, vocab, size=(batch, width))
+        with mock.patch.object(model_mod, "_BACKWARD_ROWS", block):
+            cache = ForwardCache.window(model, state, ids.T, output=False, train=True)
+            forward_segment(model, cache, 0, width, output=False)
+            grads = backward(model, cache, targets)
+            whole = forward_cached(model, ids, state)
+            expected = loss_from_cache(whole, targets)
+            whole_grads = backward(model, whole, targets)
+        assert cache.nll == expected
+        assert whole.nll == expected
+        assert grads.flat.tobytes() == whole_grads.flat.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(batch=st.integers(1, 3), width=st.integers(1, 6), hidden=st.sampled_from([3, 8]),
+           vocab=st.sampled_from([5, 60]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_step_log_probs_equal_whole_window_rows(self, batch, width, hidden, vocab, seed):
+        # the rows scheduled sampling feeds back from a training cache,
+        # against one output layer over every top-layer row the cache
+        # holds (the initial state's too, so it has two rows or more); at
+        # B = 1 each step runs with the row before it, so no product has one
+        rng = np.random.default_rng(seed)
+        model = LstmLm.init(vocab, 4, hidden, rng)
+        state = _random_state(rng, batch, hidden)
+        ids = rng.integers(0, vocab, size=(width, batch))
+        cache = ForwardCache.window(model, state, ids, output=False, train=True)
+        forward_segment(model, cache, 0, width, output=False)
+        logits = cache.h[1].reshape(-1, hidden) @ model.params["W_out"] + model.params["b_out"]
+        logits -= logits.max(axis=1, keepdims=True)
+        whole = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+        for t in range(width):
+            rows = whole[(t + 1) * batch:(t + 2) * batch]
+            assert step_log_probs(model, cache, t).tobytes() == rows.tobytes()
+
     def test_memory_backward_and_sgd_step(self):
         # desk shape, the gradient buffer reused on a second window: the
-        # reverse recurrence runs in the consumed log-probs, so backward's
-        # peak is its (T*B, H) products and W_h^T, about 1.3 MB where
-        # per-window gate factors took about 8.7 MB; sgd_step's is one
+        # output blocks, the W_out term and the reverse recurrence all run
+        # in the cache's buffer, so backward's peak is its (T*B, H)
+        # products, one log-softmax exp block and W_h^T, about 1.6 MB
+        # where per-window gate factors took about 8.7 MB; sgd_step's is one
         # key's squares, 2.05 MB (W_out), where a parameter-sized scratch
         # and a finiteness mask took about 4.9 MB
         rng = np.random.default_rng(9)
