@@ -16,7 +16,8 @@ within 1e-12.
 evaluate_model decodes every window from the zero state, so windows of
 one width are stacked along the batch axis in chunks of whole windows
 within model.block_rows rows and greedily decoded together, each step
-through one reused one-step cache. For windows of B >= 2 rows the
+through one reused one-step cells-only cache whose rows
+model.step_log_probs reads. For windows of B >= 2 rows the
 continuations equal per-window decoding bit for bit.
 """
 
@@ -29,8 +30,8 @@ import numpy as np
 
 from .arrayio import replacing
 from .embeddings import EmbeddingMatrix
-from .model import (ForwardCache, _token_ids, block_rows, forward_segment,
-                    greedy_or_sample_predict)
+from .model import (ForwardCache, block_rows, forward_segment, greedy_or_sample_predict,
+                    step_log_probs)
 from .trainer import validate
 
 _BLEU_EPS = 1e-9  # numerator floor for zero n-gram matches
@@ -326,24 +327,21 @@ def _greedy_continuations(model, inputs: np.ndarray, prefix_len: int) -> np.ndar
     """Teacher-force a prefix, then greedy-decode to the window end.
 
     Returns the (B, width - prefix_len + 1) token ids: the greedy choice
-    (greedy_or_sample_predict) after the prefix's last position, then
-    after each decoded token. Every step runs through one reused one-step
-    cache, whose state rows are copied forward between steps; steps
-    before the prefix's last skip the output layer.
+    (greedy_or_sample_predict over step_log_probs, the rows scheduled
+    sampling feeds back) after the prefix's last position, then after
+    each decoded token. Every step runs cells-only in the first step's
+    one-step cache, with the state after the step before copied into its
+    row 0; steps before the prefix's last run no output layer.
     """
-    inputs = _token_ids(model, inputs)  # the steps below copy ids in unchecked
     batch, width = inputs.shape
-    cache = ForwardCache.window(model, model.zero_state(batch), inputs[:, :1].T)
     out = np.empty((batch, width - prefix_len + 1), dtype=np.int64)
+    state, cache = model.zero_state(batch), None
     for t in range(width):
-        if t:
-            for rows in cache.h + cache.c:  # the state after step t - 1
-                rows[0] = rows[1]
-            cache.ids[0] = inputs[:, t] if t < prefix_len else out[:, t - prefix_len]
-        decoding = t >= prefix_len - 1
-        forward_segment(model, cache, 0, 1, output=decoding)
-        if decoding:
-            out[:, t - prefix_len + 1] = greedy_or_sample_predict(cache.log_probs[0])
+        ids = inputs[:, t] if t < prefix_len else out[:, t - prefix_len]
+        cache = ForwardCache.window(model, state, ids[None], workspace=cache)
+        state = forward_segment(model, cache, 0, 1).final_state
+        if t >= prefix_len - 1:
+            out[:, t - prefix_len + 1] = greedy_or_sample_predict(step_log_probs(model, cache, 0))
     return out
 
 

@@ -20,29 +20,30 @@ float input is refused. backward reports the gradient wrt each step's
 embedded input vector in cache.input_grads, which the GSNS
 straight-through update reads, and scatters it into the embedding rows.
 
-Every forward path runs forward_segment: layer by layer over a span of
-timesteps whose inputs are all known, one input projection per layer
-over the span's (T*B, .) rows stacked in (t, b) order, the recurrence
-per step (_cell), then, if asked, the output layer (_output_layer: one
-output projection and log-softmax) over all the span's rows. Training
-cuts each BPTT window before every scheduled-sampling step, whose input
-is the model's own prediction from the step before
-(greedy_or_sample_predict over step_log_probs, the output layer of that
-one step; greedy decoding calls greedy_or_sample_predict too). The
-results land in a ForwardCache of (T, B, .) arrays. A training run keeps
-one such cache as its window workspace: ForwardCache.window(...,
-workspace=) gives each later window leading-axis views of its arrays, so
-a window allocates no array of its own size.
+Every forward path runs forward_segment, which computes cell states
+only: layer by layer over a span of timesteps whose inputs are all
+known, one input projection per layer over the span's (T*B, .) rows
+stacked in (t, b) order, then the recurrence per step (_cell). No
+forward path runs the output layer (_output_layer: one output
+projection and log-softmax); each consumer runs it over the top-layer
+rows it reads. Training cuts each BPTT window before every
+scheduled-sampling step, whose input is the model's own prediction
+from the step before: greedy_or_sample_predict over step_log_probs,
+the output layer of that one step. Greedy decoding reads each step's
+rows through step_log_probs too. The results land in a ForwardCache of
+(T, B, .) arrays. ForwardCache.window(..., workspace=) gives a window
+leading-axis views of an earlier cache's arrays, so a run that keeps
+its first window's cache allocates no array of a window's size after it.
 
-A cache is one of three kinds. A log-probs cache (step, forward_cached,
-the decoder's one-step cache) keeps log_probs (T, B, |V|) as the leading
-view of a buffer of T*B*max(|V|, 6H) elements. A training cache
-(ForwardCache.window(..., output=False, train=True)) keeps every step of
-the cell history but no log-probs, and its buffer holds
-max(min(T*B, _BACKWARD_ROWS + H) * |V|, 6H * T*B) elements. A
-cells-only cache (output=False) keeps only what validation reads; see
-below. The log-softmax's exp temporary spans at most block_rows(model)
-rows (about _ROW_BUDGET elements).
+A cache is one of two kinds, chosen by window's train flag. A training
+cache (train=True) keeps every step of the cell history and a buffer
+of max(min(T*B, _BACKWARD_ROWS + H) * |V|, 6H * T*B) elements, which
+backward runs in. A cells-only cache keeps only what validation and
+decoding read; see below. forward_cached runs a training cache and then
+the output layer over every step into the cache's own log_probs
+(T, B, |V|), which loss_from_cache reads. The log-softmax's exp
+temporary spans at most block_rows(model) rows (about _ROW_BUDGET
+elements).
 
 backward runs the output layer itself, from the top-layer states
 cache.h[1], in blocks of _BACKWARD_ROWS rows (one block when the window
@@ -58,8 +59,9 @@ window, and sgd_step consumes those gradients, forming the update in
 place. A training window thus holds one buffer, never larger than
 (T*B, max(|V|, 6H)) and at |V| >> H about (_BACKWARD_ROWS + H, |V|);
 every other temporary it makes is at most (T*B, H), (T*B, d), one
-exp block or one parameter key in size. A log-probs cache can be run
-backward too; backward ignores its log-probs and overwrites them.
+exp block or one parameter key in size. backward neither reads nor
+changes a forward_cached cache's log_probs, which live outside the
+buffer.
 
 Eval never holds a (T, B, |V|) array. Validation runs whole windows
 cells-only and scores the top-layer rows with target_log_probs, in
@@ -71,18 +73,18 @@ forward_segment runs unchanged and every value keeps its bits. backward
 refuses such a cache. Validation runs all its windows in the first
 window's cache.
 Greedy decoding (metrics) runs every step, the teacher-forced prefix
-included, through one reused one-step cache. step is the one-step API
-and the reference the window paths are tested against: bit for bit at
-B >= 2, to rounding at B = 1, where numpy sends step's one-row products
-to BLAS's matrix-vector kernel. A row of a product of two or more rows
-and columns has the same bits whatever the row count, so no output
-product has one row unless there is only one (_row_blocks): backward's
-and target_log_probs's blocks, and step_log_probs at B = 1, run a lone
-row together with the row before it. (OpenBLAS keeps that row rule at
-the shapes the tests draw and at desk shape, not at every shape: at
-H = 1 backward's dL/dh product has one column, and at some widths, such
-as 50 columns over H >= 16, rows from three rows up differ from rows of
-a two-row product.)
+included, in the first step's one-step cells-only cache. step is the
+one-step forward_cached, and the reference the window paths are tested
+against: bit for bit at B >= 2, to rounding at B = 1, where numpy sends
+step's one-row products to BLAS's matrix-vector kernel. A row of a
+product of two or more rows and columns has the same bits whatever the
+row count, so no output product has one row unless there is only one
+(_row_blocks): backward's and target_log_probs's blocks, and
+step_log_probs at B = 1, run a lone row together with the row before
+it. (OpenBLAS keeps that row rule at the shapes the tests draw and at
+desk shape, not at every shape: at H = 1 backward's dL/dh product has
+one column, and at some widths, such as 50 columns over H >= 16, rows
+from three rows up differ from rows of a two-row product.)
 
 backward runs only the recurrence per timestep (layer 2's reverse pass,
 then layer 1's); the output layer runs per block, and every other
@@ -306,14 +308,12 @@ def _backward_block(rows: int, hidden: int) -> int:
     return rows if rows <= _BACKWARD_ROWS + hidden else _BACKWARD_ROWS
 
 
-def _window_buffer_size(t_len: int, batch: int, vocab: int, hidden: int,
-                        log_probs: bool = True) -> int:
-    """Elements of a window's buffer: the reverse recurrence's 6H per
-    row, or, if larger, the log-probs (log_probs=True) or else one of
-    backward's output blocks and the accumulation temporary after it."""
+def _window_buffer_size(t_len: int, batch: int, vocab: int, hidden: int) -> int:
+    """Elements of a training window's buffer: the reverse recurrence's
+    6H per row, or, if larger, one of backward's output blocks and the
+    accumulation temporary after it."""
     rows = t_len * batch
-    output = rows if log_probs else min(rows, _BACKWARD_ROWS + hidden)
-    return max(output * vocab, 6 * hidden * rows)
+    return max(min(rows, _BACKWARD_ROWS + hidden) * vocab, 6 * hidden * rows)
 
 
 class ForwardCache:
@@ -322,23 +322,21 @@ class ForwardCache:
     ids (T, B) the token ids fed; x (T, B, d) their embedding rows. Per
     layer (index 0 and 1): gates (T, 4, B, H) the activated [i, f, g, o]
     blocks, tc (T, B, H) tanh of the cell state, and h and c
-    (T + 1, B, H) with row 0 the initial state. buffer is one flat
-    array (_window_buffer_size); in a log-probs cache log_probs
-    (T, B, |V|) is its leading view. backward runs in the buffer: first
-    its output-layer blocks, then the reverse recurrence's scratch (dz,
-    dc/dh and one temporary, 6H per row). final_state is the state after
-    the last step run; backward leaves the window's mean NLL in nll and
-    the input gradients in input_grads (T, B, d), which lives outside
-    the buffer.
+    (T + 1, B, H) with row 0 the initial state. In a training cache,
+    buffer is one flat array (_window_buffer_size) that backward runs
+    in: first its output-layer blocks, then the reverse recurrence's
+    scratch (dz, dc/dh and one temporary, 6H per row). final_state is
+    the state after the last step run; backward leaves the window's mean
+    NLL in nll and the input gradients in input_grads (T, B, d), which
+    lives outside the buffer. log_probs is None, except that
+    forward_cached sets it to its own (T, B, |V|) array.
 
-    A training cache has log_probs None and a buffer sized for backward
-    alone. A cells-only cache has buffer and log_probs None, and its
-    gates, tc and c are zero-stride along time: every step's row is one
-    buffer, holding the last step run. Its h keeps every step. backward
-    refuses it.
+    A cells-only cache has buffer None, and its gates, tc and c are
+    zero-stride along time: every step's row is one buffer, holding the
+    last step run. Its h keeps every step. backward refuses it.
 
     ForwardCache(steps, final_state, batch_size) joins consecutive caches
-    returned by `step` into one window cache.
+    returned by `step` into one training cache with log_probs.
     """
 
     def __init__(self, steps, final_state, batch_size):
@@ -352,23 +350,20 @@ class ForwardCache:
         self.c = [np.concatenate([steps[0].c[k][:1]] + [s.c[k][1:] for s in steps])
                   for k in (0, 1)]
         t_len, _, batch, hid = self.gates[0].shape
-        vocab = steps[0].log_probs.shape[-1]
-        self.buffer = np.empty(_window_buffer_size(t_len, batch, vocab, hid))
-        self.log_probs = self.buffer[:t_len * batch * vocab].reshape(t_len, batch, vocab)
-        np.concatenate([s.log_probs for s in steps], out=self.log_probs)
+        self.log_probs = np.concatenate([s.log_probs for s in steps])
+        self.buffer = np.empty(_window_buffer_size(t_len, batch, self.log_probs.shape[-1], hid))
         self.final_state = final_state
         self.batch_size = batch_size
         self.nll = None
         self.input_grads = None
 
     @classmethod
-    def window(cls, model: LstmLm, state, ids, output: bool = True,
-               workspace: "ForwardCache" = None, train: bool = False) -> "ForwardCache":
+    def window(cls, model: LstmLm, state, ids, workspace: "ForwardCache" = None,
+               train: bool = False) -> "ForwardCache":
         """Cache for token ids (T, B), with `state` copied into row 0;
-        nothing is run yet. Copies the ids. With output=False it has no
-        log_probs and only segments without output run in it; it is a
-        training cache with train=True, else cells-only: no buffer and
-        one step of gates, tc and c.
+        nothing is run yet. Copies the ids. A training cache with
+        train=True, else cells-only: no buffer and one step of gates, tc
+        and c.
 
         With `workspace`, a cache of at least T steps over the same B
         rows and of the same kind, the arrays are leading-axis views of
@@ -377,28 +372,26 @@ class ForwardCache:
         """
         ids = _token_ids(model, ids)
         t_len, batch = ids.shape
-        hid, vocab = model.hidden, model.vocab_size
-        history = output or train
-        size = _window_buffer_size(t_len, batch, vocab, hid, output) if history else 0
+        hid = model.hidden
+        size = _window_buffer_size(t_len, batch, model.vocab_size, hid) if train else 0
         cache = cls.__new__(cls)
         cache.ids = ids
         if workspace is None:
-            steps = np.empty if history else _one_step
+            steps = np.empty if train else _one_step
             cache.x = np.empty((t_len, batch, model.dim))
             cache.gates = [steps((t_len, 4, batch, hid)) for _ in (0, 1)]
             cache.tc = [steps((t_len, batch, hid)) for _ in (0, 1)]
             cache.h = [np.empty((t_len + 1, batch, hid)) for _ in (0, 1)]
             cache.c = [steps((t_len + 1, batch, hid)) for _ in (0, 1)]
-            cache.buffer = np.empty(size) if history else None
+            cache.buffer = np.empty(size) if train else None
         else:
             cache.x = workspace.x[:t_len]
             cache.gates = [a[:t_len] for a in workspace.gates]
             cache.tc = [a[:t_len] for a in workspace.tc]
             cache.h = [a[:t_len + 1] for a in workspace.h]
             cache.c = [a[:t_len + 1] for a in workspace.c]
-            cache.buffer = workspace.buffer[:size] if history else None
-        cache.log_probs = (cache.buffer[:t_len * batch * vocab].reshape(t_len, batch, vocab)
-                           if output else None)
+            cache.buffer = workspace.buffer[:size] if train else None
+        cache.log_probs = None
         for (h0, c0), h, c in zip(state, cache.h, cache.c):
             h[0] = h0
             c[0] = c0
@@ -412,14 +405,13 @@ class ForwardCache:
         return self.x.shape[0]
 
 
-def forward_segment(model: LstmLm, cache: ForwardCache, lo: int, hi: int,
-                    output: bool = True) -> ForwardCache:
-    """Run timesteps lo..hi-1 of `cache`, whose inputs are all set, layer by layer.
+def forward_segment(model: LstmLm, cache: ForwardCache, lo: int, hi: int) -> ForwardCache:
+    """Run timesteps lo..hi-1 of `cache`, whose inputs are all set, layer
+    by layer, computing cell states only.
 
     Per layer: one input projection over the n * B rows of all n steps,
-    into one buffer both layers share, then the recurrence per step;
-    then, unless output=False, the output layer over all rows. Leaves
-    the state after step hi - 1 in cache.final_state.
+    into one buffer both layers share, then the recurrence per step.
+    Leaves the state after step hi - 1 in cache.final_state.
 
     For B >= 2 every step's bits equal those of `step` on the same input
     and state, as a row of a stacked product equals the per-step product.
@@ -439,41 +431,45 @@ def forward_segment(model: LstmLm, cache: ForwardCache, lo: int, hi: int,
         for t in range(lo, hi):
             _cell(z[t - lo], h[t], c[t], wh, gates[t], c[t + 1], tc[t], h[t + 1])
         inp = h[lo + 1:hi + 1]
-    if output:
-        _output_layer(model, inp.reshape(rows, -1), cache.log_probs[lo:hi].reshape(rows, -1))
     cache.final_state = [(h[hi], c[hi]) for h, c in zip(cache.h, cache.c)]
     return cache
 
 
 def step(model: LstmLm, ids, state):
-    """One timestep on ids (B,). Returns (log_probs (B,|V|), new_state, cache).
+    """One timestep on ids (B,): forward_cached over a one-step window.
+    Returns (log_probs (B,|V|), new_state, cache).
 
-    The reference the window paths are tested against; the cache is a
-    one-step ForwardCache.
+    The reference the window paths are tested against.
     """
-    cache = ForwardCache.window(model, state, np.reshape(ids, (1, -1)))
-    forward_segment(model, cache, 0, 1)
+    cache = forward_cached(model, np.reshape(ids, (-1, 1)), state)
     return cache.log_probs[0], cache.final_state, cache
 
 
 def forward_cached(model: LstmLm, ids, init_state=None) -> ForwardCache:
     """Layer-wise forward over one (B, T) id window from init_state
-    (zeros if None): one input projection per layer, the recurrence per
-    step, one output projection. The cache is what backward reads."""
+    (zeros if None) in a training cache: one input projection per layer,
+    the recurrence per step, then one output layer over every step into
+    the cache's log_probs (T, B, |V|), a new array. backward reads the
+    cache, loss_from_cache its log_probs."""
     ids = np.asarray(ids)
     if ids.ndim != 2 or ids.shape[1] == 0:
         raise ValueError("ids must be a (B, T) array with T >= 1, got shape %s" % (ids.shape,))
-    state = model.zero_state(ids.shape[0]) if init_state is None else init_state
-    cache = ForwardCache.window(model, state, ids.T)
-    return forward_segment(model, cache, 0, ids.shape[1])
+    batch, t_len = ids.shape
+    state = model.zero_state(batch) if init_state is None else init_state
+    cache = ForwardCache.window(model, state, ids.T, train=True)
+    forward_segment(model, cache, 0, t_len)
+    top = cache.h[1][1:].reshape(ids.size, model.hidden)
+    log_probs = _output_layer(model, top, np.empty((ids.size, model.vocab_size)))
+    cache.log_probs = log_probs.reshape(t_len, batch, model.vocab_size)
+    return cache
 
 
 def step_log_probs(model: LstmLm, cache: ForwardCache, t: int) -> np.ndarray:
-    """Log-probs (B, |V|) of step t of a run cache, as a new array: the
-    output layer over that step's top-layer rows alone, which at B = 1
-    runs together with the row before it (the step before, or the
-    initial state), as _row_blocks does. What scheduled sampling feeds
-    back from a cache without log-probs; the bits equal the step's rows
+    """Log-probs (B, |V|) of step t of a run cache of either kind, as a new
+    array: the output layer over that step's top-layer rows alone, which
+    at B = 1 runs together with the row before it (the step before, or
+    the initial state), as _row_blocks does. The rows scheduled sampling
+    feeds back and greedy decoding reads; the bits equal the step's rows
     of a whole-window output layer."""
     b = cache.batch_size
     top = cache.h[1].reshape(-1, model.hidden)  # row block 0 is the initial state
@@ -484,7 +480,7 @@ def step_log_probs(model: LstmLm, cache: ForwardCache, t: int) -> np.ndarray:
 
 
 def loss_from_cache(cache: ForwardCache, targets) -> float:
-    """Mean NLL of targets (B, T) from the cached log-probs."""
+    """Mean NLL of targets (B, T) from a forward_cached cache's log-probs."""
     targets = np.asarray(targets, dtype=np.int64)
     rows = cache.log_probs.reshape(targets.size, -1)
     return float(-rows[np.arange(targets.size), targets.T.reshape(-1)].sum() / targets.size)
@@ -550,8 +546,8 @@ def backward(model: LstmLm, cache: ForwardCache, targets, out: FlatParams = None
     Writes them into `out`, a FlatParams laid out as model.params (a new
     one if None), and returns it. The window's mean NLL of targets, with
     the bits of loss_from_cache over a whole-window output layer, lands
-    in cache.nll. Consumes cache.buffer, and with it a log-probs cache's
-    log_probs, which backward does not read.
+    in cache.nll. Consumes cache.buffer; a forward_cached cache's
+    log_probs live outside it, and backward neither reads nor changes them.
 
     Truncation boundary: the window's initial state is a constant.
     Gradients wrt the embedded inputs land in cache.input_grads (T, B, d),

@@ -24,6 +24,7 @@ run again, then is appended to.
 
 import csv
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field, fields
@@ -34,7 +35,6 @@ from . import __version__
 from .arrayio import load_arrays, replacing, save_arrays
 from .embeddings import EmbeddingMatrix, load_embeddings
 from .model import (
-    FlatParams,
     ForwardCache,
     LstmLm,
     backward,
@@ -120,10 +120,12 @@ class TrainConfig:
         for name in ("batch_size", "bptt_len", "hidden", "dim", "min_count"):
             if getattr(self, name) < 1:
                 raise ValueError("%s must be >= 1" % name)
-        if self.base_lr <= 0.0:
-            raise ValueError("base_lr must be positive")
-        if self.clip < 0.0:
-            raise ValueError("clip must be >= 0")
+        if not 0.0 < self.base_lr < math.inf:  # NaN fails too
+            raise ValueError("base_lr must be positive and finite, got %g" % self.base_lr)
+        if not self.clip >= 0.0:  # a NaN clip would turn clipping off
+            raise ValueError("clip must be >= 0, got %g" % self.clip)
+        if not 0.0 < self.tau_init < math.inf:
+            raise ValueError("tau_init must be positive and finite, got %g" % self.tau_init)
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         if not 0.0 < self.val_fraction < 1.0:
@@ -311,9 +313,9 @@ def validate(model: LstmLm, val_batches) -> float:
     total_nll = 0.0
     total_tokens = 0
     for inputs, targets in val_batches:
-        cache = ForwardCache.window(model, state, inputs.T, output=False, workspace=first)
+        cache = ForwardCache.window(model, state, inputs.T, workspace=first)
         first = cache if first is None else first
-        forward_segment(model, cache, 0, len(cache), output=False)
+        forward_segment(model, cache, 0, len(cache))
         top = cache.h[1][1:].reshape(targets.size, model.hidden)  # rows in (t, b) order
         picked = target_log_probs(model, top, targets.T.reshape(-1))
         total_nll -= picked.reshape(targets.T.shape).T.ravel().sum()  # in targets' (b, t) order
@@ -469,20 +471,8 @@ class _Trace:
         self._fh.close()
 
 
-@dataclass
-class _Workspace:
-    """What every training window of a run reuses: the first window's
-    training ForwardCache, which no later window is longer than, with
-    its buffer (backward's output blocks, then its scratch), and the
-    flat gradient buffer, which sgd_step consumes. Both are allocated by
-    the first window."""
-
-    cache: ForwardCache = None
-    grads: FlatParams = None
-
-
 def _train_epoch(model, state, cfg, table, gumbel, train_batches, lr,
-                 velocity, trace, epoch, work=None):
+                 velocity, trace, epoch):
     """One pass over the training windows. Returns (train nll, gsns grad parts).
 
     Each window's source mask is drawn first, then the window is cut
@@ -495,10 +485,12 @@ def _train_epoch(model, state, cfg, table, gumbel, train_batches, lr,
     the whole window and reports its NLL. Draws happen in timestep
     order, as a loop over timesteps would make them: a cut's
     predict_sample draws, then each Neighbor step's draws for all B rows
-    at once. Every window runs in the arrays of `work` (a new _Workspace
-    if None).
+    at once. Every window runs in the first window's training cache,
+    which no later window is longer than, and backward writes every
+    window's gradients into the first window's FlatParams, which
+    sgd_step consumes; both are freed when the epoch returns.
     """
-    work = _Workspace() if work is None else work
+    first = grads = None
     hidden = None
     feeds_back = MODES[cfg.mode][0]
     prev_log_probs = None  # the previous window's last step, for SS feedback
@@ -515,10 +507,8 @@ def _train_epoch(model, state, cfg, table, gumbel, train_batches, lr,
         if mask[0] == Source.PREDICTION and prev_log_probs is None:
             mask[0] = Source.TEACHER  # nothing to feed back yet
         sources = mask.tolist()
-        cache = ForwardCache.window(model, hidden, inputs.T, output=False, train=True,
-                                    workspace=work.cache)
-        if work.cache is None:
-            work.cache = cache
+        cache = ForwardCache.window(model, hidden, inputs.T, workspace=first, train=True)
+        first = cache if first is None else first
         ids = cache.ids
         starts = [0] + [t for t in range(1, width) if sources[t] == Source.PREDICTION]
         for lo, hi in zip(starts, starts[1:] + [width]):
@@ -532,7 +522,7 @@ def _train_epoch(model, state, cfg, table, gumbel, train_batches, lr,
                     ids[t] = table.ids[inputs[:, t], gumbel_slots(gumbel, inputs[:, t], state.rng)]
                 else:
                     ids[t] = sample_neighbors(table, inputs[:, t], state.rng)
-            forward_segment(model, cache, lo, hi, output=False)
+            forward_segment(model, cache, lo, hi)
         if feeds_back:
             prev_log_probs = step_log_probs(model, cache, width - 1)
         hidden = cache.final_state
@@ -540,7 +530,7 @@ def _train_epoch(model, state, cfg, table, gumbel, train_batches, lr,
             for t, src in enumerate(sources):
                 trace.rows(epoch, step_idx, t, src, inputs[:, t], ids[t])
 
-        grads = work.grads = backward(model, cache, targets, out=work.grads)  # consumes the buffer
+        grads = backward(model, cache, targets, out=grads)  # consumes the buffer
         total_nll += cache.nll * targets.size
         total_tokens += targets.size
         swapped = [t for t, src in enumerate(sources) if src == Source.NEIGHBOR]
@@ -644,7 +634,6 @@ def run_training(config: TrainConfig, stop_after: int = None,
     if cfg.out_dir:
         os.makedirs(cfg.out_dir, exist_ok=True)
     tracer = _Trace(os.path.join(cfg.out_dir, TRACE_FILE), start_epoch) if trace else None
-    work = _Workspace()
     try:
         for epoch in range(start_epoch, cfg.epochs + 1):
             epsilon, gamma = rates_for_epoch(cfg.ss, cfg.nnrs, epoch, cfg.epochs)
@@ -655,7 +644,7 @@ def run_training(config: TrainConfig, stop_after: int = None,
             try:
                 train_nll, gsns_grad, gsns_rows = _train_epoch(
                     model, state, cfg, table, gumbel, train_batches, lr,
-                    velocity, tracer, epoch, work,
+                    velocity, tracer, epoch,
                 )
                 val_ppl = validate(model, val_batches)
 

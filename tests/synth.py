@@ -207,8 +207,8 @@ def per_key_sgd_step(model, grads, lr, clip, momentum=0.0, velocity=None):
 def reference_backward(model, cache, targets):
     """BPTT gradients of the mean NLL as separate arrays: the reference
     model.backward is tested against. Runs the output layer over the
-    whole window in one product (a log-probs cache's log_probs are not
-    read), sums the W_out and b_out terms over backward's row blocks in
+    whole window in one product (a forward_cached cache's log_probs are
+    not read), sums the W_out and b_out terms over backward's row blocks in
     order, takes dL/dh of layer 2 per block (a product with one column,
     at H = 1, goes to the matrix-vector kernel, whose row bits depend on
     the row count), and allocates every factor of the reverse recurrence

@@ -207,6 +207,19 @@ class TestTrain:
         assert not (out_dir / "records.csv").exists()
         assert not (out_dir / "checkpoint.bin").exists()
 
+    @pytest.mark.parametrize("bad", [
+        dict(tau_init="0"), dict(base_lr="nan"), dict(clip="nan"),
+        dict(mode="NNRS", nnrs_kind="static", nnrs_start="0.2", nnrs_end="0.2", tau_init="inf"),
+    ], ids=["tau_init-0", "base_lr-nan", "clip-nan", "NNRS-tau_init-inf"])
+    def test_bad_lr_clip_or_tau_is_usage_error(self, corpus, tmp_path, capsys, bad):
+        # refused by the config check, before the lock and the manifest
+        out_dir = tmp_path / "run"
+        config = _write_config(tmp_path / "run.cfg", corpus, out_dir, **bad)
+        assert main(["train", "--config", config]) == 2
+        assert "must be" in capsys.readouterr().err
+        assert not (out_dir / "manifest.json").exists()
+        assert not out_dir.exists()
+
     def test_missing_out_dir_is_usage_error(self, corpus, tmp_path, capsys):
         config = _write_config(tmp_path / "run.cfg", corpus, "")
         assert main(["train", "--config", config]) == 2

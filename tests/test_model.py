@@ -201,12 +201,27 @@ class TestBackward:
                 fd[t, b, j] = (plus - minus) / (2.0 * h)
         assert max_rel_error({"x": cache.input_grads}, {"x": fd}) < 1e-4
 
+    def test_leaves_forward_cached_log_probs(self, rng):
+        # forward_cached's log_probs are the cache's own array, outside the
+        # buffer backward runs in; |V| = 30 > 6H, so the buffer holds the
+        # output block
+        model = _small_model(rng, vocab=30)
+        inputs = rng.integers(0, 30, size=(3, 5))
+        targets = rng.integers(0, 30, size=(3, 5))
+        cache = forward_cached(model, inputs)
+        before = cache.log_probs.copy()
+        loss = loss_from_cache(cache, targets)
+        backward(model, cache, targets)
+        assert not np.shares_memory(cache.log_probs, cache.buffer)
+        assert cache.log_probs.tobytes() == before.tobytes()
+        assert loss_from_cache(cache, targets) == loss == cache.nll
+
     def test_cells_only_cache_refused(self, rng):
         # no log-probs, and its gates, tanh(c) and c hold only the last step
         model = _small_model(rng)
         ids = rng.integers(0, 6, size=(2, 5))
-        cache = ForwardCache.window(model, model.zero_state(2), ids.T, output=False)
-        forward_segment(model, cache, 0, 5, output=False)
+        cache = ForwardCache.window(model, model.zero_state(2), ids.T)
+        forward_segment(model, cache, 0, 5)
         with pytest.raises(ValueError, match="cells-only"):
             backward(model, cache, ids)
 
@@ -225,15 +240,21 @@ class TestBackward:
 
 
 def _segmented(model, ids, state, cuts, feed=False):
-    """The training forward: one forward_segment call per run of steps
-    between cuts. With feed, a cut step's ids are first set to the
-    greedy choice from the previous step's log-probs, as SS feedback does."""
-    cache = ForwardCache.window(model, state, ids=ids)
+    """The training forward: a training cache run by one forward_segment
+    call per run of steps between cuts. With feed, a cut step's ids are
+    first set to the greedy choice from step_log_probs of the step
+    before, as SS feedback does. The window's log_probs, which
+    loss_from_cache reads, are then one output layer over every step,
+    as forward_cached's are."""
+    cache = ForwardCache.window(model, state, ids, train=True)
     starts = [0] + sorted(cuts)
     for lo, hi in zip(starts, starts[1:] + [ids.shape[0]]):
         if feed and lo:
-            cache.ids[lo] = greedy_or_sample_predict(cache.log_probs[lo - 1])
+            cache.ids[lo] = greedy_or_sample_predict(step_log_probs(model, cache, lo - 1))
         forward_segment(model, cache, lo, hi)
+    top = cache.h[1][1:].reshape(ids.size, model.hidden)
+    log_probs = model_mod._output_layer(model, top, np.empty((ids.size, model.vocab_size)))
+    cache.log_probs = log_probs.reshape(ids.shape + (model.vocab_size,))
     return cache
 
 
@@ -328,31 +349,33 @@ class TestBackwardInWindowBuffer:
         # |V| 2 lies below every 6H drawn and 60 above, so the buffer is
         # sized by either; backward's output blocks of 2, 3 or 5 rows give
         # windows of one block, of several and with a one-row tail. The
-        # window, a log-probs or a training cache, runs in views of a
-        # workspace whose whole buffer backward has used once already, and
-        # the gradients land in the FlatParams that window wrote
+        # training window runs in views of a workspace whose whole buffer
+        # backward has used once already, and the gradients land in the
+        # FlatParams that window wrote; the workspace is a training window
+        # or a forward_cached cache, whose log_probs the window does not take
         rng = np.random.default_rng(case["seed"])
         batch, width, vocab = case["batch"], case["width"], case["vocab"]
-        output = not case["train"]
         model = LstmLm.init(vocab, case["dim"], case["hidden"], rng)
         with mock.patch.object(model_mod, "_BACKWARD_ROWS", case["block"]):
-            workspace = ForwardCache.window(
-                model, _random_state(rng, batch, case["hidden"]),
-                rng.integers(0, vocab, size=(case["ws_width"], batch)), output=output, train=True)
-            forward_segment(model, workspace, 0, case["ws_width"], output=output)
+            ws_state = _random_state(rng, batch, case["hidden"])
+            ws_ids = rng.integers(0, vocab, size=(case["ws_width"], batch))
+            if case["train"]:
+                workspace = ForwardCache.window(model, ws_state, ws_ids, train=True)
+                forward_segment(model, workspace, 0, case["ws_width"])
+            else:
+                workspace = forward_cached(model, ws_ids.T, ws_state)
             grads = backward(model, workspace,
                              rng.integers(0, vocab, size=(batch, case["ws_width"])))
 
             state = _random_state(rng, batch, case["hidden"])
             ids = rng.integers(0, vocab, size=(width, batch))
             targets = rng.integers(0, vocab, size=(batch, width))
-            cache = ForwardCache.window(model, state, ids, output=output, train=True,
-                                        workspace=workspace)
+            cache = ForwardCache.window(model, state, ids, workspace=workspace, train=True)
             starts = [0] + sorted(case["cuts"])
             for lo, hi in zip(starts, starts[1:] + [width]):
-                forward_segment(model, cache, lo, hi, output=output)
+                forward_segment(model, cache, lo, hi)
             assert np.shares_memory(cache.buffer, workspace.buffer)
-            assert (cache.log_probs is None) == case["train"]
+            assert cache.log_probs is None
             ref, ref_input_grads, ref_nll = reference_backward(model, cache, targets)
             assert backward(model, cache, targets, out=grads) is grads
         for key in model.params:
@@ -389,8 +412,8 @@ class TestBackwardInWindowBuffer:
         ids = rng.integers(0, vocab, size=(batch, width))
         targets = rng.integers(0, vocab, size=(batch, width))
         with mock.patch.object(model_mod, "_BACKWARD_ROWS", block):
-            cache = ForwardCache.window(model, state, ids.T, output=False, train=True)
-            forward_segment(model, cache, 0, width, output=False)
+            cache = ForwardCache.window(model, state, ids.T, train=True)
+            forward_segment(model, cache, 0, width)
             grads = backward(model, cache, targets)
             whole = forward_cached(model, ids, state)
             expected = loss_from_cache(whole, targets)
@@ -411,8 +434,8 @@ class TestBackwardInWindowBuffer:
         model = LstmLm.init(vocab, 4, hidden, rng)
         state = _random_state(rng, batch, hidden)
         ids = rng.integers(0, vocab, size=(width, batch))
-        cache = ForwardCache.window(model, state, ids, output=False, train=True)
-        forward_segment(model, cache, 0, width, output=False)
+        cache = ForwardCache.window(model, state, ids, train=True)
+        forward_segment(model, cache, 0, width)
         logits = cache.h[1].reshape(-1, hidden) @ model.params["W_out"] + model.params["b_out"]
         logits -= logits.max(axis=1, keepdims=True)
         whole = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))

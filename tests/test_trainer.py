@@ -4,6 +4,7 @@ import csv
 import re
 import tempfile
 import tracemalloc
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
@@ -160,6 +161,15 @@ class TestConfig:
                     dict(val_fraction=0.0), dict(clip=-1.0), dict(k=-1)):
             with pytest.raises(ValueError):
                 _quick_config(cycle_corpus, **bad).check()
+
+    @pytest.mark.parametrize("key, value", [
+        ("tau_init", "0"), ("tau_init", "-0.5"), ("tau_init", "nan"), ("tau_init", "inf"),
+        ("base_lr", "nan"), ("base_lr", "inf"), ("clip", "nan")])
+    def test_non_finite_or_non_positive_refused(self, cycle_corpus, key, value):
+        # each passed the check once and then failed in epoch 1, or, for a
+        # NaN clip, turned clipping off, as `norm > nan` is always False
+        with pytest.raises(ValueError, match="%s must be" % key):
+            config_from_dict({"corpus": cycle_corpus, key: value})
 
     def test_gumbel_beta_range(self, cycle_corpus):
         gsns = dict(mode="GSNS", nnrs=Schedule("static", 0.3, 0.3))
@@ -334,8 +344,8 @@ class TestValidate:
         seen, scored = [], []
         real_segment, real_target = trainer_mod.forward_segment, trainer_mod.target_log_probs
 
-        def recording_segment(model, cache, lo, hi, output=True):
-            real_segment(model, cache, lo, hi, output)
+        def recording_segment(model, cache, lo, hi):
+            real_segment(model, cache, lo, hi)
             seen.append((cache.h[1][1:].copy(),  # the next window overwrites the cache
                          [(h.copy(), c.copy()) for h, c in cache.final_state]))
             return cache
@@ -837,8 +847,8 @@ class TestWindowWorkspace:
 
         real_window, real_backward = ForwardCache.window, trainer_mod.backward
 
-        def fresh_window(model, state, ids, output=True, workspace=None, train=False):
-            return real_window(model, state, ids, output, train=train)
+        def fresh_window(model, state, ids, workspace=None, train=False):
+            return real_window(model, state, ids, train=train)
 
         def per_key_backward(model, cache, targets, out=None):
             return {key: g.copy() for key, g in real_backward(model, cache, targets).items()}
@@ -849,6 +859,40 @@ class TestWindowWorkspace:
             run_training(replace(config(ref_dir, mode, momentum, sample), **kw))
         assert records_from_csv(run_dir / RECORDS_FILE) == records_from_csv(ref_dir / RECORDS_FILE)
         assert_same_checkpoint(run_dir / CHECKPOINT_FILE, ref_dir / CHECKPOINT_FILE)
+
+    def test_window_arrays_freed_before_validate(self, cycle_corpus, tmp_path):
+        # the epoch's window cache and gradient FlatParams are _train_epoch's
+        # locals: neither is referenced once it returns, so neither is held
+        # through validate or save_checkpoint
+        refs, checked = [], []
+        real_window, real_backward = ForwardCache.window, trainer_mod.backward
+
+        def tracked_window(*args, **kwargs):
+            cache = real_window(*args, **kwargs)
+            refs.append(weakref.ref(cache))
+            return cache
+
+        def tracked_backward(*args, **kwargs):
+            grads = real_backward(*args, **kwargs)
+            refs.append(weakref.ref(grads))
+            return grads
+
+        def freed_first(fn):
+            def wrapped(*args, **kwargs):
+                assert refs and all(ref() is None for ref in refs), fn.__name__
+                checked.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        cfg = _quick_config(cycle_corpus, mode="SS", ss=Schedule("static", 0.3, 0.3),
+                            epochs=2, out_dir=str(tmp_path))
+        with mock.patch.object(ForwardCache, "window", tracked_window), \
+                mock.patch.object(trainer_mod, "backward", tracked_backward), \
+                mock.patch.object(trainer_mod, "validate", freed_first(trainer_mod.validate)), \
+                mock.patch.object(trainer_mod, "save_checkpoint",
+                                  freed_first(trainer_mod.save_checkpoint)):
+            run_training(cfg)
+        assert checked == ["validate", "save_checkpoint"] * 2
 
     def test_window_holds_one_output_array(self, cycle_corpus):
         # |V| = 5000, windows of 64 x 4 = 256 rows, the last one shorter:
