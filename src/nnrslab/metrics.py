@@ -16,9 +16,10 @@ within 1e-12.
 evaluate_model decodes every window from the zero state, so windows of
 one width are stacked along the batch axis in chunks of whole windows
 within model.block_rows rows and greedily decoded together, each step
-through one reused one-step cells-only cache whose rows
-model.step_log_probs reads. For windows of B >= 2 rows the
-continuations equal per-window decoding bit for bit.
+through one reused one-step cells-only cache whose logit rows
+model.step_logits reads; no log-softmax is built, since the argmax of a
+logit row is the token. For windows of B >= 2 rows the continuations
+equal per-window decoding bit for bit.
 """
 
 import csv
@@ -31,7 +32,7 @@ import numpy as np
 from .arrayio import replacing
 from .embeddings import EmbeddingMatrix
 from .model import (ForwardCache, block_rows, forward_segment, greedy_or_sample_predict,
-                    step_log_probs)
+                    step_logits)
 from .trainer import validate
 
 _BLEU_EPS = 1e-9  # numerator floor for zero n-gram matches
@@ -231,8 +232,9 @@ class ToyChain:
         n = trans.shape[0]
         if trans.shape != (n, n) or marg.shape != (n,):
             raise ValueError("need an (n, n) transition matrix and an (n,) marginal")
-        if np.any(trans < 0.0) or np.any(marg < 0.0):
-            raise ValueError("probabilities must be non-negative")
+        if not (np.isfinite(trans).all() and np.isfinite(marg).all()  # NaN passes the sum checks
+                and (trans >= 0.0).all() and (marg >= 0.0).all()):
+            raise ValueError("probabilities must be finite and non-negative")
         if np.abs(trans.sum(axis=1) - 1.0).max() > 1e-9:
             raise ValueError("transition rows must sum to 1")
         if abs(marg.sum() - 1.0) > 1e-9:
@@ -278,7 +280,7 @@ def kl_decomposition(p_chain: ToyChain, q_chain: ToyChain,
     if p_chain.trans.shape != q_chain.trans.shape:
         raise ValueError("chains must share an alphabet size")
     for chain in (p_chain, q_chain):
-        if np.any(chain.trans <= 0.0) or np.any(chain.marginal <= 0.0):
+        if not ((chain.trans > 0.0).all() and (chain.marginal > 0.0).all()):  # NaN fails
             raise ValueError("chains must be strictly positive (smooth them first)")
 
     row_kl = np.array([_kl(p_chain.trans[h], q_chain.trans[h])
@@ -327,7 +329,7 @@ def _greedy_continuations(model, inputs: np.ndarray, prefix_len: int) -> np.ndar
     """Teacher-force a prefix, then greedy-decode to the window end.
 
     Returns the (B, width - prefix_len + 1) token ids: the greedy choice
-    (greedy_or_sample_predict over step_log_probs, the rows scheduled
+    (greedy_or_sample_predict over step_logits, the rows scheduled
     sampling feeds back) after the prefix's last position, then after
     each decoded token. Every step runs cells-only in the first step's
     one-step cache, with the state after the step before copied into its
@@ -341,7 +343,7 @@ def _greedy_continuations(model, inputs: np.ndarray, prefix_len: int) -> np.ndar
         cache = ForwardCache.window(model, state, ids[None], workspace=cache)
         state = forward_segment(model, cache, 0, 1).final_state
         if t >= prefix_len - 1:
-            out[:, t - prefix_len + 1] = greedy_or_sample_predict(step_log_probs(model, cache, 0))
+            out[:, t - prefix_len + 1] = greedy_or_sample_predict(step_logits(model, cache, 0))
     return out
 
 

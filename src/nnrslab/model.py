@@ -24,43 +24,52 @@ Every forward path runs forward_segment, which computes cell states
 only: layer by layer over a span of timesteps whose inputs are all
 known, one input projection per layer over the span's (T*B, .) rows
 stacked in (t, b) order, then the recurrence per step (_cell). No
-forward path runs the output layer (_output_layer: one output
-projection and log-softmax); each consumer runs it over the top-layer
-rows it reads. Training cuts each BPTT window before every
-scheduled-sampling step, whose input is the model's own prediction
-from the step before: greedy_or_sample_predict over step_log_probs,
-the output layer of that one step. Greedy decoding reads each step's
-rows through step_log_probs too. The results land in a ForwardCache of
-(T, B, .) arrays. ForwardCache.window(..., workspace=) gives a window
-leading-axis views of an earlier cache's arrays, so a run that keeps
-its first window's cache allocates no array of a window's size after it.
+forward path runs the output layer; each consumer runs what it needs of
+it over the top-layer rows it reads. Training cuts each BPTT window
+before every scheduled-sampling step, whose input is the model's own
+prediction from the step before: greedy_or_sample_predict over
+step_logits, the logits of that one step. Greedy decoding reads each
+step's logits through step_logits too. The results land in a
+ForwardCache of (T, B, .) arrays. ForwardCache.window(..., workspace=)
+gives a window leading-axis views of an earlier cache's arrays, so a run
+that keeps its first window's cache allocates no array of a window's
+size after it.
+
+The output layer has one scoring rule, _score_rows: a block's logits
+h @ W_out + b_out are shifted by their row max, the targets' shifted
+logits are picked, and the block is exponentiated in place and summed
+per row; a target's log-prob is its shifted logit minus the log of its
+row's sum. backward and target_log_probs (validation) both run it, so
+each logit is exponentiated once. Feedback and decoding read logit rows:
+greedy_or_sample_predict takes their argmax or draws over
+exp(row - row max). Only the reference path (forward_cached, step,
+loss_from_cache) builds a log-softmax array, in _output_layer.
 
 A cache is one of two kinds, chosen by window's train flag. A training
 cache (train=True) keeps every step of the cell history and a buffer
 of max(min(T*B, _BACKWARD_ROWS + H) * |V|, 6H * T*B) elements, which
 backward runs in. A cells-only cache keeps only what validation and
 decoding read; see below. forward_cached runs a training cache and then
-the output layer over every step into the cache's own log_probs
-(T, B, |V|), which loss_from_cache reads. The log-softmax's exp
-temporary spans at most block_rows(model) rows (about _ROW_BUDGET
-elements).
+_output_layer over every step into the cache's own log_probs
+(T, B, |V|), which loss_from_cache reads.
 
 backward runs the output layer itself, from the top-layer states
 cache.h[1], in blocks of _BACKWARD_ROWS rows (one block when the window
 has at most _BACKWARD_ROWS + H rows). Per block, in the cache's buffer:
-the logits and log-softmax, the targets' log-probs (whose mean is the
-window's NLL, left in cache.nll), the softmax gradient formed in place,
-its W_out and b_out terms (a later block adds its W_out term through an
-(H, |V|) temporary that follows the block in the buffer), and the
-block's rows of dL/dh. Once every block is done, the buffer holds the
-reverse recurrence's gate factors and dz. backward writes every
-gradient into `out`, a FlatParams the caller reuses from window to
-window, and sgd_step consumes those gradients, forming the update in
-place. A training window thus holds one buffer, never larger than
-(T*B, max(|V|, 6H)) and at |V| >> H about (_BACKWARD_ROWS + H, |V|);
-every other temporary it makes is at most (T*B, H), (T*B, d), one
-exp block or one parameter key in size. backward neither reads nor
-changes a forward_cached cache's log_probs, which live outside the
+_score_rows (the targets' log-probs, whose mean is the window's NLL, left
+in cache.nll), the softmax gradient formed in place from its exps (each
+row divided by its sum, one subtracted at its target, every entry
+divided by the window's row count), its W_out and b_out terms (a later
+block adds its W_out term through an (H, |V|) temporary that follows
+the block in the buffer), and the block's rows of dL/dh. Once every
+block is done, the buffer holds the reverse recurrence's gate factors
+and dz. backward writes every gradient into `out`, a FlatParams the
+caller reuses from window to window, and sgd_step consumes those
+gradients, forming the update in place. A training window thus holds
+one buffer, never larger than (T*B, max(|V|, 6H)) and at |V| >> H about
+(_BACKWARD_ROWS + H, |V|); every other temporary it makes is at most
+(T*B, H), (T*B, d) or one parameter key in size. backward neither reads
+nor changes a forward_cached cache's log_probs, which live outside the
 buffer.
 
 Eval never holds a (T, B, |V|) array. Validation runs whole windows
@@ -80,8 +89,8 @@ step's one-row products to BLAS's matrix-vector kernel. A row of a
 product of two or more rows and columns has the same bits whatever the
 row count, so no output product has one row unless there is only one
 (_row_blocks): backward's and target_log_probs's blocks, and
-step_log_probs at B = 1, run a lone row together with the row before
-it. (OpenBLAS keeps that row rule at the shapes the tests draw and at
+step_logits at B = 1, run a lone row together with the row before it.
+(OpenBLAS keeps that row rule at the shapes the tests draw and at
 desk shape, not at every shape: at H = 1 backward's dL/dh product has
 one column, and at some widths, such as 50 columns over H >= 16, rows
 from three rows up differ from rows of a two-row product.)
@@ -243,19 +252,6 @@ def _one_step(shape) -> np.ndarray:
     return np.lib.stride_tricks.as_strided(buf, shape, (0,) + buf.strides)
 
 
-def _log_softmax(logits: np.ndarray, rows: int) -> np.ndarray:
-    """Row-wise log-softmax of a 2-D array, computed in place.
-
-    The exp temporary covers `rows` rows at a time; the operation is
-    row-wise, so the bits equal those of one pass over every row.
-    """
-    logits -= logits.max(axis=1, keepdims=True)
-    for lo in range(0, logits.shape[0], rows):
-        block = logits[lo:lo + rows]
-        block -= np.log(np.exp(block).sum(axis=1, keepdims=True))
-    return logits
-
-
 def _logits(model: LstmLm, h: np.ndarray, out: np.ndarray) -> np.ndarray:
     """h @ W_out + b_out of top-layer rows h (n, H) into out (n, |V|)."""
     np.matmul(h, model.params["W_out"], out=out)
@@ -264,8 +260,27 @@ def _logits(model: LstmLm, h: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _output_layer(model: LstmLm, h: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """log_softmax(h @ W_out + b_out) of top-layer rows h (n, H) into out (n, |V|)."""
-    return _log_softmax(_logits(model, h, out), block_rows(model))
+    """log_softmax(h @ W_out + b_out) of top-layer rows h (n, H) into out
+    (n, |V|): the reference path's output layer, the only one that builds
+    a log-softmax array."""
+    logits = _logits(model, h, out)
+    logits -= logits.max(axis=1, keepdims=True)
+    logits -= np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    return logits
+
+
+def _score_rows(model: LstmLm, h: np.ndarray, targets: np.ndarray, out: np.ndarray):
+    """The output layer's scoring rule over top-layer rows h (n, H) and
+    their targets (n,), in out (n, |V|): the logits shifted by their row
+    max, the targets' shifted logits picked, then the block exponentiated
+    in place. Returns (the exps, out itself; their row sums (n,); the
+    targets' log-probs (n,), each its shifted logit minus the log of its
+    row's sum). The log-probs have the bits of _output_layer's."""
+    block = _logits(model, h, out)
+    block -= block.max(axis=1, keepdims=True)
+    picked = block[np.arange(len(targets)), targets]
+    sums = np.exp(block, out=block).sum(axis=1)
+    return block, sums, picked - np.log(sums)
 
 
 def _row_blocks(n: int, size: int):
@@ -281,23 +296,18 @@ def _row_blocks(n: int, size: int):
 def target_log_probs(model: LstmLm, top: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """log p(targets[i]) given top-layer rows top (n, H); returns (n,).
 
-    The logits run on blocks of at most block_rows(model) rows through
-    one buffer, so memory stays bounded as n and |V| grow. Each block
-    keeps its targets' max-shifted logits, is exponentiated in place,
-    and only those entries get the row's log-sum-exp subtracted. The
-    bits equal those of one (n, |V|) output layer: the same ops run on
-    every kept entry, and the blocks are _row_blocks'.
+    _score_rows runs on blocks of at most block_rows(model) rows through
+    one buffer, so memory stays bounded as n and |V| grow. The bits equal
+    those of one (n, |V|) output layer: the same ops run on every row,
+    and the blocks are _row_blocks'.
     """
     n = top.shape[0]
     size = block_rows(model)
     buf = np.empty((min(size, n), model.vocab_size))
     picked = np.empty(n)
     for first, lo, hi in _row_blocks(n, size):
-        block = _logits(model, top[first:hi], buf[:hi - first])
-        block -= block.max(axis=1, keepdims=True)
-        picked[lo:hi] = block[np.arange(lo - first, hi - first), targets[lo:hi]]
-        np.exp(block, out=block)
-        picked[lo:hi] -= np.log(block[lo - first:].sum(axis=1))
+        scored = _score_rows(model, top[first:hi], targets[first:hi], buf[:hi - first])[2]
+        picked[lo:hi] = scored[lo - first:]
     return picked
 
 
@@ -464,19 +474,18 @@ def forward_cached(model: LstmLm, ids, init_state=None) -> ForwardCache:
     return cache
 
 
-def step_log_probs(model: LstmLm, cache: ForwardCache, t: int) -> np.ndarray:
-    """Log-probs (B, |V|) of step t of a run cache of either kind, as a new
-    array: the output layer over that step's top-layer rows alone, which
-    at B = 1 runs together with the row before it (the step before, or
-    the initial state), as _row_blocks does. The rows scheduled sampling
+def step_logits(model: LstmLm, cache: ForwardCache, t: int) -> np.ndarray:
+    """Logits (B, |V|) of step t of a run cache of either kind, as a new
+    array: h @ W_out + b_out over that step's top-layer rows alone, which
+    at B = 1 run together with the row before (the step before, or the
+    initial state), as _row_blocks does. The rows scheduled sampling
     feeds back and greedy decoding reads; the bits equal the step's rows
-    of a whole-window output layer."""
+    of a whole-window product."""
     b = cache.batch_size
     top = cache.h[1].reshape(-1, model.hidden)  # row block 0 is the initial state
     lo, hi = (t + 1) * b, (t + 2) * b
     first = min(lo, hi - 2)
-    out = np.empty((hi - first, model.vocab_size))
-    return _output_layer(model, top[first:hi], out)[lo - first:]
+    return _logits(model, top[first:hi], np.empty((hi - first, model.vocab_size)))[lo - first:]
 
 
 def loss_from_cache(cache: ForwardCache, targets) -> float:
@@ -555,13 +564,15 @@ def backward(model: LstmLm, cache: ForwardCache, targets, out: FlatParams = None
 
     The output layer runs on the top-layer rows, stacked in (t, b)
     order, in _row_blocks of _backward_block rows through the buffer:
-    per block its log-softmax, the targets' log-probs, the softmax
-    gradient in place, the block's W_out and b_out terms (summed over
-    the blocks in order) and its rows of dL/dh of layer 2. Then only the
-    recurrence runs per timestep, layer 2's whole reverse pass before
-    layer 1's, and per layer the Wx, Wh and b gradients and dL/d(input),
-    which is layer 1's dL/dh or the input gradient, are one product each
-    per window.
+    per block _score_rows (the exps, their row sums and the targets'
+    log-probs), the softmax gradient formed in place from the exps
+    (divided by the row sum, one subtracted at the target, divided by
+    the window's row count), the block's W_out and b_out terms (summed
+    over the blocks in order) and its rows of dL/dh of layer 2. Then
+    only the recurrence runs per timestep, layer 2's whole reverse pass
+    before layer 1's, and per layer the Wx, Wh and b gradients and
+    dL/d(input), which is layer 1's dL/dh or the input gradient, are one
+    product each per window.
 
     A cells-only cache is refused: it has no buffer, and its gates,
     tanh(c) and c hold only the last step.
@@ -584,11 +595,11 @@ def backward(model: LstmLm, cache: ForwardCache, targets, out: FlatParams = None
     picked = np.empty(rows)
     dh_in = np.empty((rows, hid))
     for first, lo, hi in _row_blocks(rows, size):
-        own = np.arange(lo - first, hi - first)
-        dlogits = _output_layer(model, top[first:hi], block_buf[:hi - first])
-        picked[lo:hi] = dlogits[own, flat_targets[lo:hi]]
-        np.exp(dlogits, out=dlogits)  # softmax minus one-hot, in place
-        dlogits[own, flat_targets[lo:hi]] -= 1.0
+        dlogits, sums, scored = _score_rows(model, top[first:hi], flat_targets[first:hi],
+                                            block_buf[:hi - first])
+        picked[lo:hi] = scored[lo - first:]
+        dlogits /= sums[:, None]  # softmax minus one-hot, in place
+        dlogits[np.arange(hi - first), flat_targets[first:hi]] -= 1.0
         dlogits /= float(rows)
         mine = dlogits[lo - first:]
         if lo == 0:
@@ -663,13 +674,14 @@ def cosine_lr(base_lr: float, epoch: int, total: int) -> float:
     return float(base_lr * (1.0 + np.cos(np.pi * epoch / total)) / 2.0)
 
 
-def greedy_or_sample_predict(log_probs: np.ndarray, sample: bool = False,
+def greedy_or_sample_predict(logits: np.ndarray, sample: bool = False,
                              rng: np.random.Generator = None) -> np.ndarray:
-    """The model's next token for each (N, |V|) log-prob row, as (N,) int64
+    """The model's next token for each (N, |V|) logit row, as (N,) int64
     ids: the argmax (ties to the smaller id), or with sample=True one
-    categorical draw per row from exp(log_probs)."""
+    categorical draw per row from exp(row - row max), which
+    categorical_draws scales by its row total."""
     if not sample:
-        return log_probs.argmax(axis=1).astype(np.int64)
+        return logits.argmax(axis=1).astype(np.int64)
     if rng is None:
         raise ValueError("rng is required for sampling mode")
-    return categorical_draws(np.exp(log_probs), rng)
+    return categorical_draws(np.exp(logits - logits.max(axis=1, keepdims=True)), rng)

@@ -58,6 +58,12 @@ class TokenDecision:
     chosen_id: int
 
 
+def check_positive_finite(name: str, value: float) -> None:
+    """Refuse a value that is not finite and positive; NaN is refused too."""
+    if not 0.0 < value < math.inf:
+        raise ValueError("%s must be positive and finite, got %g" % (name, value))
+
+
 def check_mode_rates(mode: str, epsilon_on: bool, gamma_on: bool) -> None:
     """The one mode/rate rule, from MODES: MLE takes neither rate, SS no
     gamma, NNRS, TPRS and GSNS no epsilon, SS_NNRS both. Unknown modes are refused.
@@ -92,8 +98,7 @@ class PolicyState:
 
     def __post_init__(self):
         self.set_rates(self.epsilon, self.gamma)
-        if not self.tau > 0.0:
-            raise ValueError("tau must be positive, got %g" % self.tau)
+        check_positive_finite("tau", self.tau)  # update_temperature turns inf into NaN
 
     def set_rates(self, epsilon: float, gamma: float) -> None:
         for name, v in (("epsilon", epsilon), ("gamma", gamma)):

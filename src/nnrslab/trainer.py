@@ -24,7 +24,6 @@ run again, then is appended to.
 
 import csv
 import json
-import math
 import os
 import time
 from dataclasses import dataclass, field, fields
@@ -42,7 +41,7 @@ from .model import (
     forward_segment,
     greedy_or_sample_predict,
     sgd_step,
-    step_log_probs,
+    step_logits,
     target_log_probs,
 )
 from .neighbors import (
@@ -59,6 +58,7 @@ from .policy import (
     PolicyState,
     Source,
     check_mode_rates,
+    check_positive_finite,
     decide_batch_positions,
     gumbel_slots,
     gumbel_update,
@@ -120,12 +120,10 @@ class TrainConfig:
         for name in ("batch_size", "bptt_len", "hidden", "dim", "min_count"):
             if getattr(self, name) < 1:
                 raise ValueError("%s must be >= 1" % name)
-        if not 0.0 < self.base_lr < math.inf:  # NaN fails too
-            raise ValueError("base_lr must be positive and finite, got %g" % self.base_lr)
+        check_positive_finite("base_lr", self.base_lr)
         if not self.clip >= 0.0:  # a NaN clip would turn clipping off
             raise ValueError("clip must be >= 0, got %g" % self.clip)
-        if not 0.0 < self.tau_init < math.inf:
-            raise ValueError("tau_init must be positive and finite, got %g" % self.tau_init)
+        check_positive_finite("tau_init", self.tau_init)
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         if not 0.0 < self.val_fraction < 1.0:
@@ -478,10 +476,11 @@ def _train_epoch(model, state, cfg, table, gumbel, train_batches, lr,
     Each window's source mask is drawn first, then the window is cut
     before every Prediction step: within a segment every input id is
     known (teacher or neighbor), so it runs layer-wise in one
-    forward_segment call, without the output layer. Output rows are
-    computed only where a prediction is fed back: the step before a cut,
-    and in modes that take epsilon the window's last step, before
-    sgd_step moves the parameters. backward runs the output layer over
+    forward_segment call, without the output layer. Logit rows
+    (model.step_logits) are computed only where a prediction is fed
+    back: the step before a cut, and in modes that take epsilon the
+    window's last step, before sgd_step moves the parameters. No
+    log-softmax is built for them. backward runs the output layer over
     the whole window and reports its NLL. Draws happen in timestep
     order, as a loop over timesteps would make them: a cut's
     predict_sample draws, then each Neighbor step's draws for all B rows
@@ -493,7 +492,7 @@ def _train_epoch(model, state, cfg, table, gumbel, train_batches, lr,
     first = grads = None
     hidden = None
     feeds_back = MODES[cfg.mode][0]
-    prev_log_probs = None  # the previous window's last step, for SS feedback
+    prev_logits = None  # the previous window's last step, for SS feedback
     total_nll = 0.0
     total_tokens = 0
     gsns_grad = np.zeros_like(gumbel.log_alpha) if gumbel is not None else None
@@ -504,7 +503,7 @@ def _train_epoch(model, state, cfg, table, gumbel, train_batches, lr,
         if hidden is None:
             hidden = model.zero_state(batch)
         mask = decide_batch_positions(state, width)
-        if mask[0] == Source.PREDICTION and prev_log_probs is None:
+        if mask[0] == Source.PREDICTION and prev_logits is None:
             mask[0] = Source.TEACHER  # nothing to feed back yet
         sources = mask.tolist()
         cache = ForwardCache.window(model, hidden, inputs.T, workspace=first, train=True)
@@ -513,7 +512,7 @@ def _train_epoch(model, state, cfg, table, gumbel, train_batches, lr,
         starts = [0] + [t for t in range(1, width) if sources[t] == Source.PREDICTION]
         for lo, hi in zip(starts, starts[1:] + [width]):
             if sources[lo] == Source.PREDICTION:
-                prev = step_log_probs(model, cache, lo - 1) if lo else prev_log_probs
+                prev = step_logits(model, cache, lo - 1) if lo else prev_logits
                 ids[lo] = greedy_or_sample_predict(prev, cfg.predict_sample, state.rng)
             for t in range(lo, hi):
                 if sources[t] != Source.NEIGHBOR:
@@ -524,7 +523,7 @@ def _train_epoch(model, state, cfg, table, gumbel, train_batches, lr,
                     ids[t] = sample_neighbors(table, inputs[:, t], state.rng)
             forward_segment(model, cache, lo, hi)
         if feeds_back:
-            prev_log_probs = step_log_probs(model, cache, width - 1)
+            prev_logits = step_logits(model, cache, width - 1)
         hidden = cache.final_state
         if trace is not None:
             for t, src in enumerate(sources):

@@ -226,10 +226,10 @@ def reference_backward(model, cache, targets):
     top = cache.h[1][1:].reshape(rows, hid)
     logits = top @ p["W_out"] + p["b_out"]
     logits -= logits.max(axis=1, keepdims=True)
-    log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-    picked = log_probs[np.arange(rows), targets.T.reshape(-1)]
+    sums = np.exp(logits).sum(axis=1, keepdims=True)
+    picked = logits[np.arange(rows), targets.T.reshape(-1)] - np.log(sums[:, 0])
     nll = float(-picked.sum() / rows)
-    dlogits = np.exp(log_probs)
+    dlogits = np.exp(logits) / sums  # the softmax, exp(shifted) / sum
     dlogits[np.arange(rows), targets.T.reshape(-1)] -= 1.0
     dlogits /= float(rows)
     terms, dh_rows = [], []

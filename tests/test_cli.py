@@ -665,3 +665,15 @@ class TestKlDiag:
                      "--gamma", "0", "--out", str(tmp_path / "o.csv")])
         assert code == 2
         capsys.readouterr()
+
+    def test_nan_chain_is_usage_error(self, tmp_path, capsys):
+        # a NaN entry used to print NaN terms, write them and exit 0
+        bad = tmp_path / "p.csv"
+        bad.write_text("0.5,nan\n0.5,0.5\n", encoding="utf-8")
+        ok = self._write_chain(tmp_path / "q.csv", [[0.6, 0.4], [0.5, 0.5]])
+        out = tmp_path / "o.csv"
+        code = main(["kl-diag", "--p", str(bad), "--q", ok, "--eps", "0.5",
+                     "--gamma", "0.5", "--out", str(out)])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()

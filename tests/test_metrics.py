@@ -245,6 +245,15 @@ class TestToyChain:
         with pytest.raises(ValueError):
             ToyChain(np.array([[1.1, -0.1], [0.2, 0.8]]), np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        # NaN compares false, so it used to pass the sign, row-sum and
+        # stationarity checks alike
+        with pytest.raises(ValueError, match="finite"):
+            ToyChain.from_transitions(np.array([[0.5, bad], [0.5, 0.5]]))
+        with pytest.raises(ValueError, match="finite"):
+            ToyChain(np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([0.5, bad]))
+
 
 class TestKlDecomposition:
     def _chains(self):
@@ -302,6 +311,10 @@ class TestKlDecomposition:
         p, _ = self._chains()
         with pytest.raises(ValueError, match="positive"):
             kl_decomposition(degenerate, p, 0.1, 0.1)
+        _, q = self._chains()
+        q.trans[0, 1] = np.nan  # a built chain's arrays are still writable
+        with pytest.raises(ValueError, match="positive"):
+            kl_decomposition(p, q, 0.1, 0.1)
 
     def test_rate_and_shape_validation(self):
         p, q = self._chains()

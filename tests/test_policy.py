@@ -166,6 +166,12 @@ class TestUpdateTemperature:
         return PolicyState(mode="NNRS", rng=np.random.default_rng(0),
                            tau=tau, best_val_loss=best)
 
+    @pytest.mark.parametrize("tau", [math.inf, math.nan, 0.0, -1.0])
+    def test_non_finite_or_non_positive_tau_refused(self, tau):
+        # tau = inf used to be accepted, and the next update set it to NaN
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            self._state(tau)
+
     def test_tau_one_fixed_point(self):
         for loss in (0.5, 5.0, 500.0):
             state = self._state(1.0, best=10.0)

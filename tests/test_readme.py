@@ -33,4 +33,5 @@ def test_library_use_block_runs(tmp_path):
     assert scope["log_probs"].shape == (35, 4, model.vocab_size)
     assert cache.nll == scope["nll"]
     assert set(scope["grads"]) == set(model.params)
+    assert scope["next_ids"].shape == (4,)
     assert [r.metric for r in scope["reports"]] == ["ppl", "bleu4", "self_bleu4"]
