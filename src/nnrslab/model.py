@@ -65,12 +65,16 @@ the block in the buffer), and the block's rows of dL/dh. Once every
 block is done, the buffer holds the reverse recurrence's gate factors
 and dz. backward writes every gradient into `out`, a FlatParams the
 caller reuses from window to window, and sgd_step consumes those
-gradients, forming the update in place. A training window thus holds
-one buffer, never larger than (T*B, max(|V|, 6H)) and at |V| >> H about
-(_BACKWARD_ROWS + H, |V|); every other temporary it makes is at most
-(T*B, H), (T*B, d) or one parameter key in size. backward neither reads
-nor changes a forward_cached cache's log_probs, which live outside the
-buffer.
+gradients, forming the update in place and summing squares for its clip
+norm through _NORM_LEAF elements. The buffer is idle during the forward
+pass, so forward_segment runs a training cache's input projections in
+it. A training window thus holds one buffer, never larger than
+(T*B, max(|V|, 6H)) and at |V| >> H about (_BACKWARD_ROWS + H, |V|);
+every other temporary it makes is at most (T*B, H), (T*B, d),
+(max(B, 2), |V|) (a fed-back step's logits) or (H, 4H) in size, and
+none grows with |V| but those logits and backward's (|V|,) b_out term.
+backward neither reads nor changes a forward_cached cache's log_probs,
+which live outside the buffer.
 
 Eval never holds a (T, B, |V|) array. Validation runs whole windows
 cells-only and scores the top-layer rows with target_log_probs, in
@@ -112,6 +116,7 @@ from .neighbors import categorical_draws
 
 _ROW_BUDGET = 1 << 17  # elements of one output-layer block, (rows, |V|)
 _BACKWARD_ROWS = 128  # rows of one of backward's output-layer blocks
+_NORM_LEAF = 8192  # elements of sgd_step's one sum-of-squares temporary
 
 
 class FlatParams(Mapping):
@@ -333,9 +338,10 @@ class ForwardCache:
     layer (index 0 and 1): gates (T, 4, B, H) the activated [i, f, g, o]
     blocks, tc (T, B, H) tanh of the cell state, and h and c
     (T + 1, B, H) with row 0 the initial state. In a training cache,
-    buffer is one flat array (_window_buffer_size) that backward runs
-    in: first its output-layer blocks, then the reverse recurrence's
-    scratch (dz, dc/dh and one temporary, 6H per row). final_state is
+    buffer is one flat array (_window_buffer_size) that forward_segment
+    runs its input projections in and backward then runs in: first its
+    output-layer blocks, then the reverse recurrence's scratch (dz,
+    dc/dh and one temporary, 6H per row). final_state is
     the state after the last step run; backward leaves the window's mean
     NLL in nll and the input gradients in input_grads (T, B, d), which
     lives outside the buffer. log_probs is None, except that
@@ -420,8 +426,11 @@ def forward_segment(model: LstmLm, cache: ForwardCache, lo: int, hi: int) -> For
     by layer, computing cell states only.
 
     Per layer: one input projection over the n * B rows of all n steps,
-    into one buffer both layers share, then the recurrence per step.
-    Leaves the state after step hi - 1 in cache.final_state.
+    into one (n * B, 4H) array both layers share, then the recurrence per
+    step. A training cache's buffer is idle until backward and holds 6H
+    floats per row or more, so the projection runs in its leading part;
+    a cells-only cache allocates it. Leaves the state after step hi - 1
+    in cache.final_state.
 
     For B >= 2 every step's bits equal those of `step` on the same input
     and state, as a row of a stacked product equals the per-step product.
@@ -432,7 +441,9 @@ def forward_segment(model: LstmLm, cache: ForwardCache, lo: int, hi: int) -> For
     rows = (hi - lo) * cache.batch_size
     cache.x[lo:hi] = p["embed"][cache.ids[lo:hi]]
     inp = cache.x[lo:hi]
-    proj = None  # layer 2's projection reuses layer 1's (rows, 4H) buffer
+    proj = None  # layer 2's projection reuses layer 1's (rows, 4H) array
+    if cache.buffer is not None:
+        proj = cache.buffer[:rows * 4 * model.hidden].reshape(rows, -1)
     for layer, (gates, h, c, tc) in enumerate(zip(cache.gates, cache.h, cache.c, cache.tc), 1):
         proj = np.matmul(inp.reshape(rows, -1), p["lstm%d_Wx" % layer], out=proj)
         proj += p["lstm%d_b" % layer]
@@ -628,20 +639,35 @@ def backward(model: LstmLm, cache: ForwardCache, targets, out: FlatParams = None
     return grads
 
 
+def _sum_of_squares(x: np.ndarray, tmp: np.ndarray) -> float:
+    """float((x * x).sum()) of a contiguous vector x, with its bits, through
+    tmp of at least min(x.size, _NORM_LEAF) elements. numpy sums a vector
+    pairwise, splitting n elements into the first n // 2, rounded down to
+    a multiple of 8, and the rest; this takes the same split down to
+    spans of at most _NORM_LEAF, squares and sums each span in tmp, and
+    adds the spans' sums in the split's order."""
+    n = x.size
+    if n <= _NORM_LEAF:
+        return float(np.multiply(x, x, out=tmp[:n]).sum())
+    half = n // 2 - n // 2 % 8
+    return _sum_of_squares(x[:half], tmp) + _sum_of_squares(x[half:], tmp)
+
+
 def sgd_step(model: LstmLm, grads: FlatParams, lr: float, clip: float,
-             momentum: float = 0.0, velocity: FlatParams = None) -> LstmLm:
+             momentum: float = 0.0, velocity: FlatParams = None) -> float:
     """Global-norm clip then theta <- theta - lr * grad, in place.
 
     Runs on the flat vectors of model.params, grads and velocity, which
     share one layout. Consumes grads: the update is formed in place in
     grads.flat, so read the gradients first. The clip norm is the square
-    root of the sum, in key order, of each key's sum of squares, taken
-    one key at a time. Non-finite gradients abort the step before any
-    parameter moves, and the error names the first such key; the scan
-    for them runs only when the norm is not finite or not taken
-    (clip == 0). Finite gradients whose squares overflow have an infinite
-    norm and scale 0. Optional heavy-ball momentum:
-    velocity <- m * velocity + grad.
+    root of the sum, in key order, of each key's sum of squares, which
+    _sum_of_squares takes with the bits of (g * g).sum() through one
+    temporary of _NORM_LEAF elements. Returns that norm, or math.nan at
+    clip == 0, where none is taken. Non-finite gradients abort the step
+    before any parameter moves, and the error names the first such key;
+    the scan for them runs only when the norm is not finite or not taken.
+    Finite gradients whose squares overflow have an infinite norm and
+    scale 0. Optional heavy-ball momentum: velocity <- m * velocity + grad.
     """
     if lr <= 0.0:
         raise ValueError("lr must be positive")
@@ -650,7 +676,8 @@ def sgd_step(model: LstmLm, grads: FlatParams, lr: float, clip: float,
     g = grads.flat
     norm = math.nan  # not taken at clip == 0, so the scan below runs
     if clip:
-        norm = float(np.sqrt(sum(float((g[lo:hi] * g[lo:hi]).sum()) for lo, hi in grads.spans)))
+        tmp = np.empty(min(g.size, _NORM_LEAF))
+        norm = math.sqrt(sum(_sum_of_squares(g[lo:hi], tmp) for lo, hi in grads.spans))
     if not math.isfinite(norm):
         for key, val in grads.items():
             if not np.isfinite(val).all():
@@ -664,7 +691,7 @@ def sgd_step(model: LstmLm, grads: FlatParams, lr: float, clip: float,
     else:
         g *= lr
     model.params.flat -= g
-    return model
+    return norm
 
 
 def cosine_lr(base_lr: float, epoch: int, total: int) -> float:

@@ -15,15 +15,24 @@ float-identical to a plain teacher-forcing loop with the policy layer
 absent.
 
 run_training alone writes `out_dir`, after every completed epoch:
-checkpoint.bin unless that epoch diverged, then records.csv, so a run
-that fails or is killed in epoch N resumes from epoch N - 1, and every
-epoch in records.csv is in a checkpoint unless it diverged. On
-resume, the optional decision trace there loses the rows of the epochs
-run again, then is appended to.
+checkpoint.bin unless that epoch diverged (its validation perplexity is
+NaN or above 10 |V|), then records.csv, so a run that fails or is killed
+in epoch N resumes from epoch N - 1, and every epoch in records.csv is
+in a checkpoint unless it diverged. On resume, the optional decision
+trace there loses the rows of the epochs run again, then is appended to.
+
+A run holds only what it still reads. Once the model and the
+replacement table are built, run_training drops the embedding matrix
+(the model's embed parameters are a copy of it) and the vocabulary (|V|
+and its hash are kept). Each epoch's windows run in one training cache
+and one gradient FlatParams, freed before validation; the only logit
+rows held across backward and sgd_step are the window's last step,
+which the next window feeds back in modes that take epsilon.
 """
 
 import csv
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field, fields
@@ -69,8 +78,8 @@ from .vocab import build_vocabulary, read_corpus
 
 
 class DivergenceError(RuntimeError):
-    """Validation perplexity blew past 10x vocabulary size, or an epoch
-    failed part way (a non-finite gradient aborts its SGD step).
+    """Validation perplexity blew past 10x vocabulary size or is NaN, or
+    an epoch failed part way (a non-finite gradient aborts its SGD step).
 
     Carries the records of the epochs completed so far as a diagnostic.
     """
@@ -511,9 +520,10 @@ def _train_epoch(model, state, cfg, table, gumbel, train_batches, lr,
         ids = cache.ids
         starts = [0] + [t for t in range(1, width) if sources[t] == Source.PREDICTION]
         for lo, hi in zip(starts, starts[1:] + [width]):
-            if sources[lo] == Source.PREDICTION:
-                prev = step_logits(model, cache, lo - 1) if lo else prev_logits
-                ids[lo] = greedy_or_sample_predict(prev, cfg.predict_sample, state.rng)
+            if sources[lo] == Source.PREDICTION:  # a cut's logits are freed once read
+                ids[lo] = greedy_or_sample_predict(
+                    step_logits(model, cache, lo - 1) if lo else prev_logits,
+                    cfg.predict_sample, state.rng)
             for t in range(lo, hi):
                 if sources[t] != Source.NEIGHBOR:
                     continue
@@ -591,6 +601,7 @@ def run_training(config: TrainConfig, stop_after: int = None,
         gumbel = GumbelLogits.from_table(table, beta=cfg.gumbel_beta)
 
     model = LstmLm.init(n_vocab, cfg.dim, cfg.hidden, rng_model, embed=emb.vectors)
+    del vocab, emb  # the model holds a copy of the matrix; only |V| and the hash are read below
     state = PolicyState(mode=cfg.mode, rng=rng_policy, tau=cfg.tau_init,
                         best_val_loss=float(n_vocab))
     velocity = model.params.like() if cfg.momentum > 0.0 else None
@@ -662,7 +673,7 @@ def run_training(config: TrainConfig, stop_after: int = None,
                 best=state.best_val_loss, lr=lr,
                 wall_time=time.perf_counter() - started,
             ))
-            diverged = val_ppl > 10.0 * n_vocab
+            diverged = math.isnan(val_ppl) or val_ppl > 10.0 * n_vocab
             if tracer is not None:
                 tracer.flush()  # before the checkpoint that resumes after this epoch
             if cfg.out_dir:  # checkpoint first: no recorded epoch is missing from it
@@ -672,9 +683,9 @@ def run_training(config: TrainConfig, stop_after: int = None,
                                     velocity=velocity, gumbel=gumbel)
                 records_to_csv(records, os.path.join(cfg.out_dir, RECORDS_FILE))
             if diverged:
-                raise DivergenceError(
-                    "validation perplexity %.3g exceeded 10x vocabulary size at epoch %d"
-                    % (val_ppl, epoch), records)
+                reason = "is NaN" if math.isnan(val_ppl) else "exceeded 10x vocabulary size"
+                raise DivergenceError("validation perplexity %.3g %s at epoch %d"
+                                      % (val_ppl, reason, epoch), records)
             if stop_after is not None and epoch >= stop_after:
                 break
     finally:

@@ -361,6 +361,25 @@ class TestTrain:
         assert [r.epoch for r in records] == [1, 2] and records[1].val_loss == 1e9
         assert load_checkpoint(out_dir / "checkpoint.bin")["records"] == records[:1]
 
+    def test_nan_validation_is_divergence(self, corpus, tmp_path, capsys, monkeypatch):
+        # a NaN validation perplexity in epoch 2 ends the run as divergence:
+        # exit 3, its row recorded, the checkpoint left at epoch 1
+        out_dir = tmp_path / "run"
+        config = _write_config(tmp_path / "run.cfg", corpus, out_dir)
+        real_validate = trainer_mod.validate
+        calls = []
+
+        def nan_validate(*args, **kwargs):
+            calls.append(True)
+            return real_validate(*args, **kwargs) if len(calls) == 1 else float("nan")
+
+        monkeypatch.setattr(trainer_mod, "validate", nan_validate)
+        assert main(["train", "--config", config]) == 3
+        assert "validation perplexity nan is NaN at epoch 2" in capsys.readouterr().err
+        records = records_from_csv(out_dir / "records.csv")
+        assert [r.epoch for r in records] == [1, 2] and np.isnan(records[1].val_loss)
+        assert load_checkpoint(out_dir / "checkpoint.bin")["records"] == records[:1]
+
     def test_non_finite_gradient_keeps_completed_records(self, corpus, tmp_path, capsys,
                                                           monkeypatch):
         # a NaN gradient in epoch 2 aborts sgd_step; epoch 1's record survives

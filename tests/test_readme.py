@@ -34,4 +34,5 @@ def test_library_use_block_runs(tmp_path):
     assert cache.nll == scope["nll"]
     assert set(scope["grads"]) == set(model.params)
     assert scope["next_ids"].shape == (4,)
+    assert np.isfinite(scope["norm"]) and scope["norm"] > 0.0
     assert [r.metric for r in scope["reports"]] == ["ppl", "bleu4", "self_bleu4"]

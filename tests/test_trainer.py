@@ -81,6 +81,17 @@ def _quick_config(corpus, mode="MLE", epochs=3, **kw):
     return TrainConfig(**base)
 
 
+_RESUME_POLICIES = {
+    "MLE": {},
+    "SS": dict(ss=Schedule("linear", 0.0, 0.5)),
+    "NNRS": dict(nnrs=Schedule("static", 0.3, 0.3), tau_init=1.5),
+    "TPRS": dict(nnrs=Schedule("static", 0.3, 0.3)),
+    "SS_NNRS": dict(ss=Schedule("linear", 0.0, 0.5), nnrs=Schedule("static", 0.2, 0.2),
+                    tau_init=1.5),
+    "GSNS": dict(nnrs=Schedule("static", 0.3, 0.3), k=3),
+}
+
+
 class TestConfig:
     def test_parse_file(self, tmp_path, cycle_corpus):
         path = tmp_path / "run.cfg"
@@ -600,6 +611,50 @@ class TestRunTraining:
         assert len(err.value.records) == 1
         assert err.value.records[0].val_loss == 1e9
 
+    @pytest.mark.parametrize("mode", sorted(_RESUME_POLICIES))
+    def test_nan_validation_diverges(self, cycle_corpus, tmp_path, mode):
+        # a NaN perplexity in epoch 2 ends the run in every mode, and the
+        # checkpoint keeps epoch 1; the modes with a temperature controller
+        # fail that epoch in update_temperature, the others after the record
+        cfg = _quick_config(cycle_corpus, mode=mode, epochs=3, out_dir=str(tmp_path),
+                            **_RESUME_POLICIES[mode])
+        real_validate = trainer_mod.validate
+        calls = []
+
+        def nan_validate(*args, **kwargs):
+            calls.append(True)
+            return real_validate(*args, **kwargs) if len(calls) == 1 else float("nan")
+
+        with mock.patch.object(trainer_mod, "validate", nan_validate), \
+                pytest.raises(DivergenceError) as err:
+            run_training(cfg)
+        assert len(calls) == 2
+        assert "epoch 2" in str(err.value)
+        assert [r.epoch for r in err.value.records] in ([1], [1, 2])
+        assert [r.epoch for r in load_checkpoint(tmp_path / CHECKPOINT_FILE)["records"]] == [1]
+
+    def test_inputs_dropped_before_validate(self, cycle_corpus, monkeypatch):
+        # the model holds a copy of the embedding matrix and the run reads
+        # only |V| and the vocabulary hash, so neither input object is
+        # referenced by the first validation
+        refs, checked = [], []
+        real_load, real_validate = trainer_mod._load_run_inputs, trainer_mod.validate
+
+        def tracked_load(*args, **kwargs):
+            vocab, train_ids, val_ids, emb = real_load(*args, **kwargs)
+            refs.extend([weakref.ref(vocab), weakref.ref(emb)])
+            return vocab, train_ids, val_ids, emb
+
+        def checked_validate(*args, **kwargs):
+            checked.append([ref() is None for ref in refs])
+            return real_validate(*args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "_load_run_inputs", tracked_load)
+        monkeypatch.setattr(trainer_mod, "validate", checked_validate)
+        run_training(_quick_config(cycle_corpus, mode="NNRS", epochs=1,
+                                   **_RESUME_POLICIES["NNRS"]))
+        assert checked == [[True, True]]
+
 
 class TestTrace:
     def test_mle_all_teacher(self, cycle_corpus, tmp_path):
@@ -767,17 +822,6 @@ class TestCheckpoint:
             run_training(cfg, resume_from=str(path))
 
 
-_RESUME_POLICIES = {
-    "MLE": {},
-    "SS": dict(ss=Schedule("linear", 0.0, 0.5)),
-    "NNRS": dict(nnrs=Schedule("static", 0.3, 0.3), tau_init=1.5),
-    "TPRS": dict(nnrs=Schedule("static", 0.3, 0.3)),
-    "SS_NNRS": dict(ss=Schedule("linear", 0.0, 0.5), nnrs=Schedule("static", 0.2, 0.2),
-                    tau_init=1.5),
-    "GSNS": dict(nnrs=Schedule("static", 0.3, 0.3), k=3),
-}
-
-
 @pytest.fixture(scope="module")
 def resume_runs(tmp_path_factory):
     """(scratch dir, config maker, uninterrupted traced run dir per
@@ -899,7 +943,7 @@ class TestWindowWorkspace:
         # one (256, |V|) array is 10.24 MB, and the window's buffer holds
         # one of backward's 128-row output blocks and the (H, |V|) W_out
         # term, 5.44 MB. Besides it the epoch holds the gradient vector
-        # (0.53 MB), sgd_step's squares of W_out (0.32 MB) and the window's
+        # (0.53 MB), sgd_step's 64 KB sum-of-squares leaf and the window's
         # small state arrays. Whole-window log-probs (12.3 MB), a fresh
         # cache per window, a fresh softmax gradient or an exp temporary
         # of even 26 rows (1.04 MB) each break the bound.
@@ -918,5 +962,5 @@ class TestWindowWorkspace:
             tracemalloc.stop()
         block_and_term = (model_mod._BACKWARD_ROWS + 8) * 5000 * 8
         gradients = model.params.flat.nbytes
-        w_out_squares = model.params["W_out"].nbytes
-        assert peak < block_and_term + gradients + w_out_squares + 500_000  # 6.8 MB; it peaks near 6.6
+        leaf = model_mod._NORM_LEAF * 8
+        assert peak < block_and_term + gradients + leaf + 500_000  # 6.53 MB; it peaks near 6.32
