@@ -76,15 +76,20 @@ none grows with |V| but those logits and backward's (|V|,) b_out term.
 backward neither reads nor changes a forward_cached cache's log_probs,
 which live outside the buffer.
 
-Eval never holds a (T, B, |V|) array. Validation runs whole windows
-cells-only and scores the top-layer rows with target_log_probs, in
-blocks of at most block_rows(model) rows through one reused buffer. A
+Eval never holds a (T, B, |V|) array. Validation runs each window as
+consecutive sub_windows of at most max(2, _ROW_BUDGET // (4H * B))
+steps, so that a sub-window's input projection fits the row budget,
+with the state carried from one to the next; at B = 1 a one-step tail
+joins the sub-window before it. Each runs cells-only and its top-layer
+rows are scored with target_log_probs, in blocks of at most
+block_rows(model) rows through one reused buffer; of the window's T*B
+rows only their targets' log-probs are held at once. A
 cells-only cache keeps every step of h, which layer 2 projects and the
 scoring reads, but only one step of gates, tanh(c) and c per layer:
 each of those is a zero-stride view over one buffer along time, so
 forward_segment runs unchanged and every value keeps its bits. backward
-refuses such a cache. Validation runs all its windows in the first
-window's cache.
+refuses such a cache. Validation runs every sub-window in one cache,
+sized by the longest sub-window it runs.
 Greedy decoding (metrics) runs every step, the teacher-forced prefix
 included, in the first step's one-step cells-only cache. step is the
 one-step forward_cached, and the reference the window paths are tested
@@ -93,7 +98,9 @@ step's one-row products to BLAS's matrix-vector kernel. A row of a
 product of two or more rows and columns has the same bits whatever the
 row count, so no output product has one row unless there is only one
 (_row_blocks): backward's and target_log_probs's blocks, and
-step_logits at B = 1, run a lone row together with the row before it.
+step_logits at B = 1, run a lone row together with the row before it,
+and validation's sub-windows keep every input projection at two rows or
+more the same way.
 (OpenBLAS keeps that row rule at the shapes the tests draw and at
 desk shape, not at every shape: at H = 1 backward's dL/dh product has
 one column, and at some widths, such as 50 columns over H >= 16, rows
@@ -251,6 +258,20 @@ def block_rows(model: LstmLm) -> int:
     return max(2, _ROW_BUDGET // model.vocab_size)
 
 
+def sub_windows(model: LstmLm, t_len: int, batch: int):
+    """(lo, hi) spans, consecutive and in order, that split t_len steps of
+    B rows into sub-windows of at most max(2, _ROW_BUDGET // (4H * B))
+    steps, so that a sub-window's (steps * B, 4H) input projection stays
+    within the row budget. At B = 1 a one-step tail joins the span before
+    it, so no projection has one row unless the window has one (the rule
+    of _row_blocks)."""
+    size = max(2, _ROW_BUDGET // (4 * model.hidden * batch))
+    bounds = list(range(0, t_len, size)) + [t_len]
+    if batch == 1 and len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds, bounds[1:]))
+
+
 def _one_step(shape) -> np.ndarray:
     """A writable array of `shape` whose rows along axis 0 all view one buffer."""
     buf = np.empty(shape[1:])
@@ -341,10 +362,11 @@ class ForwardCache:
     buffer is one flat array (_window_buffer_size) that forward_segment
     runs its input projections in and backward then runs in: first its
     output-layer blocks, then the reverse recurrence's scratch (dz,
-    dc/dh and one temporary, 6H per row). final_state is
-    the state after the last step run; backward leaves the window's mean
-    NLL in nll and the input gradients in input_grads (T, B, d), which
-    lives outside the buffer. log_probs is None, except that
+    dc/dh and one temporary, 6H per row). final_state is the state
+    after the last step run (row 0 before any has run, so a cache keeps
+    no reference to the state it was given); backward leaves the
+    window's mean NLL in nll and the input gradients in input_grads
+    (T, B, d), which lives outside the buffer. log_probs is None, except that
     forward_cached sets it to its own (T, B, |V|) array.
 
     A cells-only cache has buffer None, and its gates, tc and c are
@@ -411,7 +433,7 @@ class ForwardCache:
         for (h0, c0), h, c in zip(state, cache.h, cache.c):
             h[0] = h0
             c[0] = c0
-        cache.final_state = state
+        cache.final_state = [(h[0], c[0]) for h, c in zip(cache.h, cache.c)]
         cache.batch_size = batch
         cache.nll = None
         cache.input_grads = None

@@ -51,6 +51,7 @@ from .model import (
     greedy_or_sample_predict,
     sgd_step,
     step_logits,
+    sub_windows,
     target_log_probs,
 )
 from .neighbors import (
@@ -304,30 +305,40 @@ def validate(model: LstmLm, val_batches) -> float:
     """Teacher-forced perplexity over a window list, state carried.
 
     exp(total NLL / total tokens); never touches parameters and never
-    applies a sampling policy. Every window runs cells-only through
-    model.forward_segment (one input projection per layer, the
-    recurrence per step) in the first window's cache, which keeps one
-    step of gates, tanh(c) and c and every step of h; the previous
-    window's final state is copied into its row 0, zeros for the first.
-    model.target_log_probs then scores the top-layer rows in blocks of a
-    fixed budget through one buffer, so no (T, B, |V|) array is built;
-    the result has the bits of the whole-window output layer.
+    applies a sampling policy. Each window runs as the consecutive
+    sub-windows of model.sub_windows, at most max(2, 2^17 // (4H * B))
+    steps each (16 at H = 128, B = 16), with the state carried from one
+    to the next, zeros for the first. A sub-window runs cells-only
+    through model.forward_segment (one input projection per layer, the
+    recurrence per step) in one reused cache, sized by the longest
+    sub-window run, which keeps one step of gates, tanh(c) and c and
+    every step of h. model.target_log_probs scores each sub-window's
+    top-layer rows in blocks of a fixed budget through one buffer, into
+    the window's log-probs, whose negated sum in targets' (b, t) order
+    is the window's NLL. So no (T, B, |V|) array is built, only those
+    (T * B,) log-probs grow with B * T, and the result has the bits of
+    the whole-window forward pass and output layer.
     """
     if not val_batches:
         raise ValueError("empty validation split")
-    state = model.zero_state(val_batches[0][0].shape[0])
-    first = None
+    batch = val_batches[0][0].shape[0]
+    spans = [sub_windows(model, inputs.shape[1], batch) for inputs, _ in val_batches]
+    longest = max(hi - lo for window in spans for lo, hi in window)
+    state = model.zero_state(batch)
+    work = ForwardCache.window(model, state, np.zeros((longest, batch), np.int64))
     total_nll = 0.0
     total_tokens = 0
-    for inputs, targets in val_batches:
-        cache = ForwardCache.window(model, state, inputs.T, workspace=first)
-        first = cache if first is None else first
-        forward_segment(model, cache, 0, len(cache))
-        top = cache.h[1][1:].reshape(targets.size, model.hidden)  # rows in (t, b) order
-        picked = target_log_probs(model, top, targets.T.reshape(-1))
+    for (inputs, targets), window in zip(val_batches, spans):
+        picked = np.empty(targets.size)  # rows in (t, b) order
+        for lo, hi in window:
+            cache = ForwardCache.window(model, state, inputs[:, lo:hi].T, workspace=work)
+            forward_segment(model, cache, 0, hi - lo)
+            top = cache.h[1][1:].reshape(-1, model.hidden)
+            picked[lo * batch:hi * batch] = target_log_probs(
+                model, top, targets[:, lo:hi].T.reshape(-1))
+            state = cache.final_state
         total_nll -= picked.reshape(targets.T.shape).T.ravel().sum()  # in targets' (b, t) order
         total_tokens += targets.size
-        state = cache.final_state
     return float(np.exp(total_nll / total_tokens))
 
 
@@ -577,7 +588,10 @@ def run_training(config: TrainConfig, stop_after: int = None,
     (GSNS: its Gumbel logits), transition tables are static. A resume
     past stop_after is refused. A ValueError inside an epoch, such as a
     non-finite gradient, is re-raised as DivergenceError carrying the
-    records of the epochs before it.
+    records of the epochs before it. An epoch whose validation
+    perplexity is NaN or above 10 |V| diverges alike in every mode: it
+    runs no controller step, is recorded with tau and best unchanged
+    (records.csv included, no checkpoint), and raises DivergenceError.
     The run directory and `trace` are described in the module docstring.
     """
     cfg = config
@@ -657,13 +671,14 @@ def run_training(config: TrainConfig, stop_after: int = None,
                     velocity, tracer, epoch,
                 )
                 val_ppl = validate(model, val_batches)
-
-                if gumbel is not None:
-                    gumbel = gumbel_update(gumbel, gsns_grad, gsns_rows)
-                elif table_kind == "neighbor":
-                    update_temperature(state, val_ppl)
-                    table = renormalize(table, state.tau)
-                state.best_val_loss = min(state.best_val_loss, val_ppl)
+                diverged = math.isnan(val_ppl) or val_ppl > 10.0 * n_vocab
+                if not diverged:  # a diverged epoch keeps tau, the table and best
+                    if gumbel is not None:
+                        gumbel = gumbel_update(gumbel, gsns_grad, gsns_rows)
+                    elif table_kind == "neighbor":
+                        update_temperature(state, val_ppl)
+                        table = renormalize(table, state.tau)
+                    state.best_val_loss = min(state.best_val_loss, val_ppl)
             except ValueError as exc:  # e.g. sgd_step refusing a non-finite gradient
                 raise DivergenceError("epoch %d failed: %s" % (epoch, exc), records) from exc
 
@@ -673,7 +688,6 @@ def run_training(config: TrainConfig, stop_after: int = None,
                 best=state.best_val_loss, lr=lr,
                 wall_time=time.perf_counter() - started,
             ))
-            diverged = math.isnan(val_ppl) or val_ppl > 10.0 * n_vocab
             if tracer is not None:
                 tracer.flush()  # before the checkpoint that resumes after this epoch
             if cfg.out_dir:  # checkpoint first: no recorded epoch is missing from it

@@ -1,6 +1,7 @@
 """Training loop: config parsing, batching, validation, checkpoints, runs."""
 
 import csv
+import math
 import re
 import tempfile
 import tracemalloc
@@ -11,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nnrslab.model as model_mod
@@ -383,9 +384,84 @@ class TestValidate:
             state = ref.final_state
         assert ppl == float(np.exp(total_nll / total_tokens))
 
+    @settings(max_examples=80, deadline=None)
+    @given(batch=st.integers(1, 4), steps=st.integers(2, 4), extra=st.integers(1, 9),
+           vocab=st.integers(2, 30), windows=st.integers(1, 3), tail=st.integers(0, 12),
+           seed=st.integers(0, 2 ** 16))
+    @example(batch=1, steps=2, extra=1, vocab=7, windows=2, tail=0, seed=0)  # 2 + a 1-step tail
+    @example(batch=1, steps=2, extra=3, vocab=7, windows=1, tail=0, seed=1)  # 2, 2 + a 1-step tail
+    def test_sub_windows_equal_whole_window(self, batch, steps, extra, vocab, windows, tail,
+                                            seed):
+        # a row budget of `steps` sub-window steps, below the bptt length:
+        # every target's log-prob and the perplexity equal the whole-window
+        # forward_cached values bit for bit, each sub-window has at most
+        # `steps` steps (one more where a B = 1 one-step tail joined it), and
+        # no projection or scoring product has one row unless its window has
+        rng = np.random.default_rng(seed)
+        model = LstmLm.init(vocab, 3, 5, rng)
+        bptt = steps + extra
+        stream = windows * bptt + tail % bptt + 1
+        batches = make_batches(rng.integers(0, vocab, size=batch * stream), batch, bptt)
+        budget = 4 * model.hidden * batch * steps
+        state, ref_picked, total_nll, total_tokens = None, [], 0.0, 0
+        for inputs, targets in batches:
+            cache = forward_cached(model, inputs, state)
+            picked = np.take_along_axis(cache.log_probs, targets.T[:, :, None], axis=2)
+            ref_picked.append(picked.reshape(-1))  # in (t, b) order
+            total_nll -= picked[:, :, 0].T.ravel().sum()  # in targets' (b, t) order
+            total_tokens += targets.size
+            state = cache.final_state
+        segments, products, scored = [], [], []
+        real_segment, real_target = trainer_mod.forward_segment, trainer_mod.target_log_probs
+        real_logits = model_mod._logits
+
+        def recording_segment(model, cache, lo, hi):
+            segments.append(hi - lo)
+            products.append((hi - lo) * cache.batch_size)  # rows of its input projections
+            return real_segment(model, cache, lo, hi)
+
+        def recording_target(model, top, targets):
+            scored.append(real_target(model, top, targets))
+            return scored[-1]
+
+        def recording_logits(model, h, out):
+            products.append(h.shape[0])
+            return real_logits(model, h, out)
+
+        with mock.patch.object(model_mod, "_ROW_BUDGET", budget), \
+                mock.patch.object(model_mod, "_logits", recording_logits), \
+                mock.patch.object(trainer_mod, "forward_segment", recording_segment), \
+                mock.patch.object(trainer_mod, "target_log_probs", recording_target):
+            ppl = validate(model, batches)
+        assert ppl == float(np.exp(total_nll / total_tokens))
+        np.testing.assert_array_equal(np.concatenate(scored), np.concatenate(ref_picked))
+        assert sum(segments) == sum(t.shape[1] for _, t in batches)
+        assert max(segments) <= steps + (batch == 1)
+        # a one-row product goes to BLAS's matrix-vector kernel, whose last
+        # bits differ: only a one-row window runs one (its projections and
+        # its one scoring block)
+        assert products.count(1) == 2 * sum(t.size == 1 for _, t in batches)
+
+    def test_memory_wide_batch_window(self):
+        # one B = 64, T = 35 window at H = 128, |V| = 2000: the whole window's
+        # (2240, 512) input projection and h alone would take 13.9 MB; in
+        # sub-windows of at most 4 steps the peak is about 3.2 MB
+        model = LstmLm.init(2000, 64, 128, np.random.default_rng(5))
+        batches = make_batches(np.arange(64 * 36) % 2000, 64, 35)
+        assert [t.shape for _, t in batches] == [(64, 35)]
+        validate(model, batches)  # warm the lazily built gate constants
+        tracemalloc.start()
+        try:
+            validate(model, batches)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+
     def test_memory_one_step_of_cell_history(self):
-        # desk shape, three windows: the peak is about 4.2 MB; per-step
-        # gates, tanh(c) and c of both layers would add about 7 MB
+        # desk shape, three windows of 16-step sub-windows: the peak is about
+        # 2.2 MB; per-step gates, tanh(c) and c of both layers would add about
+        # 3 MB, and whole-window projections and h about 2 MB
         model = LstmLm.init(2000, 64, 128, np.random.default_rng(5))
         batches = make_batches(np.arange(16 * (3 * 35 + 1)) % 2000, 16, 35)
         assert [t.shape for _, t in batches] == [(16, 35)] * 3
@@ -396,7 +472,7 @@ class TestValidate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 7e6
+        assert peak < 3e6
 
     def test_memory_bounded_by_row_budget(self):
         # |V| = 5000 and one 1024-row window: the whole-window output layer
@@ -611,26 +687,49 @@ class TestRunTraining:
         assert len(err.value.records) == 1
         assert err.value.records[0].val_loss == 1e9
 
-    @pytest.mark.parametrize("mode", sorted(_RESUME_POLICIES))
-    def test_nan_validation_diverges(self, cycle_corpus, tmp_path, mode):
-        # a NaN perplexity in epoch 2 ends the run in every mode, and the
-        # checkpoint keeps epoch 1; the modes with a temperature controller
-        # fail that epoch in update_temperature, the others after the record
-        cfg = _quick_config(cycle_corpus, mode=mode, epochs=3, out_dir=str(tmp_path),
-                            **_RESUME_POLICIES[mode])
+    @staticmethod
+    def _diverge_in_epoch_2(cfg, val_ppl):
+        """Run cfg with epoch 2's validation perplexity replaced by val_ppl;
+        returns the DivergenceError's records."""
         real_validate = trainer_mod.validate
         calls = []
 
-        def nan_validate(*args, **kwargs):
+        def diverging_validate(*args, **kwargs):
             calls.append(True)
-            return real_validate(*args, **kwargs) if len(calls) == 1 else float("nan")
+            return real_validate(*args, **kwargs) if len(calls) == 1 else val_ppl
 
-        with mock.patch.object(trainer_mod, "validate", nan_validate), \
+        with mock.patch.object(trainer_mod, "validate", diverging_validate), \
                 pytest.raises(DivergenceError) as err:
             run_training(cfg)
         assert len(calls) == 2
         assert "epoch 2" in str(err.value)
-        assert [r.epoch for r in err.value.records] in ([1], [1, 2])
+        return err.value.records
+
+    @pytest.mark.parametrize("mode", sorted(_RESUME_POLICIES))
+    def test_nan_validation_diverges(self, cycle_corpus, tmp_path, mode):
+        # a NaN perplexity in epoch 2 ends the run alike in every mode: the
+        # epoch is recorded with tau and best unchanged, records.csv holds
+        # it, and the checkpoint keeps epoch 1
+        cfg = _quick_config(cycle_corpus, mode=mode, epochs=3, out_dir=str(tmp_path),
+                            **_RESUME_POLICIES[mode])
+        records = self._diverge_in_epoch_2(cfg, float("nan"))
+        assert [r.epoch for r in records] == [1, 2]
+        assert math.isnan(records[1].val_loss)
+        assert (records[1].tau, records[1].best) == (records[0].tau, records[0].best)
+        written = records_from_csv(tmp_path / RECORDS_FILE)
+        assert written[0] == records[0] and math.isnan(written[1].val_loss)
+        assert replace(written[1], val_loss=0.0) == replace(records[1], val_loss=0.0)
+        assert [r.epoch for r in load_checkpoint(tmp_path / CHECKPOINT_FILE)["records"]] == [1]
+
+    def test_divergence_above_ten_vocab_keeps_tau(self, cycle_corpus, tmp_path):
+        # a perplexity above 10 |V| runs no temperature step before the run ends
+        cfg = _quick_config(cycle_corpus, mode="NNRS", epochs=3, out_dir=str(tmp_path),
+                            **_RESUME_POLICIES["NNRS"])
+        records = self._diverge_in_epoch_2(cfg, 1e9)
+        assert [r.epoch for r in records] == [1, 2]
+        assert records[1].val_loss == 1e9
+        assert (records[1].tau, records[1].best) == (records[0].tau, records[0].best)
+        assert records_from_csv(tmp_path / RECORDS_FILE) == records
         assert [r.epoch for r in load_checkpoint(tmp_path / CHECKPOINT_FILE)["records"]] == [1]
 
     def test_inputs_dropped_before_validate(self, cycle_corpus, monkeypatch):
