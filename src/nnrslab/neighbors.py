@@ -109,9 +109,10 @@ class TransitionTable:
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=1, keepdims=True)
+    """Softmax over the last axis: shift by the max, exp, normalize."""
+    shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def build_neighbor_table(emb: EmbeddingMatrix, k: int, tau: float = 1.0) -> NeighborTable:

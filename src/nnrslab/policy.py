@@ -13,10 +13,12 @@ lowers it, via tau <- tau +/- |tau - (2^tau - 1)|, clamped to
 [0.5, 10]. tau = 1 is a fixed point of this rule since 2^1 - 1 = 1.
 
 The Gumbel path (GSNS) feeds the slot of a hard Gumbel-max draw over
-learnable per-word logits; gumbel_update then applies the straight-through
-gradient wrt each slot's soft weight, dL/dx . embed[neighbor], to the
-logits as it is. gumbel_backward, the tempered-softmax Jacobian, is a
-checked reference only: training never calls it.
+learnable per-word logits, and keeps the draw's relaxation, the softmax
+of the same perturbed logits at the fixed temperature GUMBEL_TAU. The
+straight-through gradient wrt each slot's soft weight, dL/dx .
+embed[neighbor], is chained through gumbel_backward, the tempered-softmax
+Jacobian at that relaxation, into the logits' gradient, which
+gumbel_update applies once per epoch (Jang et al. 2017).
 """
 
 import enum
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .neighbors import check_tau, clamp_tau, sample_neighbor
+from .neighbors import _softmax_rows, check_tau, clamp_tau, sample_neighbor
 
 # mode -> (takes epsilon, replacement table kind): a mode takes gamma
 # exactly when it has a table
@@ -109,26 +111,33 @@ class PolicyState:
         self.gamma = float(gamma)
 
 
+def _sources(xi_ss, xi_nnrs, coin, epsilon: float, gamma: float):
+    """The source rule: the Source value of each draw, on floats or on
+    arrays of draws alike.
+
+    SS fires on a strict xi_ss < epsilon, NNRS on xi_nnrs < gamma; when
+    both fire, coin < 0.5 picks Prediction. Comparisons, &/| and plain
+    ints only (Prediction is 1, Neighbor 2), so a float draw costs a few
+    Python operations.
+    """
+    prediction = (xi_ss < epsilon) & ((xi_nnrs >= gamma) | (coin < 0.5))
+    neighbor = (xi_nnrs < gamma) & ((xi_ss >= epsilon) | (coin >= 0.5))
+    return prediction + 2 * neighbor
+
+
 def decide_token(state: PolicyState, teacher: int, prediction=None, table=None) -> TokenDecision:
     """Pick the input token source for one position.
 
-    Draws xi_ss then xi_nnrs from the state's rng; a fire is a strict
-    "xi < rate". Both firing resolves by a third fair-coin draw
-    (coin < 0.5 means Prediction). The Neighbor branch draws once more
-    through sample_neighbor.
+    Draws the three doubles decide_batch_positions(state, 1) draws
+    (xi_ss, xi_nnrs, coin) and applies the same rule. The Neighbor
+    branch draws once more through sample_neighbor.
     """
-    xi_ss = state.rng.random()
-    xi_nnrs = state.rng.random()
-    ss = xi_ss < state.epsilon
-    nn = xi_nnrs < state.gamma
-    if ss and nn:
-        ss = state.rng.random() < 0.5
-        nn = not ss
-    if ss:
+    source = _sources(*state.rng.random(3).tolist(), state.epsilon, state.gamma)
+    if source == Source.PREDICTION:
         if prediction is None:
             raise ValueError("prediction id required when the SS branch fires")
         return TokenDecision(Source.PREDICTION, int(prediction))
-    if nn:
+    if source == Source.NEIGHBOR:
         if table is None:
             raise ValueError("neighbor table required when the NNRS branch fires")
         return TokenDecision(Source.NEIGHBOR, sample_neighbor(table, teacher, state.rng))
@@ -147,15 +156,7 @@ def decide_batch_positions(state: PolicyState, seq_len: int) -> np.ndarray:
         raise ValueError("seq_len must be >= 1")
     xi = state.rng.random((seq_len, 2))
     coin = state.rng.random(seq_len)
-    ss = xi[:, 0] < state.epsilon
-    nn = xi[:, 1] < state.gamma
-    both = ss & nn
-    ss = np.where(both, coin < 0.5, ss)
-    nn = np.where(both, ~(coin < 0.5), nn)
-    mask = np.full(seq_len, Source.TEACHER, dtype=np.int8)
-    mask[ss] = Source.PREDICTION
-    mask[nn] = Source.NEIGHBOR
-    return mask
+    return _sources(xi[:, 0], xi[:, 1], coin, state.epsilon, state.gamma).astype(np.int8)
 
 
 def update_temperature(state: PolicyState, val_loss: float) -> PolicyState:
@@ -188,57 +189,42 @@ class GumbelLogits:
         return cls(log_alpha=np.log(table.probs), beta=beta)
 
 
-def _gumbel_scores(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """rows + G with G = -log(-log u) per entry, u = rng.random(rows.shape)."""
-    u = rng.random(rows.shape)
-    return rows - np.log(-np.log(u + _EPS) + _EPS)
-
-
-def gumbel_sample(logits: GumbelLogits, word: int, tau: float = GUMBEL_TAU,
+def gumbel_sample(logits: GumbelLogits, words, tau: float = GUMBEL_TAU,
                   rng: np.random.Generator = None):
-    """One Gumbel draw over `word`'s neighbor slots.
+    """One Gumbel draw over the neighbor slots of each of `words` (one
+    word or an array), from one rng.random block over their rows.
 
-    Returns (hard slot, soft_probs): the argmax of log_alpha + G is the
-    slot actually used forward; softmax((log_alpha + G) / tau) is the
-    relaxation the backward pass differentiates (straight-through).
+    Returns (hard slots, soft rows): the argmax of log_alpha + G, with
+    G = -log(-log u), is the slot actually used forward;
+    softmax((log_alpha + G) / tau) is the relaxation the backward pass
+    differentiates (straight-through). One word gives a slot and a (k,)
+    row, an array of N words (N,) slots and (N, k) rows.
     """
     check_tau(tau)
     if rng is None:
         raise ValueError("rng is required")
-    scores = _gumbel_scores(logits.log_alpha[word], rng)
-    slot = int(np.argmax(scores))
-    z = scores / tau
-    z -= z.max()
-    e = np.exp(z)
-    return slot, e / e.sum()
-
-
-def gumbel_slots(logits: GumbelLogits, words, rng: np.random.Generator) -> np.ndarray:
-    """Hard Gumbel-max slot for each of `words`, in one (N, k) draw.
-
-    The same slots, and the same rng state afterwards, as a loop of
-    gumbel_sample calls over `words`; no relaxation is computed.
-    """
-    rows = logits.log_alpha[np.asarray(words, dtype=np.int64)]
-    return _gumbel_scores(rows, rng).argmax(axis=1)
+    rows = logits.log_alpha[words]
+    scores = rows - np.log(-np.log(rng.random(rows.shape) + _EPS) + _EPS)
+    return scores.argmax(axis=-1), _softmax_rows(scores / tau)
 
 
 def gumbel_backward(soft_probs: np.ndarray, grad_soft: np.ndarray, tau: float) -> np.ndarray:
-    """Chain dL/dsoft_probs back to dL/dlog_alpha for one sampled row.
+    """Chain dL/dsoft_probs back to dL/dlog_alpha, row by row (last axis).
 
     Softmax Jacobian at the drawn relaxation, divided by tau; the Gumbel
     noise is a constant offset of log_alpha so it drops out.
     """
-    inner = grad_soft - float(np.dot(grad_soft, soft_probs))
+    inner = grad_soft - (grad_soft * soft_probs).sum(axis=-1, keepdims=True)
     return soft_probs * inner / tau
 
 
 def gumbel_update(logits: GumbelLogits, grad: np.ndarray, rows) -> GumbelLogits:
     """log_alpha[w] <- beta * log_alpha[w] - (1 - beta) * grad[w] for each w in `rows`.
 
-    grad[w, j] is the straight-through gradient wrt slot j's soft weight,
-    dL/dx . embed[neighbor_j], summed over the epoch's draws of w and
-    applied as it stands. beta is logits.beta; 1 leaves the logits as they are.
+    grad[w] is the gradient wrt log_alpha[w], summed over the epoch's
+    draws of w: gumbel_backward of each draw's straight-through gradient
+    wrt slot j's soft weight, dL/dx . embed[neighbor_j]. beta is
+    logits.beta; 1 leaves the logits as they are.
     """
     if grad.shape != logits.log_alpha.shape:
         raise ValueError(

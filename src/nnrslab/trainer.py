@@ -63,6 +63,7 @@ from .neighbors import (
     sample_neighbors,
 )
 from .policy import (
+    GUMBEL_TAU,
     MODES,
     GumbelLogits,
     PolicyState,
@@ -70,7 +71,8 @@ from .policy import (
     check_mode_rates,
     check_positive_finite,
     decide_batch_positions,
-    gumbel_slots,
+    gumbel_backward,
+    gumbel_sample,
     gumbel_update,
     update_temperature,
 )
@@ -504,7 +506,10 @@ def _train_epoch(model, state, cfg, table, gumbel, train_batches, lr,
     the whole window and reports its NLL. Draws happen in timestep
     order, as a loop over timesteps would make them: a cut's
     predict_sample draws, then each Neighbor step's draws for all B rows
-    at once. Every window runs in the first window's training cache,
+    at once. In GSNS mode a Neighbor step keeps its draws' relaxation
+    rows, and after backward each draw's straight-through gradient is
+    chained through gumbel_backward into the epoch's logit gradient.
+    Every window runs in the first window's training cache,
     which no later window is longer than, and backward writes every
     window's gradients into the first window's FlatParams, which
     sgd_step consumes; both are freed when the epoch returns.
@@ -530,6 +535,7 @@ def _train_epoch(model, state, cfg, table, gumbel, train_batches, lr,
         first = cache if first is None else first
         ids = cache.ids
         starts = [0] + [t for t in range(1, width) if sources[t] == Source.PREDICTION]
+        soft = []  # each GSNS Neighbor step's relaxation rows, in timestep order
         for lo, hi in zip(starts, starts[1:] + [width]):
             if sources[lo] == Source.PREDICTION:  # a cut's logits are freed once read
                 ids[lo] = greedy_or_sample_predict(
@@ -539,7 +545,9 @@ def _train_epoch(model, state, cfg, table, gumbel, train_batches, lr,
                 if sources[t] != Source.NEIGHBOR:
                     continue
                 if gumbel is not None:
-                    ids[t] = table.ids[inputs[:, t], gumbel_slots(gumbel, inputs[:, t], state.rng)]
+                    slots, relaxed = gumbel_sample(gumbel, inputs[:, t], GUMBEL_TAU, state.rng)
+                    ids[t] = table.ids[inputs[:, t], slots]
+                    soft.append(relaxed)
                 else:
                     ids[t] = sample_neighbors(table, inputs[:, t], state.rng)
             forward_segment(model, cache, lo, hi)
@@ -555,11 +563,13 @@ def _train_epoch(model, state, cfg, table, gumbel, train_batches, lr,
         total_tokens += targets.size
         swapped = [t for t, src in enumerate(sources) if src == Source.NEIGHBOR]
         if gumbel is not None and swapped:
-            # straight-through: dL/dsoft_j = dL/dx . embed[neighbor_j]
+            # straight-through: dL/dsoft_j = dL/dx . embed[neighbor_j], then
+            # the tempered-softmax Jacobian at each draw's relaxation
             words = inputs[:, swapped].T.reshape(-1)
             dx = cache.input_grads[swapped].reshape(-1, model.dim, 1)
             slot_grads = (model.params["embed"][table.ids[words]] @ dx)[:, :, 0]
-            np.add.at(gsns_grad, words, slot_grads)
+            np.add.at(gsns_grad, words,
+                      gumbel_backward(np.concatenate(soft), slot_grads, GUMBEL_TAU))
             gsns_rows.update(words.tolist())
         if cfg.freeze_embeddings:
             grads["embed"][:] = 0.0
@@ -583,9 +593,10 @@ def run_training(config: TrainConfig, stop_after: int = None,
     at cosine_lr(base_lr, i - 1, epochs) (the first epoch trains at
     base_lr). A scheduled-sampling position at the very first step of
     an epoch falls back to the teacher token since no prediction
-    exists yet. policy.MODES gives each mode's table: neighbor tables
-    are (re)built at the clamped temperature and follow the controller
-    (GSNS: its Gumbel logits), transition tables are static. A resume
+    exists yet. policy.MODES gives each mode's table, whose k must be
+    below |V|: neighbor tables are (re)built at the clamped temperature
+    and follow the controller (GSNS: its Gumbel logits), transition
+    tables are static. A resume
     past stop_after is refused. A ValueError inside an epoch, such as a
     non-finite gradient, is re-raised as DivergenceError carrying the
     records of the epochs before it. An epoch whose validation
@@ -607,6 +618,8 @@ def run_training(config: TrainConfig, stop_after: int = None,
 
     table = gumbel = None
     table_kind, k = MODES[cfg.mode][1], cfg.k or default_k(n_vocab)
+    if table_kind is not None and k >= n_vocab:
+        raise ValueError("k must be below the vocabulary size %d, got %d" % (n_vocab, k))
     if table_kind == "neighbor":
         table = build_neighbor_table(emb, k, tau=clamp_tau(cfg.tau_init))
     elif table_kind == "transition":

@@ -89,7 +89,8 @@ def build_vocabulary(corpus: Iterable[str], min_count: int = 1) -> Vocabulary:
     unk afterwards). Surviving tokens are ordered by frequency descending,
     ties broken lexicographically; reserved tokens not already present in
     the corpus are appended at the end with their observed counts (zero if
-    absent). The corpus must be non-empty.
+    absent). The corpus must be non-empty, and at least one word besides
+    the reserved tokens must occur `min_count` times.
     """
     if min_count < 1:
         raise ValueError("min_count must be >= 1, got %d" % min_count)
@@ -99,6 +100,9 @@ def build_vocabulary(corpus: Iterable[str], min_count: int = 1) -> Vocabulary:
 
     reserved = (UNK_TOKEN, EOS_TOKEN)
     kept = [t for t, c in freq.items() if c >= min_count or t in reserved]
+    if all(t in reserved for t in kept):
+        raise ValueError("no corpus word besides %s and %s occurs min_count = %d times"
+                         % (UNK_TOKEN, EOS_TOKEN, min_count))
     kept.sort(key=lambda t: (-freq[t], t))
     for tok in reserved:
         if tok not in freq:
@@ -106,7 +110,7 @@ def build_vocabulary(corpus: Iterable[str], min_count: int = 1) -> Vocabulary:
     return Vocabulary(kept, [freq.get(t, 0) for t in kept])
 
 
-def read_corpus(path, eos: bool = True) -> list[str]:
+def read_corpus(path) -> list[str]:
     """Whitespace-tokenize a text file, appending <eos> per non-empty line."""
     tokens: list[str] = []
     with open(path, encoding="utf-8") as fh:
@@ -115,8 +119,7 @@ def read_corpus(path, eos: bool = True) -> list[str]:
             if not parts:
                 continue
             tokens.extend(parts)
-            if eos:
-                tokens.append(EOS_TOKEN)
+            tokens.append(EOS_TOKEN)
     if not tokens:
         raise ValueError("empty corpus file: %s" % path)
     return tokens

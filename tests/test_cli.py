@@ -113,6 +113,15 @@ class TestIndex:
         assert code == 2
         capsys.readouterr()
 
+    def test_no_word_at_min_count_is_usage_error(self, corpus, embeddings, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(["index", "--corpus", corpus, "--embeddings", embeddings,
+                     "--dim", "4", "--out-dir", str(out), "--min-count", "100000"])
+        assert code == 2
+        assert "no corpus word besides <unk> and <eos> occurs min_count = 100000 times" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     def test_missing_corpus_is_usage_error(self, embeddings, tmp_path, capsys):
         code = main(["index", "--corpus", str(tmp_path / "nope.txt"),
                      "--embeddings", embeddings, "--dim", "4",
@@ -219,6 +228,23 @@ class TestTrain:
         assert "must be" in capsys.readouterr().err
         assert not (out_dir / "manifest.json").exists()
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("bad, message", [
+        (dict(mode="TPRS", nnrs_kind="static", nnrs_start="0.3", nnrs_end="0.3", k="500"),
+         "k must be below the vocabulary size"),
+        (dict(min_count="100000"), "no corpus word besides <unk> and <eos> occurs"),
+    ], ids=["TPRS-k-500", "min_count-100000"])
+    def test_bad_k_or_min_count_fails_the_run(self, corpus, tmp_path, capsys, bad, message):
+        # found while reading the inputs, inside run_training: exit 3, with
+        # the manifest segment holding the error, and no epoch run
+        out_dir = tmp_path / "run"
+        config = _write_config(tmp_path / "run.cfg", corpus, out_dir, **bad)
+        assert main(["train", "--config", config]) == 3
+        assert message in capsys.readouterr().err
+        segment = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))[
+            "segments"][-1]
+        assert segment["exit_status"] == 3 and message in segment["error"]
+        assert not (out_dir / "records.csv").exists()
 
     def test_missing_out_dir_is_usage_error(self, corpus, tmp_path, capsys):
         config = _write_config(tmp_path / "run.cfg", corpus, "")

@@ -1,7 +1,7 @@
 """Batched policy draws equal per-row draws: same ids, same rng state.
 
 The training loop draws all B rows of a Neighbor step at once
-(sample_neighbors, gumbel_slots) and all B scheduled-sampling rows of a
+(sample_neighbors, gumbel_sample) and all B scheduled-sampling rows of a
 Prediction step at once (model.greedy_or_sample_predict over (B, |V|)
 log-probs). Each must return what a loop over one-row calls returns, and
 leave the generator where that loop leaves it, so the policy stream,
@@ -23,7 +23,7 @@ from nnrslab.neighbors import (
     sample_neighbor,
     sample_neighbors,
 )
-from nnrslab.policy import GumbelLogits, gumbel_sample, gumbel_slots
+from nnrslab.policy import GumbelLogits, gumbel_sample
 
 
 def _neighbor_table(rng, n, k):
@@ -81,14 +81,19 @@ class TestBatchedEqualsPerRow:
 
     @settings(max_examples=150, deadline=None)
     @given(draw_cases())
-    def test_gumbel_slots(self, case):
+    def test_gumbel_sample_batched_equals_per_word(self, case):
+        # the same slots and the same relaxation rows, bit for bit
         words = np.array(case["words"], dtype=np.int64)
         log_alpha = np.random.default_rng(case["seed"]).normal(size=(case["n"], case["k"]))
         logits = GumbelLogits(log_alpha)
-        got, want = _same_draws(lambda g: gumbel_slots(logits, words, g),
+        got, want = _same_draws(lambda g: gumbel_sample(logits, words, 0.5, g)[0],
                                 lambda g, r: gumbel_sample(logits, int(words[r]), 0.5, g)[0],
                                 case["seed"])
         assert got == want
+        got, want = _same_draws(lambda g: gumbel_sample(logits, words, 0.5, g)[1],
+                                lambda g, r: gumbel_sample(logits, int(words[r]), 0.5, g)[1],
+                                case["seed"])
+        assert got == np.asarray(want).reshape(len(words), case["k"]).tolist()
 
     @settings(max_examples=150, deadline=None)
     @given(draw_cases())

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nnrslab.neighbors import NeighborTable
+from nnrslab.neighbors import NeighborTable, sample_neighbor
 from nnrslab.policy import (
     MODES,
     GumbelLogits,
@@ -106,6 +106,24 @@ class TestDecideToken:
         state = PolicyState(mode="NNRS", rng=np.random.default_rng(0), gamma=1.0)
         with pytest.raises(ValueError):
             decide_token(state, teacher=0, prediction=1)
+
+    def test_is_the_batch_rule_at_length_one(self):
+        # decide_token draws the three doubles decide_batch_positions(state, 1)
+        # draws and applies its rule: the same source, the generator left
+        # where that call (and a Neighbor step's sample_neighbor) leaves it
+        table = _toy_table()
+        seen = set()
+        for seed in range(100):
+            for eps, gam in ((0.5, 0.5), (0.3, 0.8), (1.0, 1.0)):
+                one, batch = (PolicyState(mode="SS_NNRS", rng=np.random.default_rng(seed),
+                                          epsilon=eps, gamma=gam) for _ in range(2))
+                want = int(decide_batch_positions(batch, 1)[0])
+                if want == Source.NEIGHBOR:
+                    sample_neighbor(table, 0, batch.rng)
+                assert decide_token(one, 0, prediction=9, table=table).source == want
+                assert one.rng.bit_generator.state == batch.rng.bit_generator.state
+                seen.add(want)
+        assert seen == set(Source)
 
     def test_frequencies_hand_case(self, rng):
         # eps=0.5, gamma=0.2: P(pred) = 0.5*0.8 + 0.5*0.5*0.2 = 0.45,

@@ -59,10 +59,12 @@ from nnrslab.trainer import (
     TRACE_FILE,
 )
 from nnrslab.policy import (
+    GUMBEL_TAU,
     GumbelLogits,
     PolicyState,
     Source,
     decide_batch_positions,
+    gumbel_backward,
     gumbel_sample,
 )
 from synth import (
@@ -504,7 +506,8 @@ def _stepwise_epoch(model, state, cfg, table, gumbel, batches, lr, trace):
     """Reference epoch, one timestep and one batch row at a time: step
     per timestep, sample_neighbor / gumbel_sample / greedy_or_sample_predict
     per row (one log-prob row per call), the window's step caches joined
-    for backward."""
+    for backward, and each Gumbel draw's gradient chained through
+    gumbel_backward on its own."""
     hidden, prev, total, count = None, None, 0.0, 0
     gsns_grad = np.zeros_like(gumbel.log_alpha) if gumbel is not None else None
     gsns_rows = set()
@@ -525,9 +528,12 @@ def _stepwise_epoch(model, state, cfg, table, gumbel, batches, lr, trace):
                 xs = np.concatenate([greedy_or_sample_predict(prev[b:b + 1], cfg.predict_sample,
                                                               state.rng) for b in range(batch)])
             elif gumbel is not None:
-                xs = np.array([table.ids[w, gumbel_sample(gumbel, w, rng=state.rng)[0]]
-                               for w in teachers.tolist()])
-                touched += [(t, b, w) for b, w in enumerate(teachers.tolist())]
+                xs = []
+                for b, w in enumerate(teachers.tolist()):
+                    slot, soft = gumbel_sample(gumbel, w, rng=state.rng)
+                    xs.append(table.ids[w, slot])
+                    touched.append((t, b, w, soft))
+                xs = np.array(xs)
             else:
                 xs = np.array([sample_neighbor(table, w, state.rng) for w in teachers.tolist()])
             prev, hidden, cache = step(model, xs, hidden)
@@ -537,8 +543,9 @@ def _stepwise_epoch(model, state, cfg, table, gumbel, batches, lr, trace):
         total += loss_from_cache(window, targets) * targets.size
         count += targets.size
         grads = backward(model, window, targets)
-        for t, b, w in touched:
-            gsns_grad[w] += window.input_grads[t, b] @ model.params["embed"][table.ids[w]].T
+        for t, b, w, soft in touched:
+            slot_grads = window.input_grads[t, b] @ model.params["embed"][table.ids[w]].T
+            gsns_grad[w] += gumbel_backward(soft, slot_grads, GUMBEL_TAU)
             gsns_rows.add(w)
         sgd_step(model, grads, lr, cfg.clip)
     return total / count, gsns_grad, gsns_rows
@@ -589,6 +596,61 @@ class TestSegmentedEpoch:
             assert rows == ref_rows
             np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-15)
 
+    def test_gsns_gradient_is_finite_difference_of_relaxation(self, cycle_corpus,
+                                                                 monkeypatch):
+        # the whole straight-through chain on one window: the epoch's logit
+        # gradient is d/dalpha of sum_d sum_j soft_dj(alpha) g_dj, with
+        # g_dj = dL/dx_d . embed[neighbor_dj] from backward and each draw's
+        # Gumbel noise replayed from the generator state it started at
+        rng = np.random.default_rng(8)
+        ids = rng.integers(0, 6, size=11)
+        vectors = rng.normal(size=(6, 4))
+        table = build_neighbor_table(EmbeddingMatrix.from_vectors(vectors), 2, tau=0.7)
+        gumbel = GumbelLogits(rng.normal(size=(6, 2)))
+        batches = trainer_mod.make_batches(ids, 2, 5)
+        assert [inputs.shape for inputs, _ in batches] == [(2, 4)]
+        model = LstmLm.init(6, 4, 5, np.random.default_rng(3), embed=vectors)
+        state = PolicyState(mode="GSNS", rng=np.random.default_rng(4), gamma=1.0)
+        cfg = _quick_config(cycle_corpus, mode="GSNS", batch_size=2, dim=4, hidden=5)
+        draws, taken = [], []
+
+        def sample(logits, words, tau, g):
+            draws.append((words.copy(), tau, g.bit_generator.state))
+            return gumbel_sample(logits, words, tau, g)
+
+        def taking_backward(model, cache, targets, out=None):
+            grads = backward(model, cache, targets, out=out)
+            taken.append((cache.input_grads.copy(), model.params["embed"].copy()))
+            return grads
+
+        monkeypatch.setattr(trainer_mod, "gumbel_sample", sample)
+        monkeypatch.setattr(trainer_mod, "backward", taking_backward)
+        _, grad, rows = trainer_mod._train_epoch(model, state, cfg, table, gumbel, batches,
+                                                 0.7, None, None, 1)
+        (dx, embed), = taken
+        assert len(draws) == 4  # every step is a Neighbor step at gamma = 1
+        assert rows == set(batches[0][0].ravel().tolist())
+
+        def relaxed(log_alpha):
+            total = 0.0
+            for t, (words, tau, start) in enumerate(draws):
+                replay = np.random.default_rng()
+                replay.bit_generator.state = start
+                soft = gumbel_sample(GumbelLogits(log_alpha), words, tau, replay)[1]
+                slot_grads = np.einsum("bd,bkd->bk", dx[t], embed[table.ids[words]])
+                total += float((soft * slot_grads).sum())
+            return total
+
+        h = 1e-6
+        fd = np.zeros_like(gumbel.log_alpha)
+        for idx in np.ndindex(fd.shape):
+            bump = np.zeros_like(fd)
+            bump[idx] = h
+            fd[idx] = (relaxed(gumbel.log_alpha + bump)
+                       - relaxed(gumbel.log_alpha - bump)) / (2 * h)
+        assert np.abs(fd).max() > 1e-4
+        np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-10)
+
 
 class TestRunTraining:
     def test_mle_smoke(self, cycle_corpus):
@@ -623,6 +685,17 @@ class TestRunTraining:
                             nnrs=Schedule("static", 0.3, 0.3), k=2)
         _, records = run_training(cfg)
         assert all(r.tau == cfg.tau_init for r in records)
+
+    @pytest.mark.parametrize("mode", ["NNRS", "TPRS", "SS_NNRS", "GSNS"])
+    def test_k_at_vocabulary_size_refused(self, cycle_corpus, mode):
+        # one k rule for every mode with a table, applied where k is resolved:
+        # TPRS used to build a (|V|, k) table of padding slots
+        cfg = _quick_config(cycle_corpus, mode=mode, nnrs=Schedule("static", 0.3, 0.3))
+        n_vocab = len(_load_run_inputs(cfg, np.random.default_rng(0))[0])
+        for k in (n_vocab, 500):
+            with pytest.raises(ValueError, match="k must be below the vocabulary size %d, got %d"
+                                                 % (n_vocab, k)):
+                run_training(replace(cfg, k=k))
 
     def test_gsns_smoke(self, cycle_corpus):
         cfg = _quick_config(cycle_corpus, mode="GSNS",

@@ -38,6 +38,14 @@ class TestBuildVocabulary:
         with pytest.raises(ValueError):
             build_vocabulary(["a"], min_count=0)
 
+    def test_no_word_at_min_count_refused(self):
+        # only the reserved tokens would be left: every id would be <unk> or <eos>
+        with pytest.raises(ValueError, match="no corpus word besides <unk> and <eos> occurs "
+                                             "min_count = 3 times"):
+            build_vocabulary(["a", "b", "a", EOS_TOKEN, EOS_TOKEN, EOS_TOKEN, UNK_TOKEN],
+                             min_count=3)
+        assert build_vocabulary(["a", "b", "a"], min_count=2).tokens[0] == "a"
+
     def test_reserved_counts_from_corpus(self):
         vocab = build_vocabulary(["a", EOS_TOKEN, EOS_TOKEN], min_count=1)
         assert vocab.counts[vocab.eos_id] == 2
@@ -71,7 +79,12 @@ class TestVocabularyLookup:
                                             EOS_TOKEN]), max_size=30),
            min_count=st.integers(1, 3))
     def test_encode_equals_per_token_id(self, corpus, tokens, min_count):
-        # tokens outside the corpus, or below min_count, are unknown words
+        # tokens outside the corpus, or below min_count, are unknown words;
+        # a corpus with no word at min_count is refused
+        if max(corpus.count(w) for w in corpus) < min_count:
+            with pytest.raises(ValueError, match="no corpus word"):
+                build_vocabulary(corpus, min_count=min_count)
+            return
         vocab = build_vocabulary(corpus, min_count=min_count)
         ids = vocab.encode(tokens)
         assert ids.dtype == np.int64
@@ -130,7 +143,6 @@ class TestReadCorpus:
         path = tmp_path / "c.txt"
         path.write_text("a b\n\nc\n", encoding="utf-8")
         assert read_corpus(path) == ["a", "b", EOS_TOKEN, "c", EOS_TOKEN]
-        assert read_corpus(path, eos=False) == ["a", "b", "c"]
 
     def test_empty_file_errors(self, tmp_path):
         path = tmp_path / "empty.txt"
