@@ -46,12 +46,14 @@ exp(row - row max). Only the reference path (forward_cached, step,
 loss_from_cache) builds a log-softmax array, in _output_layer.
 
 A cache is one of two kinds, chosen by window's train flag. A training
-cache (train=True) keeps every step of the cell history and a buffer
+cache (train=True) keeps every step of the gates, h and c and a buffer
 of max(min(T*B, _BACKWARD_ROWS + H) * |V|, 6H * T*B) elements, which
-backward runs in. A cells-only cache keeps only what validation and
-decoding read; see below. forward_cached runs a training cache and then
-_output_layer over every step into the cache's own log_probs
-(T, B, |V|), which loss_from_cache reads.
+backward runs in. It keeps one step of tanh(c), as a cells-only cache
+does, and no embedded inputs: backward recomputes both (below). A
+cells-only cache keeps only what validation and decoding read; see
+below. forward_cached runs a training cache and then _output_layer over
+every step into the cache's own log_probs (T, B, |V|), which
+loss_from_cache reads.
 
 backward runs the output layer itself, from the top-layer states
 cache.h[1], in blocks of _BACKWARD_ROWS rows (one block when the window
@@ -63,14 +65,20 @@ divided by the window's row count), its W_out and b_out terms (a later
 block adds its W_out term through an (H, |V|) temporary that follows
 the block in the buffer), and the block's rows of dL/dh. Once every
 block is done, the buffer holds the reverse recurrence's gate factors
-and dz. backward writes every gradient into `out`, a FlatParams the
-caller reuses from window to window, and sgd_step consumes those
-gradients, forming the update in place and summing squares for its clip
-norm through _NORM_LEAF elements. The buffer is idle during the forward
-pass, so forward_segment runs a training cache's input projections in
-it. A training window thus holds one buffer, never larger than
-(T*B, max(|V|, 6H)) and at |V| >> H about (_BACKWARD_ROWS + H, |V|);
-every other temporary it makes is at most (T*B, H), (T*B, d),
+and dz, and tanh(c), recomputed from the cell states c in its dc/dh
+slot and turned into dc/dh there. Layer 1's dL/dh is written over the
+output layer's, which layer 2's recurrence has read by then, and layer
+1's Wx gradient gathers embed[ids] again (embed does not change until
+sgd_step). Both recomputes give the forward pass's bits. backward writes
+every gradient into `out`, a FlatParams the caller reuses from window to
+window, and sgd_step consumes those gradients, forming the update in
+place and summing squares for its clip norm through _NORM_LEAF
+elements. The buffer is idle during the forward pass, so forward_segment
+runs a training cache's input projections in it. A training window thus
+holds one buffer, never larger than (T*B, max(|V|, 6H)) and at |V| >> H
+about (_BACKWARD_ROWS + H, |V|), besides the cache's every-step gates,
+h and c; every other array it makes is at most (T*B, H) (backward's one
+dL/dh), (T*B, d) (an embedding gather, and the input gradients),
 (max(B, 2), |V|) (a fed-back step's logits) or (H, 4H) in size, and
 none grows with |V| but those logits and backward's (|V|,) b_out term.
 backward neither reads nor changes a forward_cached cache's log_probs,
@@ -355,23 +363,26 @@ def _window_buffer_size(t_len: int, batch: int, vocab: int, hidden: int) -> int:
 class ForwardCache:
     """A forward pass over T timesteps of B rows, as (T, B, .) arrays.
 
-    ids (T, B) the token ids fed; x (T, B, d) their embedding rows. Per
-    layer (index 0 and 1): gates (T, 4, B, H) the activated [i, f, g, o]
-    blocks, tc (T, B, H) tanh of the cell state, and h and c
-    (T + 1, B, H) with row 0 the initial state. In a training cache,
-    buffer is one flat array (_window_buffer_size) that forward_segment
-    runs its input projections in and backward then runs in: first its
-    output-layer blocks, then the reverse recurrence's scratch (dz,
-    dc/dh and one temporary, 6H per row). final_state is the state
-    after the last step run (row 0 before any has run, so a cache keeps
-    no reference to the state it was given); backward leaves the
-    window's mean NLL in nll and the input gradients in input_grads
-    (T, B, d), which lives outside the buffer. log_probs is None, except that
-    forward_cached sets it to its own (T, B, |V|) array.
+    ids (T, B) the token ids fed; their embedding rows are not kept.
+    Per layer (index 0 and 1): gates (T, 4, B, H) the activated
+    [i, f, g, o] blocks, h and c (T + 1, B, H) with row 0 the initial
+    state, and tc (T, B, H) tanh of the cell state, zero-stride along
+    time in either kind of cache: one buffer that _cell writes each step
+    into, holding the last step run; backward recomputes it from c. In
+    a training cache, buffer is one flat array (_window_buffer_size)
+    that forward_segment runs its input projections in and backward then
+    runs in: first its output-layer blocks, then the reverse
+    recurrence's scratch (dz, dc/dh and one temporary, 6H per row).
+    final_state is the state after the last step run (row 0 before any
+    has run, so a cache keeps no reference to the state it was given);
+    backward leaves the window's mean NLL in nll and the input gradients
+    in input_grads (T, B, d), which lives outside the buffer. log_probs
+    is None, except that forward_cached sets it to its own (T, B, |V|)
+    array.
 
-    A cells-only cache has buffer None, and its gates, tc and c are
-    zero-stride along time: every step's row is one buffer, holding the
-    last step run. Its h keeps every step. backward refuses it.
+    A cells-only cache has buffer None, and its gates and c are
+    zero-stride along time too. Its h keeps every step. backward
+    refuses it.
 
     ForwardCache(steps, final_state, batch_size) joins consecutive caches
     returned by `step` into one training cache with log_probs.
@@ -380,14 +391,13 @@ class ForwardCache:
     def __init__(self, steps, final_state, batch_size):
         steps = list(steps)
         self.ids = np.concatenate([s.ids for s in steps])
-        self.x = np.concatenate([s.x for s in steps])
         self.gates = [np.concatenate([s.gates[k] for s in steps]) for k in (0, 1)]
-        self.tc = [np.concatenate([s.tc[k] for s in steps]) for k in (0, 1)]
         self.h = [np.concatenate([steps[0].h[k][:1]] + [s.h[k][1:] for s in steps])
                   for k in (0, 1)]
         self.c = [np.concatenate([steps[0].c[k][:1]] + [s.c[k][1:] for s in steps])
                   for k in (0, 1)]
         t_len, _, batch, hid = self.gates[0].shape
+        self.tc = [_one_step((t_len, batch, hid)) for _ in (0, 1)]
         self.log_probs = np.concatenate([s.log_probs for s in steps])
         self.buffer = np.empty(_window_buffer_size(t_len, batch, self.log_probs.shape[-1], hid))
         self.final_state = final_state
@@ -416,14 +426,12 @@ class ForwardCache:
         cache.ids = ids
         if workspace is None:
             steps = np.empty if train else _one_step
-            cache.x = np.empty((t_len, batch, model.dim))
             cache.gates = [steps((t_len, 4, batch, hid)) for _ in (0, 1)]
-            cache.tc = [steps((t_len, batch, hid)) for _ in (0, 1)]
+            cache.tc = [_one_step((t_len, batch, hid)) for _ in (0, 1)]
             cache.h = [np.empty((t_len + 1, batch, hid)) for _ in (0, 1)]
             cache.c = [steps((t_len + 1, batch, hid)) for _ in (0, 1)]
             cache.buffer = np.empty(size) if train else None
         else:
-            cache.x = workspace.x[:t_len]
             cache.gates = [a[:t_len] for a in workspace.gates]
             cache.tc = [a[:t_len] for a in workspace.tc]
             cache.h = [a[:t_len + 1] for a in workspace.h]
@@ -440,16 +448,17 @@ class ForwardCache:
         return cache
 
     def __len__(self):
-        return self.x.shape[0]
+        return self.ids.shape[0]
 
 
 def forward_segment(model: LstmLm, cache: ForwardCache, lo: int, hi: int) -> ForwardCache:
     """Run timesteps lo..hi-1 of `cache`, whose inputs are all set, layer
     by layer, computing cell states only.
 
-    Per layer: one input projection over the n * B rows of all n steps,
-    into one (n * B, 4H) array both layers share, then the recurrence per
-    step. A training cache's buffer is idle until backward and holds 6H
+    Per layer: one input projection over the n * B rows of all n steps
+    (layer 1's over embed[ids], gathered for it and not kept), into one
+    (n * B, 4H) array both layers share, then the recurrence per step.
+    A training cache's buffer is idle until backward and holds 6H
     floats per row or more, so the projection runs in its leading part;
     a cells-only cache allocates it. Leaves the state after step hi - 1
     in cache.final_state.
@@ -461,8 +470,7 @@ def forward_segment(model: LstmLm, cache: ForwardCache, lo: int, hi: int) -> For
     """
     p = model.params
     rows = (hi - lo) * cache.batch_size
-    cache.x[lo:hi] = p["embed"][cache.ids[lo:hi]]
-    inp = cache.x[lo:hi]
+    inp = p["embed"][cache.ids[lo:hi]]
     proj = None  # layer 2's projection reuses layer 1's (rows, 4H) array
     if cache.buffer is not None:
         proj = cache.buffer[:rows * 4 * model.hidden].reshape(rows, -1)
@@ -535,7 +543,10 @@ def _reverse_recurrence(cache: ForwardCache, layer: int, dh_in: np.ndarray,
     dh_in (T, B, H) is dL/dh arriving from above at each step. Runs in
     cache.buffer, whose contents must be dead: it holds dz (4H per row),
     dc/dh and one temporary, and the returned rows are its leading view.
-    dz's four slots first receive the gate factors that do not depend on
+    The dc/dh slot first receives tanh(c) of every step, recomputed from
+    cache.c in one call with the bits of the forward pass's per-step
+    calls, and becomes dc/dh in place once dz has read it. dz's four
+    slots first receive the gate factors that do not depend on
     the carried (dh, dc), for the whole window at once; the reverse loop
     then multiplies them in place, six elementwise ops and one product
     per step. Products are commutative in IEEE arithmetic, so the order
@@ -549,7 +560,7 @@ def _reverse_recurrence(cache: ForwardCache, layer: int, dh_in: np.ndarray,
     tmp = scratch[5 * n:6 * n].reshape(t_len, batch, hid)
     gates = cache.gates[layer]
     i, f, g, o = (gates[:, k] for k in range(4))  # (T, B, H)
-    tc = cache.tc[layer]
+    tc = np.tanh(cache.c[layer][1:], out=dc_dh[:, :, 0])  # the forward pass's bits
     np.subtract(1.0, gates.transpose(0, 2, 1, 3), out=dz)  # 1 - gate in every slot
     dz_i, dz_f, dz_g, dz_o = (dz[:, :, k] for k in range(4))
     dz_i *= np.multiply(g, i, out=tmp)  # g * i * (1 - i)
@@ -558,9 +569,9 @@ def _reverse_recurrence(cache: ForwardCache, layer: int, dh_in: np.ndarray,
     np.multiply(g, g, out=tmp)  # i * (1 - g * g)
     np.subtract(1.0, tmp, out=tmp)
     np.multiply(i, tmp, out=dz_g)
-    np.multiply(tc, tc, out=tmp)  # dc/dh = o * (1 - tc * tc)
+    np.multiply(tc, tc, out=tmp)  # dc/dh = o * (1 - tc * tc), over tc
     np.subtract(1.0, tmp, out=tmp)
-    np.multiply(o, tmp, out=dc_dh[:, :, 0])
+    np.multiply(o, tmp, out=tc)
 
     dz_cell, dz_out = dz[:, :, :3], dz[:, :, 3:]
     dz_rows = dz.reshape(t_len, batch, 4 * hid)
@@ -607,8 +618,15 @@ def backward(model: LstmLm, cache: ForwardCache, targets, out: FlatParams = None
     dL/d(input), which is layer 1's dL/dh or the input gradient, are one
     product each per window.
 
-    A cells-only cache is refused: it has no buffer, and its gates,
-    tanh(c) and c hold only the last step.
+    What the cache does not keep is recomputed with its bits: each
+    layer's tanh(c) from its cell states (_reverse_recurrence), and layer
+    1's inputs as embed[cache.ids], gathered again for its Wx gradient
+    once layer 1's dL/dh is dead (embed does not change before
+    sgd_step). Layer 1's dL/dh is written over the output layer's, so
+    backward holds one (T*B, H) array of either.
+
+    A cells-only cache is refused: it has no buffer, and its gates and c
+    hold only the last step.
     """
     if cache.buffer is None:
         raise ValueError("backward needs a cache with every step's gates and a "
@@ -645,19 +663,23 @@ def backward(model: LstmLm, cache: ForwardCache, targets, out: FlatParams = None
     cache.nll = float(-picked.sum() / rows)
     dh_in = dh_in.reshape(t_len, b, hid)  # the buffer is dead from here
 
-    layer_inputs = (cache.x, cache.h[0][1:])
     for layer in (2, 1):
         k = layer - 1
         dz = _reverse_recurrence(cache, k, dh_in, p["lstm%d_Wh" % layer]).reshape(rows, 4 * hid)
-        inp = layer_inputs[k].reshape(rows, -1)
-        np.matmul(inp.T, dz, out=grads["lstm%d_Wx" % layer])
+        if layer == 2:  # layer 1's dL/dh goes over the one this recurrence has read
+            np.matmul(dz, p["lstm2_Wx"].T, out=dh_in.reshape(rows, hid))
+            inp = cache.h[0][1:]
+        else:  # dh_in is dead; the embedded inputs are gathered again in its place
+            del dh_in  # (embed is as the forward pass read it)
+            inp = p["embed"][cache.ids]
+        np.matmul(inp.reshape(rows, -1).T, dz, out=grads["lstm%d_Wx" % layer])
         np.matmul(cache.h[k][:-1].reshape(rows, hid).T, dz, out=grads["lstm%d_Wh" % layer])
         dz.sum(axis=0, out=grads["lstm%d_b" % layer])
-        dh_in = (dz @ p["lstm%d_Wx" % layer].T).reshape(t_len, b, -1)
+    dx = (dz @ p["lstm1_Wx"].T).reshape(t_len, b, model.dim)
 
     grads["embed"].fill(0.0)
-    np.add.at(grads["embed"], cache.ids.reshape(-1), dh_in.reshape(rows, model.dim))
-    cache.input_grads = dh_in
+    np.add.at(grads["embed"], cache.ids.reshape(-1), dx.reshape(rows, model.dim))
+    cache.input_grads = dx
     return grads
 
 

@@ -25,9 +25,11 @@ A run holds only what it still reads. Once the model and the
 replacement table are built, run_training drops the embedding matrix
 (the model's embed parameters are a copy of it) and the vocabulary (|V|
 and its hash are kept). Each epoch's windows run in one training cache
-and one gradient FlatParams, freed before validation; the only logit
-rows held across backward and sgd_step are the window's last step,
-which the next window feeds back in modes that take epsilon.
+and one gradient FlatParams, freed before validation. The cache keeps
+every step's gates, h and c but neither tanh(c) nor the embedded inputs,
+which model.backward recomputes with their bits. The only logit rows
+held across backward and sgd_step are the window's last step, which the
+next window feeds back in modes that take epsilon.
 """
 
 import csv

@@ -212,7 +212,8 @@ def reference_backward(model, cache, targets):
     order, takes dL/dh of layer 2 per block (a product with one column,
     at H = 1, goes to the matrix-vector kernel, whose row bits depend on
     the row count), and allocates every factor of the reverse recurrence
-    apart.
+    apart. Like backward it takes tanh(c) from the cache's cell states and
+    the embedded inputs from the ids, as a training cache keeps neither.
     Returns (name -> gradient dict, input gradients (T, B, d), mean NLL)."""
     from nnrslab.model import _backward_block, _row_blocks
 
@@ -242,11 +243,11 @@ def reference_backward(model, cache, targets):
         grads["b_out"] = grads["b_out"] + b_term
     dh_in = np.concatenate(dh_rows).reshape(t_len, b, hid)
 
-    layer_inputs = (cache.x, cache.h[0][1:])
+    layer_inputs = (p["embed"][cache.ids], cache.h[0][1:])
     for layer in (2, 1):
         k = layer - 1
         i, f, g, o = (cache.gates[k][:, j, :, None, :] for j in range(4))  # (T, B, 1, H)
-        tc = cache.tc[k][:, :, None, :]
+        tc = np.tanh(cache.c[k][1:])[:, :, None, :]
         dc_dh = o * (1.0 - tc * tc)
         cell_factors = np.concatenate(
             [g * i * (1.0 - i), cache.c[k][:-1, :, None, :] * f * (1.0 - f), i * (1.0 - g * g)],

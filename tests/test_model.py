@@ -488,6 +488,58 @@ class TestBackwardInWindowBuffer:
         assert backward_peak < 1.5e6
         assert sgd_peak < 256 * 1024
 
+    def test_memory_backward_recomputes_tanh_and_inputs(self):
+        # a training cache keeps one step of tanh(c) and no embedded inputs;
+        # backward recomputes both and writes layer 1's dL/dh over the
+        # output layer's, so its peak is one (T*B, H) array (0.57 MB) and
+        # W_h^T, plus numpy's ufunc buffers (two of 8192 doubles) and
+        # per-step and per-row scraps; a second (T*B, H) array exceeds it
+        rng = np.random.default_rng(9)
+        vocab, dim, hidden, batch, width = 500, 16, 32, 32, 70
+        model = LstmLm.init(vocab, dim, hidden, rng)
+        ids = rng.integers(0, vocab, size=(width, batch))
+        targets = rng.integers(0, vocab, size=(batch, width))
+        cache = ForwardCache.window(model, model.zero_state(batch), ids, train=True)
+        forward_segment(model, cache, 0, width)
+        grads = backward(model, cache, targets)
+        cache = ForwardCache.window(model, model.zero_state(batch), ids, workspace=cache,
+                                    train=True)
+        forward_segment(model, cache, 0, width)
+        assert not hasattr(cache, "x")
+        for tc in cache.tc:
+            assert tc.shape == (width, batch, hidden) and tc.strides[0] == 0
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            backward(model, cache, targets, out=grads)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (width * batch * hidden + 4 * hidden * hidden) + 256 * 1024
+
+
+@settings(max_examples=200, deadline=None)
+@given(t_len=st.integers(1, 9), batch=st.integers(1, 6), hidden=st.integers(1, 41),
+       scales=st.lists(st.sampled_from([5e-324, 1e-300, 1e-9, 1e-3, 1.0, 4.0, 19.0, 40.0, 1e300]),
+                       min_size=1, max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_tanh_of_a_stacked_block_equals_per_step_calls(t_len, batch, hidden, scales, seed):
+    # backward recomputes every step's tanh(c) in one call over the stacked
+    # cell states, where the forward pass took it one (B, H) step at a
+    # time; the recompute keeps the forward bits only if numpy's tanh gives
+    # each element the same bits whatever the block's size and its offset
+    # in it. Values run from subnormal to saturated, both signs
+    rng = np.random.default_rng(seed)
+    shape = (t_len + 1, batch, hidden)
+    c = rng.choice(scales, size=shape) * rng.uniform(0.5, 2.0, shape)
+    c *= rng.choice([-1.0, 1.0], size=shape)
+    n = t_len * batch * hidden  # into the dc/dh slot of backward's scratch, as backward does
+    stacked = np.tanh(c[1:], out=np.empty(6 * n)[4 * n:5 * n].reshape(t_len, batch, hidden))
+    step_out = np.empty((batch, hidden))
+    for t in range(t_len):
+        np.tanh(c[t + 1], out=step_out)
+        assert step_out.tobytes() == stacked[t].tobytes(), t
+
 
 class TestSgdStep:
     def test_zero_grads_noop(self, rng):
