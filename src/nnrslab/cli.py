@@ -35,14 +35,15 @@ import numpy as np
 from . import __version__
 from .arrayio import replacing
 from .embeddings import load_embeddings
-from .metrics import ToyChain, evaluate_model, kl_decomposition, reports_to_csv
+from .metrics import EMBEDDING_METRICS, ToyChain, evaluate_model, kl_decomposition, reports_to_csv
 from .neighbors import build_neighbor_table, build_transition_table, default_k, save_table, save_table_csv
 from .schedules import KINDS, Schedule
 from .trainer import (
     CHECKPOINT_FILE,
     RECORDS_FILE,
     TRACE_FILE,
-    _load_run_inputs,
+    _load_run_embeddings,
+    _load_run_splits,
     check_stop_after,
     config_from_dict,
     config_to_dict,
@@ -71,6 +72,13 @@ def _checked(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except (ValueError, OSError) as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _check_readable(path) -> None:
+    """Raise the OSError that reading `path` would: missing, a directory,
+    no permission."""
+    with open(path, "rb"):
+        pass
 
 
 def _sha256(path) -> str:
@@ -277,8 +285,7 @@ def cmd_eval(args) -> int:
 
     model, ck = _checked(model_from_checkpoint, args.checkpoint)
     cfg = _checked(config_from_dict, ck["meta"]["config"])
-    rng_model, _ = rng_streams(cfg.seed)
-    vocab, _train_ids, val_ids, emb = _checked(_load_run_inputs, cfg, rng_model)
+    vocab, _train_ids, val_ids = _checked(_load_run_splits, cfg)
     if vocab.content_hash() != ck["meta"]["vocab_hash"]:
         raise UsageError("checkpoint vocabulary does not match the config corpus")
 
@@ -288,8 +295,13 @@ def cmd_eval(args) -> int:
         eval_ids = val_ids
     batch = cfg.batch_size if args.batch_size is None else args.batch_size
     windows = _checked(make_batches, eval_ids, batch, cfg.bptt_len)  # refuses batch < 1
+    if cfg.embeddings and set(EMBEDDING_METRICS) & set(wanted):
+        _checked(_check_readable, cfg.embeddings)  # before any model pass; parsed after decoding
 
-    reports = evaluate_model(model, windows, emb, wanted,
+    def embeddings():  # training's matrix: same file, or the same seeded draws
+        return _checked(_load_run_embeddings, cfg, vocab, rng_streams(cfg.seed)[0])
+
+    reports = evaluate_model(model, windows, embeddings, wanted,
                              prefix_len=args.prefix_len, split_name=args.split,
                              config_id=args.checkpoint, exclude={vocab.unk_id})
     reports = [replace(rep, value=rep.value * 100.0) if rep.metric in _BLEU_LIKE else rep

@@ -19,7 +19,10 @@ within model.block_rows rows and greedily decoded together, each step
 through one reused one-step cells-only cache whose logit rows
 model.step_logits reads; no log-softmax is built, since the argmax of a
 logit row is the token. For windows of B >= 2 rows the continuations
-equal per-window decoding bit for bit.
+equal per-window decoding bit for bit. Only the WMD scores read an
+embedding matrix; evaluate_model takes a loader for it and calls it
+after decoding, so the matrix is never held alongside the decode or
+validation arrays.
 """
 
 import csv
@@ -377,9 +380,10 @@ def _decode_windows(model, split, prefix_len):
 
 
 METRICS = ("ppl", "bleu4", "wmd", "self_bleu4", "self_wmd")
+EMBEDDING_METRICS = ("wmd", "self_wmd")  # the only ones that read an embedding matrix
 
 
-def evaluate_model(model, split, emb: EmbeddingMatrix, metrics,
+def evaluate_model(model, split, embeddings, metrics,
                    prefix_len: int = None, split_name: str = "valid",
                    config_id: str = "", exclude=()):
     """Score a model on (input, target) windows: one report for each name
@@ -393,6 +397,11 @@ def evaluate_model(model, split, emb: EmbeddingMatrix, metrics,
     metric needs. Metrics left undefined on every window (empty WMD
     intersections, size-1 batches) are omitted rather than reported
     non-finite.
+
+    `embeddings` is a zero-argument callable returning the
+    EmbeddingMatrix. It is called once, after every window is decoded,
+    when wmd or self_wmd is asked, and not at all otherwise, so the
+    matrix is not held through validation and decoding.
     """
     unknown = sorted(set(metrics) - set(METRICS))
     if unknown:
@@ -408,6 +417,7 @@ def evaluate_model(model, split, emb: EmbeddingMatrix, metrics,
         scores["ppl"].append(validate(model, split))
     decoded = [name for name in scores if name != "ppl"]
     continuations = _decode_windows(model, split, prefix_len) if decoded else ()
+    emb = embeddings() if set(EMBEDDING_METRICS) & set(scores) else None
     for (_, targets), (p, gen) in zip(split, continuations):
         gen = gen.tolist()
         refs = targets[:, p - 1:].tolist()

@@ -47,9 +47,10 @@ loss_from_cache) builds a log-softmax array, in _output_layer.
 
 A cache is one of two kinds, chosen by window's train flag. A training
 cache (train=True) keeps every step of the gates, h and c and a buffer
-of max(min(T*B, _BACKWARD_ROWS + H) * |V|, 6H * T*B) elements, which
-backward runs in. It keeps one step of tanh(c), as a cells-only cache
-does, and no embedded inputs: backward recomputes both (below). A
+of max(min(T*B, _BACKWARD_ROWS + H) * |V|, (5T + max(T, 4)) * B*H)
+elements (6H per row when T >= 4), which backward runs in. It keeps
+one step of tanh(c), as a cells-only cache does, and no embedded
+inputs: backward recomputes both (below). A
 cells-only cache keeps only what validation and decoding read; see
 below. forward_cached runs a training cache and then _output_layer over
 every step into the cache's own log_probs (T, B, |V|), which
@@ -75,12 +76,13 @@ window, and sgd_step consumes those gradients, forming the update in
 place and summing squares for its clip norm through _NORM_LEAF
 elements. The buffer is idle during the forward pass, so forward_segment
 runs a training cache's input projections in it. A training window thus
-holds one buffer, never larger than (T*B, max(|V|, 6H)) and at |V| >> H
-about (_BACKWARD_ROWS + H, |V|), besides the cache's every-step gates,
-h and c; every other array it makes is at most (T*B, H) (backward's one
-dL/dh), (T*B, d) (an embedding gather, and the input gradients),
-(max(B, 2), |V|) (a fed-back step's logits) or (H, 4H) in size, and
-none grows with |V| but those logits and backward's (|V|,) b_out term.
+holds one buffer, never larger than (max(T, 4) * B, max(|V|, 6H)) and
+at |V| >> H about (_BACKWARD_ROWS + H, |V|), besides the cache's
+every-step gates, h and c; every other array it makes is at most
+(T*B, H) (backward's one dL/dh), (T*B, d) (an embedding gather, and the
+input gradients), (max(B, 2), |V|) (a fed-back step's logits) or
+(H, 4H) in size, and none grows with |V| but those logits and
+backward's (|V|,) b_out term.
 backward neither reads nor changes a forward_cached cache's log_probs,
 which live outside the buffer.
 
@@ -354,10 +356,12 @@ def _backward_block(rows: int, hidden: int) -> int:
 
 def _window_buffer_size(t_len: int, batch: int, vocab: int, hidden: int) -> int:
     """Elements of a training window's buffer: the reverse recurrence's
-    6H per row, or, if larger, one of backward's output blocks and the
-    accumulation temporary after it."""
+    6H per row (its temporary at least four steps long), or, if larger,
+    one of backward's output blocks and the accumulation temporary after
+    it."""
     rows = t_len * batch
-    return max(min(rows, _BACKWARD_ROWS + hidden) * vocab, 6 * hidden * rows)
+    return max(min(rows, _BACKWARD_ROWS + hidden) * vocab,
+               (5 * t_len + max(t_len, 4)) * batch * hidden)
 
 
 class ForwardCache:
@@ -372,7 +376,8 @@ class ForwardCache:
     a training cache, buffer is one flat array (_window_buffer_size)
     that forward_segment runs its input projections in and backward then
     runs in: first its output-layer blocks, then the reverse
-    recurrence's scratch (dz, dc/dh and one temporary, 6H per row).
+    recurrence's scratch (dz, dc/dh and one temporary, 6H per row, the
+    temporary at least four steps long).
     final_state is the state after the last step run (row 0 before any
     has run, so a cache keeps no reference to the state it was given);
     backward leaves the window's mean NLL in nll and the input gradients
@@ -547,10 +552,13 @@ def _reverse_recurrence(cache: ForwardCache, layer: int, dh_in: np.ndarray,
     cache.c in one call with the bits of the forward pass's per-step
     calls, and becomes dc/dh in place once dz has read it. dz's four
     slots first receive the gate factors that do not depend on
-    the carried (dh, dc), for the whole window at once; the reverse loop
-    then multiplies them in place, six elementwise ops and one product
-    per step. Products are commutative in IEEE arithmetic, so the order
-    of their operands keeps the bits.
+    the carried (dh, dc), for the whole window at once. The reverse loop
+    then copies each step's (dc, dc, dc, dh) into the head of the
+    temporary and multiplies the step's dz rows by it in one contiguous
+    op: a product over the strided per-slot views of dz would make numpy
+    allocate iterator buffers (182 kB per step at B = 16, H = 128).
+    Products are commutative in IEEE arithmetic, so the order of their
+    operands keeps the bits.
     """
     t_len, _, batch, hid = cache.gates[layer].shape
     n = t_len * batch * hid
@@ -573,8 +581,8 @@ def _reverse_recurrence(cache: ForwardCache, layer: int, dh_in: np.ndarray,
     np.subtract(1.0, tmp, out=tmp)
     np.multiply(o, tmp, out=tc)
 
-    dz_cell, dz_out = dz[:, :, :3], dz[:, :, 3:]
     dz_rows = dz.reshape(t_len, batch, 4 * hid)
+    factors = scratch[5 * n:5 * n + 4 * batch * hid].reshape(batch, 4, hid)  # tmp is dead
     dh_in = dh_in.reshape(t_len, batch, 1, hid)
     f = f[:, :, None, :]
     wh_t = np.ascontiguousarray(wh.T)
@@ -584,9 +592,9 @@ def _reverse_recurrence(cache: ForwardCache, layer: int, dh_in: np.ndarray,
         dh = dh_in[t] + dh_carry
         dc = dh * dc_dh[t]
         dc += dc_carry
-        cell, out = dz_cell[t], dz_out[t]  # bound first: `dz_cell[t] *= dc` would assign back
-        cell *= dc
-        out *= dh
+        factors[:, :3] = dc
+        factors[:, 3:] = dh
+        np.multiply(dz[t], factors, out=dz[t])  # `dz[t] *= factors` would assign back
         if t:
             np.matmul(dz_rows[t], wh_t, out=dh_carry[:, 0])
             np.multiply(dc, f[t], out=dc_carry)

@@ -21,15 +21,20 @@ in epoch N resumes from epoch N - 1, and every epoch in records.csv is
 in a checkpoint unless it diverged. On resume, the optional decision
 trace there loses the rows of the epochs run again, then is appended to.
 
-A run holds only what it still reads. Once the model and the
-replacement table are built, run_training drops the embedding matrix
-(the model's embed parameters are a copy of it) and the vocabulary (|V|
-and its hash are kept). Each epoch's windows run in one training cache
-and one gradient FlatParams, freed before validation. The cache keeps
-every step's gates, h and c but neither tanh(c) nor the embedded inputs,
-which model.backward recomputes with their bits. The only logit rows
-held across backward and sgd_step are the window's last step, which the
-next window feeds back in modes that take epsilon.
+A run holds only what it still reads. Its inputs load in two steps: the
+vocabulary and the id splits (_load_run_splits, which draws nothing),
+then the embedding matrix (_load_run_embeddings: the file, or draws
+from the model stream when there is none). Training takes both at once;
+eval parses the matrix only for a WMD score, after decoding. Once the
+model and the replacement table are built, run_training drops the
+embedding matrix (the model's embed parameters are a copy of it) and
+the vocabulary (|V| and its hash are kept). Each epoch's windows run in
+one training cache and one gradient FlatParams, freed before
+validation. The cache keeps every step's gates, h and c but neither
+tanh(c) nor the embedded inputs, which model.backward recomputes with
+their bits. The only logit rows held across backward and sgd_step are
+the window's last step, which the next window feeds back in modes that
+take epsilon.
 """
 
 import csv
@@ -347,7 +352,15 @@ def validate(model: LstmLm, val_batches) -> float:
 
 
 def _load_run_inputs(cfg: TrainConfig, rng_model: np.random.Generator):
-    """Corpus, vocab, splits, embeddings - everything data-side."""
+    """Corpus, vocab, splits, embeddings - everything data-side:
+    _load_run_splits, then _load_run_embeddings, whose draws (with no
+    embeddings file) are rng_model's first."""
+    vocab, train_ids, val_ids = _load_run_splits(cfg)
+    return vocab, train_ids, val_ids, _load_run_embeddings(cfg, vocab, rng_model)
+
+
+def _load_run_splits(cfg: TrainConfig):
+    """(vocab, train ids, validation ids); reads the corpora, draws nothing."""
     tokens = read_corpus(cfg.corpus)
     vocab = build_vocabulary(tokens, cfg.min_count)
     ids = vocab.encode(tokens)
@@ -360,14 +373,16 @@ def _load_run_inputs(cfg: TrainConfig, rng_model: np.random.Generator):
             raise ValueError("corpus too short to split off a validation tail")
         train_ids = ids[:-n_val]
         val_ids = ids[-n_val:]
+    return vocab, train_ids, val_ids
+
+
+def _load_run_embeddings(cfg: TrainConfig, vocab, rng_model: np.random.Generator):
+    """The (|V|, dim) embedding matrix: cfg.embeddings parsed for `vocab`,
+    or, with no file, uniform draws from rng_model."""
     if cfg.embeddings:
-        emb = load_embeddings(cfg.embeddings, vocab, cfg.dim, fallback_seed=cfg.seed)
-    else:
-        span = 0.5 / cfg.dim
-        emb = EmbeddingMatrix.from_vectors(
-            rng_model.uniform(-span, span, (len(vocab), cfg.dim))
-        )
-    return vocab, train_ids, val_ids, emb
+        return load_embeddings(cfg.embeddings, vocab, cfg.dim, fallback_seed=cfg.seed)
+    span = 0.5 / cfg.dim
+    return EmbeddingMatrix.from_vectors(rng_model.uniform(-span, span, (len(vocab), cfg.dim)))
 
 
 RECORDS_FILE = "records.csv"

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import nnrslab.cli as cli_mod
+import nnrslab.metrics as metrics_mod
 import nnrslab.trainer as trainer_mod
 from nnrslab.arrayio import load_arrays, save_arrays
 from nnrslab.cli import main
@@ -600,6 +601,69 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(partial), "--out",
                      str(tmp_path / "r.csv")]) == 2
         assert "lacks checkpoint member param_W_out" in capsys.readouterr().err
+
+    @staticmethod
+    def _train_with_embeddings(corpus, embeddings, tmp_path):
+        out_dir = tmp_path / "run"
+        config = _write_config(tmp_path / "run.cfg", corpus, out_dir, epochs=2, dim=4,
+                               embeddings=embeddings)
+        assert main(["train", "--config", config]) == 0
+        return str(out_dir / "checkpoint.bin")
+
+    @staticmethod
+    def _spy_model_passes(monkeypatch):
+        """Names of the model passes evaluate_model runs, in call order."""
+        calls = []
+
+        def spy(name, real):
+            def called(*args):
+                calls.append(name)
+                return real(*args)
+            return called
+
+        for name in ("validate", "_decode_windows"):
+            monkeypatch.setattr(metrics_mod, name, spy(name, getattr(metrics_mod, name)))
+        return calls
+
+    @pytest.mark.parametrize("metrics", ["wmd", "ppl,self_wmd"])
+    def test_embeddings_file_read_only_for_wmd(self, corpus, embeddings, tmp_path, capsys,
+                                               monkeypatch, metrics):
+        # only the WMD scores read the config's embeddings file: once it is
+        # gone the other metrics report the same bytes, and a WMD metric is
+        # refused before any model pass
+        checkpoint = self._train_with_embeddings(corpus, embeddings, tmp_path)
+        before, after = tmp_path / "before.csv", tmp_path / "after.csv"
+        others = ["eval", "--checkpoint", checkpoint, "--metrics", "ppl,bleu,self_bleu"]
+        assert main(others + ["--out", str(before)]) == 0
+        os.remove(embeddings)
+        assert main(others + ["--out", str(after)]) == 0
+        assert after.read_bytes() == before.read_bytes()
+        capsys.readouterr()
+
+        calls = self._spy_model_passes(monkeypatch)
+        report = tmp_path / "wmd.csv"
+        assert main(["eval", "--checkpoint", checkpoint, "--out", str(report),
+                     "--metrics", metrics]) == 2
+        assert "No such file" in capsys.readouterr().err
+        assert calls == [] and not report.exists()
+
+    def test_malformed_embeddings_refused_when_parsed(self, corpus, embeddings, tmp_path,
+                                                      capsys, monkeypatch):
+        # a malformed line is found when a WMD score parses the file, after
+        # decoding; metrics that never read it are not affected
+        checkpoint = self._train_with_embeddings(corpus, embeddings, tmp_path)
+        with open(embeddings, "a", encoding="utf-8") as fh:
+            fh.write("w3 1.0 2.0\n")
+        capsys.readouterr()
+        calls = self._spy_model_passes(monkeypatch)
+        report = tmp_path / "r.csv"
+        args = ["eval", "--checkpoint", checkpoint, "--out", str(report)]
+        assert main(args + ["--metrics", "ppl,wmd"]) == 2
+        assert "malformed embedding line 11" in capsys.readouterr().err
+        assert calls == ["validate", "_decode_windows"] and not report.exists()
+        assert main(args + ["--metrics", "ppl,bleu"]) == 0
+        capsys.readouterr()
+        assert report.exists()
 
     def test_missing_checkpoint_is_usage_error(self, tmp_path, capsys):
         code = main(["eval", "--checkpoint", str(tmp_path / "nope.bin"),

@@ -353,13 +353,13 @@ def memorized(tmp_path_factory):
     rng_model, _ = rng_streams(cfg.seed)
     vocab, _train, val_ids, emb = _load_run_inputs(cfg, rng_model)
     windows = make_batches(val_ids, 4, cfg.bptt_len)
-    return model, vocab, emb, windows
+    return model, vocab, lambda: emb, windows
 
 
 class TestEvaluateModel:
     def test_memorization_reaches_bleu_one(self, memorized):
-        model, vocab, emb, windows = memorized
-        reports = evaluate_model(model, windows, emb, ["ppl", "bleu4", "wmd"],
+        model, vocab, embeddings, windows = memorized
+        reports = evaluate_model(model, windows, embeddings, ["ppl", "bleu4", "wmd"],
                                  exclude={vocab.unk_id})
         by_name = {r.metric: r.value for r in reports}
         assert by_name["bleu4"] == pytest.approx(1.0, abs=1e-9)
@@ -369,45 +369,76 @@ class TestEvaluateModel:
     def test_collapsed_model_maximizes_self_similarity(self, memorized):
         # a zero model continues every prefix with the same constant token,
         # so the batch continuations are identical
-        model, vocab, emb, windows = memorized
+        model, vocab, embeddings, windows = memorized
         diversity = ["self_bleu4", "self_wmd"]
         mem = {r.metric: r.value for r in evaluate_model(
-            model, windows, emb, diversity, exclude={vocab.unk_id})}
+            model, windows, embeddings, diversity, exclude={vocab.unk_id})}
         collapsed = LstmLm.zeros(len(vocab), 16, 32)
         col = {r.metric: r.value for r in evaluate_model(
-            collapsed, windows, emb, diversity, exclude={vocab.unk_id})}
+            collapsed, windows, embeddings, diversity, exclude={vocab.unk_id})}
         assert col["self_bleu4"] == pytest.approx(1.0, abs=1e-12)
         assert mem["self_bleu4"] < col["self_bleu4"]
 
     def test_all_values_finite(self, memorized):
-        model, vocab, emb, windows = memorized
-        reports = evaluate_model(model, windows, emb, METRICS)
+        model, vocab, embeddings, windows = memorized
+        reports = evaluate_model(model, windows, embeddings, METRICS)
         assert [rep.metric for rep in reports] == list(METRICS)
         for rep in reports:
             assert np.isfinite(rep.value)
 
     def test_all_metrics_equal_each_alone(self, memorized):
         # one report per name, in METRICS order, whatever order or repeats are asked for
-        model, vocab, emb, windows = memorized
+        model, vocab, embeddings, windows = memorized
         kw = dict(prefix_len=3, exclude={vocab.unk_id})
-        alone = [evaluate_model(model, windows, emb, [name], **kw) for name in METRICS]
+        alone = [evaluate_model(model, windows, embeddings, [name], **kw) for name in METRICS]
         assert [len(reports) for reports in alone] == [1] * len(METRICS)
         asked = list(reversed(METRICS)) + ["wmd"]
-        assert evaluate_model(model, windows, emb, asked, **kw) == sum(alone, [])
+        assert evaluate_model(model, windows, embeddings, asked, **kw) == sum(alone, [])
 
     def test_ppl_mode_does_not_decode(self, memorized, monkeypatch):
-        model, _, emb, windows = memorized
+        model, _, embeddings, windows = memorized
         expected = [ScoreReport("ppl", "valid", validate(model, windows), "")]
-        bleu = evaluate_model(model, windows, emb, ["bleu4"])
+        bleu = evaluate_model(model, windows, embeddings, ["bleu4"])
 
         def refuse(*_args):
             raise AssertionError("ran a pass no asked metric needs")
 
         monkeypatch.setattr(metrics_mod, "_greedy_continuations", refuse)
-        assert evaluate_model(model, windows, emb, ["ppl"]) == expected
+        assert evaluate_model(model, windows, embeddings, ["ppl"]) == expected
         monkeypatch.undo()
         monkeypatch.setattr(metrics_mod, "validate", refuse)
-        assert evaluate_model(model, windows, emb, ["bleu4"]) == bleu
+        assert evaluate_model(model, windows, embeddings, ["bleu4"]) == bleu
+
+    @pytest.mark.parametrize("asked", [["wmd"], ["self_wmd"], list(METRICS)])
+    def test_embeddings_loaded_once_after_decoding(self, memorized, monkeypatch, asked):
+        # the matrix is not held through validation and decoding: its loader
+        # runs once, after the last window is decoded
+        model, _, embeddings, windows = memorized
+        events = []
+        real_decode = metrics_mod._decode_windows
+
+        def decode(*args):
+            events.append("decode")
+            decoded = real_decode(*args)
+            events.append("decoded")
+            return decoded
+
+        def load():
+            events.append("load")
+            return embeddings()
+
+        monkeypatch.setattr(metrics_mod, "_decode_windows", decode)
+        evaluate_model(model, windows, load, asked)
+        assert events == ["decode", "decoded", "load"]
+
+    @pytest.mark.parametrize("asked", [["ppl"], ["bleu4"], ["ppl", "bleu4", "self_bleu4"]])
+    def test_embeddings_not_loaded_without_wmd(self, memorized, asked):
+        model, _, _, windows = memorized
+
+        def refuse():
+            raise AssertionError("loaded embeddings no asked metric reads")
+
+        assert [r.metric for r in evaluate_model(model, windows, refuse, asked)] == asked
 
     def test_continuations_match_stepwise_reference(self, memorized):
         _, vocab, _, windows = memorized
@@ -448,17 +479,17 @@ class TestEvaluateModel:
             np.testing.assert_array_equal(gen, _stepwise_continuations(model, inputs, p))
 
     def test_metric_validation(self, memorized):
-        model, _, emb, windows = memorized
+        model, _, embeddings, windows = memorized
         with pytest.raises(ValueError, match="speed"):
-            evaluate_model(model, windows, emb, ["ppl", "speed"])
+            evaluate_model(model, windows, embeddings, ["ppl", "speed"])
         with pytest.raises(ValueError):
-            evaluate_model(model, [], emb, ["bleu4"])
+            evaluate_model(model, [], embeddings, ["bleu4"])
         with pytest.raises(ValueError, match="prefix_len"):
-            evaluate_model(model, windows, emb, ["bleu4"], prefix_len=0)
+            evaluate_model(model, windows, embeddings, ["bleu4"], prefix_len=0)
         inputs = windows[0][0].copy()
         inputs[1, 2] = -1  # a teacher id after the first position
         with pytest.raises(ValueError, match="out of range"):
-            evaluate_model(model, [(inputs, windows[0][1])], emb, ["bleu4"], prefix_len=5)
+            evaluate_model(model, [(inputs, windows[0][1])], embeddings, ["bleu4"], prefix_len=5)
 
 
 class TestReportsCsv:
