@@ -16,10 +16,10 @@ import nnrslab.metrics as metrics_mod
 import nnrslab.trainer as trainer_mod
 from nnrslab.arrayio import load_arrays, save_arrays
 from nnrslab.cli import main
-from nnrslab.metrics import kl_decomposition, ToyChain
+from nnrslab.metrics import ScoreReport, kl_decomposition, reports_to_csv, ToyChain
 from nnrslab.neighbors import NeighborTable, TransitionTable, load_table
 from nnrslab.schedules import Schedule
-from nnrslab.trainer import load_checkpoint, records_from_csv
+from nnrslab.trainer import EpochRecord, load_checkpoint, records_from_csv, records_to_csv
 from synth import assert_same_checkpoint, bigram_cycle_lines, write_lines
 
 
@@ -739,6 +739,52 @@ class TestTableWritersReplace:
         assert "disk full" in capsys.readouterr().err
         assert out.read_bytes() == b"old contents\n"
         assert not list(tmp_path.glob("*.tmp"))
+
+
+class TestCsvBytes:
+    """The four CSV writers (records, eval reports, schedule, kl-diag) share
+    one format: a header row, CRLF line ends, floats as their repr."""
+
+    def test_bytes(self, tmp_path, capsys):
+        records = tmp_path / "records.csv"
+        records_to_csv([EpochRecord(1, 0.0, 0.1, 0.5, 12.0, 11.5, 1 / 3, 2.0, wall_time=0.25)],
+                       records)
+        assert records.read_bytes() == (
+            b"epoch,epsilon,gamma,tau,train_loss,val_loss,best,lr,wall_time\r\n"
+            b"1,0.0,0.1,0.5,12.0,11.5,0.3333333333333333,2.0,0.25\r\n")
+
+        reports = tmp_path / "reports.csv"
+        reports_to_csv([ScoreReport("ppl", "valid", 13.5, "run-a"),
+                        ScoreReport("bleu4", "test", np.float64(2 / 3), "")], reports)
+        assert reports.read_bytes() == (
+            b"metric,split,value,config_id\r\n"
+            b"ppl,valid,13.5,run-a\r\n"
+            b"bleu4,test,0.6666666666666666,\r\n")
+
+        schedule = tmp_path / "schedule.csv"
+        assert main(["schedule", "--kind", "linear", "--start", "0", "--end", "0.5",
+                     "--epochs", "3", "--out", str(schedule)]) == 0
+        assert schedule.read_bytes() == (
+            b"epoch,z,rate\r\n"
+            b"0,0.0,0.0\r\n"
+            b"1,0.3333333333333333,0.16666666666666666\r\n"
+            b"2,0.6666666666666666,0.3333333333333333\r\n"
+            b"3,1.0,0.5\r\n")
+
+        p, q = [[0.9, 0.1], [0.2, 0.8]], [[0.6, 0.4], [0.5, 0.5]]
+        chains = []
+        for name, trans in (("p", p), ("q", q)):
+            np.savetxt(tmp_path / ("%s.txt" % name), np.asarray(trans), delimiter=",")
+            chains += ["--%s" % name, str(tmp_path / ("%s.txt" % name))]
+        kl = tmp_path / "kl.csv"
+        assert main(["kl-diag", *chains, "--eps", "0.25", "--gamma", "0.5",
+                     "--out", str(kl)]) == 0
+        capsys.readouterr()
+        terms = kl_decomposition(ToyChain.from_transitions(np.array(p)),
+                                 ToyChain.from_transitions(np.array(q)), 0.25, 0.5)
+        names = ("marginal", "ss_teacher", "ss_model", "nnrs_teacher", "nnrs_neighbor", "total")
+        assert kl.read_bytes() == b"term,value\r\n" + b"".join(
+            b"%s,%s\r\n" % (name.encode(), repr(terms[name]).encode()) for name in names)
 
 
 class TestKlDiag:
