@@ -7,10 +7,11 @@ byte-identical reruns, hence this thin replacement: same on-disk format
 entry timestamp and a fixed member order.
 
 Saves go through :func:`replacing`, so a failed or killed one leaves the
-previous file intact.
+previous file intact. :func:`write_csv` is the one CSV table writer.
 """
 
 import contextlib
+import csv
 import os
 import zipfile
 
@@ -36,6 +37,18 @@ def replacing(path, mode="wb", **open_kwargs):
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header row and then `rows` to `path` through :func:`replacing`,
+    in UTF-8 with csv.writer's dialect: lines end in CRLF and a float is
+    written as its repr, so callers pass Python floats, not numpy ones.
+    `rows` is consumed one row at a time."""
+    with replacing(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
 
 
 def save_arrays(path, **arrays) -> None:

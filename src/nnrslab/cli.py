@@ -1,9 +1,12 @@
 """Command-line surface.
 
-    nnrslab index    --corpus C --embeddings E --out-dir D [--k K] [--tau T]
+    nnrslab index    --corpus C --embeddings E --dim D --out-dir O
+                     [--k K] [--tau T] [--min-count N]
     nnrslab train    --config F [--resume CKPT] [--stop-after N] [--trace]
     nnrslab trace    ...               (an alias of train --trace)
-    nnrslab eval     --checkpoint CKPT --out R.csv [--metrics bleu,wmd,ppl]
+    nnrslab eval     --checkpoint CKPT --out R.csv [--metrics ppl,bleu,wmd]
+                     [--corpus C] [--split NAME] [--batch-size B]
+                     [--prefix-len P]
     nnrslab schedule --kind linear --start 0 --end 0.5 --epochs 40 --out S.csv
     nnrslab kl-diag  --p P.csv --q Q.csv --eps 0.5 --gamma 0.5 --out D.csv
 
@@ -22,7 +25,6 @@ other artifact keeps the internal [0, 1] scale.
 """
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -33,7 +35,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .arrayio import replacing
+from .arrayio import replacing, write_csv
 from .embeddings import load_embeddings
 from .metrics import EMBEDDING_METRICS, ToyChain, evaluate_model, kl_decomposition, reports_to_csv
 from .neighbors import build_neighbor_table, build_transition_table, default_k, save_table, save_table_csv
@@ -317,12 +319,8 @@ def cmd_schedule(args) -> int:
     if args.epochs < 1:
         raise UsageError("--epochs must be >= 1")
     rates = schedule.table(args.epochs)
-    with replacing(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "z", "rate"])
-        for epoch, rate in enumerate(rates):
-            z = epoch / args.epochs
-            writer.writerow([epoch, repr(float(z)), repr(float(rate))])
+    write_csv(args.out, ["epoch", "z", "rate"],
+              ([epoch, epoch / args.epochs, float(rate)] for epoch, rate in enumerate(rates)))
     print("wrote %d rows -> %s" % (len(rates), args.out))
     return 0
 
@@ -336,13 +334,9 @@ def cmd_kl_diag(args) -> int:
     p_chain = _checked(_load_chain, args.p)
     q_chain = _checked(_load_chain, args.q)
     terms = _checked(kl_decomposition, p_chain, q_chain, args.eps, args.gamma)
-    with replacing(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["term", "value"])
-        for name in ("marginal", "ss_teacher", "ss_model",
-                     "nnrs_teacher", "nnrs_neighbor", "total"):
-            writer.writerow([name, repr(terms[name])])
-            print("%-14s %.6g" % (name, terms[name]))
+    write_csv(args.out, ["term", "value"], terms.items())
+    for name, value in terms.items():
+        print("%-14s %.6g" % (name, value))
     return 0
 
 

@@ -32,10 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrayio import replacing
+from .arrayio import write_csv
 from .embeddings import EmbeddingMatrix
 from .model import (ForwardCache, block_rows, forward_segment, greedy_or_sample_predict,
                     step_logits)
+from .policy import check_unit_interval
 from .trainer import validate
 
 _BLEU_EPS = 1e-9  # numerator floor for zero n-gram matches
@@ -128,13 +129,17 @@ def self_bleu4(batch) -> float:
     return float(np.mean(vals))
 
 
-def _similarity_matrix(pred_ids, target_ids, emb: EmbeddingMatrix) -> np.ndarray:
-    pu = emb.vectors[pred_ids] / emb.norms[pred_ids, None]
-    tu = emb.vectors[target_ids] / emb.norms[target_ids, None]
-    sims = np.clip(pu @ tu.T, -1.0, 1.0)
-    # identical tokens are a perfect match by definition, ulp noise aside
-    same = np.asarray(pred_ids)[:, None] == np.asarray(target_ids)[None, :]
-    sims[same] = 1.0
+def _unit_rows(emb: EmbeddingMatrix, ids) -> np.ndarray:
+    """The embedding rows of `ids`, each divided by its norm."""
+    return emb.vectors[ids] / emb.norms[ids, None]
+
+
+def _cosines(pred_unit, pred_ids, target_unit, target_ids) -> np.ndarray:
+    """The cosine rule: (P, T) similarities of _unit_rows, clipped to
+    [-1, 1], and 1 wherever the two ids are the same (identical tokens
+    are a perfect match by definition, ulp noise aside)."""
+    sims = np.clip(pred_unit @ target_unit.T, -1.0, 1.0)
+    sims[np.asarray(pred_ids)[:, None] == np.asarray(target_ids)[None, :]] = 1.0
     return sims
 
 
@@ -173,7 +178,7 @@ def wmd_score(pred, target, emb: EmbeddingMatrix, exclude=(), exact: bool = Fals
         return None
     if exact and (len(p_ids) > _EXACT_WMD_MAX or len(t_ids) > _EXACT_WMD_MAX):
         raise ValueError("exact transport is limited to %d tokens per side" % _EXACT_WMD_MAX)
-    sims = _similarity_matrix(p_ids, t_ids, emb)
+    sims = _cosines(_unit_rows(emb, p_ids), p_ids, _unit_rows(emb, t_ids), t_ids)
     if exact:
         raw = _exact_transport_similarity(sims)
     else:
@@ -205,11 +210,10 @@ def self_wmd(batch, emb: EmbeddingMatrix, exclude=()):
     lens = np.array([len(k) for k in kept])
     starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
     ids = np.concatenate(kept)
-    unit = emb.vectors[ids] / emb.norms[ids, None]
+    unit = _unit_rows(emb, ids)
     per_seq = []
     for i, (lo, hi) in enumerate(zip(starts, starts + lens)):
-        sims = np.clip(unit[lo:hi] @ unit.T, -1.0, 1.0)
-        sims[ids[lo:hi, None] == ids[None, :]] = 1.0
+        sims = _cosines(unit[lo:hi], ids[lo:hi], unit, ids)
         # pred side: each token of i against its best match in each sequence j
         pred_side = np.maximum.reduceat(sims, starts, axis=1).mean(axis=0)
         # target side: each token of j against its best match in i
@@ -277,9 +281,8 @@ def kl_decomposition(p_chain: ToyChain, q_chain: ToyChain,
     same history h, so the total is non-negative and vanishes exactly
     when P = Q. Requires strictly positive chains.
     """
-    for name, v in (("epsilon", epsilon), ("gamma", gamma)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError("%s must be in [0, 1]" % name)
+    check_unit_interval("epsilon", epsilon)
+    check_unit_interval("gamma", gamma)
     if p_chain.trans.shape != q_chain.trans.shape:
         raise ValueError("chains must share an alphabet size")
     for chain in (p_chain, q_chain):
@@ -311,11 +314,8 @@ class ScoreReport:
 
 def reports_to_csv(reports, path) -> None:
     """Write the report rows; a write that fails keeps the previous file."""
-    with replacing(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "split", "value", "config_id"])
-        for rep in reports:
-            writer.writerow([rep.metric, rep.split, repr(float(rep.value)), rep.config_id])
+    write_csv(path, ["metric", "split", "value", "config_id"],
+              ([rep.metric, rep.split, float(rep.value), rep.config_id] for rep in reports))
 
 
 def reports_from_csv(path):

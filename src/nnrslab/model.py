@@ -46,15 +46,13 @@ exp(row - row max). Only the reference path (forward_cached, step,
 loss_from_cache) builds a log-softmax array, in _output_layer.
 
 A cache is one of two kinds, chosen by window's train flag. A training
-cache (train=True) keeps every step of the gates, h and c and a buffer
-of max(min(T*B, _BACKWARD_ROWS + H) * |V|, (5T + max(T, 4)) * B*H)
-elements (6H per row when T >= 4), which backward runs in. It keeps
-one step of tanh(c), as a cells-only cache does, and no embedded
-inputs: backward recomputes both (below). A
-cells-only cache keeps only what validation and decoding read; see
-below. forward_cached runs a training cache and then _output_layer over
-every step into the cache's own log_probs (T, B, |V|), which
-loss_from_cache reads.
+cache (train=True) keeps every step of the gates, h and c and one flat
+buffer, which backward runs in; ForwardCache and _window_buffer_size
+give its layout and size. It keeps neither tanh(c) nor the embedded
+inputs: backward recomputes both (below). A cells-only cache keeps only
+what validation and decoding read; see below. forward_cached runs a
+training cache and then _output_layer over every step into the cache's
+own log_probs (T, B, |V|), which loss_from_cache reads.
 
 backward runs the output layer itself, from the top-layer states
 cache.h[1], in blocks of _BACKWARD_ROWS rows (one block when the window
@@ -75,14 +73,12 @@ every gradient into `out`, a FlatParams the caller reuses from window to
 window, and sgd_step consumes those gradients, forming the update in
 place and summing squares for its clip norm through _NORM_LEAF
 elements. The buffer is idle during the forward pass, so forward_segment
-runs a training cache's input projections in it. A training window thus
-holds one buffer, never larger than (max(T, 4) * B, max(|V|, 6H)) and
-at |V| >> H about (_BACKWARD_ROWS + H, |V|), besides the cache's
-every-step gates, h and c; every other array it makes is at most
-(T*B, H) (backward's one dL/dh), (T*B, d) (an embedding gather, and the
-input gradients), (max(B, 2), |V|) (a fed-back step's logits) or
-(H, 4H) in size, and none grows with |V| but those logits and
-backward's (|V|,) b_out term.
+runs a training cache's input projections in it. Besides that buffer
+and the cache's every-step gates, h and c, every array a training
+window makes is at most (T*B, H) (backward's one dL/dh), (T*B, d) (an
+embedding gather, and the input gradients), (max(B, 2), |V|) (a
+fed-back step's logits) or (H, 4H) in size, and none grows with |V|
+but those logits and backward's (|V|,) b_out term.
 backward neither reads nor changes a forward_cached cache's log_probs,
 which live outside the buffer.
 
@@ -95,8 +91,8 @@ rows are scored with target_log_probs, in blocks of at most
 block_rows(model) rows through one reused buffer; of the window's T*B
 rows only their targets' log-probs are held at once. A
 cells-only cache keeps every step of h, which layer 2 projects and the
-scoring reads, but only one step of gates, tanh(c) and c per layer:
-each of those is a zero-stride view over one buffer along time, so
+scoring reads, but only one step of gates and c per layer: each of
+those is a zero-stride view over one buffer along time, so
 forward_segment runs unchanged and every value keeps its bits. backward
 refuses such a cache. Validation runs every sub-window in one cache,
 sized by the longest sub-window it runs.
@@ -107,7 +103,7 @@ against: bit for bit at B >= 2, to rounding at B = 1, where numpy sends
 step's one-row products to BLAS's matrix-vector kernel. A row of a
 product of two or more rows and columns has the same bits whatever the
 row count, so no output product has one row unless there is only one
-(_row_blocks): backward's and target_log_probs's blocks, and
+(_first_row): backward's and target_log_probs's blocks, and
 step_logits at B = 1, run a lone row together with the row before it,
 and validation's sub-windows keep every input projection at two rows or
 more the same way.
@@ -240,14 +236,14 @@ def _gate_affine(hidden: int):
     return scale, offset
 
 
-def _cell(z, h_prev, c_prev, wh, gates, c, tc, h):
+def _cell(z, h_prev, c_prev, wh, gates, c, h):
     """One LSTM cell update for one timestep.
 
     z (B, 4H) holds the input projection x @ Wx + b and is overwritten.
     Fills gates (4, B, H) with the activated [i, f, g, o] blocks, each a
-    contiguous (B, H) array, then the new cell state c, tanh(c) as tc,
-    and the new hidden state h. Every forward path runs this, so all
-    share the addition order (x @ Wx + b) + h_prev @ Wh.
+    contiguous (B, H) array, then the new cell state c and the new
+    hidden state h = o * tanh(c), formed in h. Every forward path runs
+    this, so all share the addition order (x @ Wx + b) + h_prev @ Wh.
     """
     batch, hid = h.shape
     scale, offset = _gate_affine(hid)
@@ -259,8 +255,8 @@ def _cell(z, h_prev, c_prev, wh, gates, c, tc, h):
     i, f, g, o = gates
     np.multiply(f, c_prev, out=c)
     c += i * g
-    np.tanh(c, out=tc)
-    np.multiply(o, tc, out=h)
+    np.tanh(c, out=h)
+    np.multiply(o, h, out=h)
 
 
 def block_rows(model: LstmLm) -> int:
@@ -274,7 +270,7 @@ def sub_windows(model: LstmLm, t_len: int, batch: int):
     steps, so that a sub-window's (steps * B, 4H) input projection stays
     within the row budget. At B = 1 a one-step tail joins the span before
     it, so no projection has one row unless the window has one (the rule
-    of _row_blocks)."""
+    of _first_row)."""
     size = max(2, _ROW_BUDGET // (4 * model.hidden * batch))
     bounds = list(range(0, t_len, size)) + [t_len]
     if batch == 1 and len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
@@ -319,14 +315,20 @@ def _score_rows(model: LstmLm, h: np.ndarray, targets: np.ndarray, out: np.ndarr
     return block, sums, picked - np.log(sums)
 
 
+def _first_row(lo: int, hi: int) -> int:
+    """The first row of the product that gives rows lo..hi-1: lo, or lo - 1
+    when the rows are one and a row comes before them (numpy sends a
+    one-row product to BLAS's matrix-vector kernel, whose bits differ)."""
+    return min(lo, max(hi - 2, 0))
+
+
 def _row_blocks(n: int, size: int):
     """(first, lo, hi) for each block of at most `size` >= 2 rows over n rows:
     the block's own rows are lo..hi-1 and its product runs over rows
-    first..hi-1, where first is lo - 1 for a one-row tail (numpy sends a
-    one-row product to BLAS's matrix-vector kernel, whose bits differ)."""
+    first..hi-1 (_first_row)."""
     for lo in range(0, n, size):
         hi = min(lo + size, n)
-        yield min(lo, max(hi - 2, 0)), lo, hi
+        yield _first_row(lo, hi), lo, hi
 
 
 def target_log_probs(model: LstmLm, top: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -358,7 +360,8 @@ def _window_buffer_size(t_len: int, batch: int, vocab: int, hidden: int) -> int:
     """Elements of a training window's buffer: the reverse recurrence's
     6H per row (its temporary at least four steps long), or, if larger,
     one of backward's output blocks and the accumulation temporary after
-    it."""
+    it. That is never more than (max(T, 4) * B, max(|V|, 6H)), and about
+    (_BACKWARD_ROWS + H, |V|) at |V| >> H."""
     rows = t_len * batch
     return max(min(rows, _BACKWARD_ROWS + hidden) * vocab,
                (5 * t_len + max(t_len, 4)) * batch * hidden)
@@ -369,29 +372,31 @@ class ForwardCache:
 
     ids (T, B) the token ids fed; their embedding rows are not kept.
     Per layer (index 0 and 1): gates (T, 4, B, H) the activated
-    [i, f, g, o] blocks, h and c (T + 1, B, H) with row 0 the initial
-    state, and tc (T, B, H) tanh of the cell state, zero-stride along
-    time in either kind of cache: one buffer that _cell writes each step
-    into, holding the last step run; backward recomputes it from c. In
-    a training cache, buffer is one flat array (_window_buffer_size)
-    that forward_segment runs its input projections in and backward then
-    runs in: first its output-layer blocks, then the reverse
-    recurrence's scratch (dz, dc/dh and one temporary, 6H per row, the
-    temporary at least four steps long).
+    [i, f, g, o] blocks and h and c (T + 1, B, H) with row 0 the initial
+    state. In a training cache, buffer is one flat array
+    (_window_buffer_size) that forward_segment runs its input projections
+    in and backward then runs in: first its output-layer blocks, then the
+    reverse recurrence's scratch (dz, dc/dh and one temporary, 6H per
+    row, the temporary at least four steps long).
     final_state is the state after the last step run (row 0 before any
-    has run, so a cache keeps no reference to the state it was given);
-    backward leaves the window's mean NLL in nll and the input gradients
-    in input_grads (T, B, d), which lives outside the buffer. log_probs
-    is None, except that forward_cached sets it to its own (T, B, |V|)
-    array.
+    has run, so a cache keeps no reference to the state it was given).
+    nll, input_grads and log_probs are None until set: backward leaves
+    the window's mean NLL in nll and the input gradients in input_grads
+    (T, B, d), which lives outside the buffer, and forward_cached sets
+    log_probs to its own (T, B, |V|) array.
 
     A cells-only cache has buffer None, and its gates and c are
-    zero-stride along time too. Its h keeps every step. backward
+    zero-stride along time: one buffer each, which _cell writes each step
+    into, holding the last step run. Its h keeps every step. backward
     refuses it.
 
     ForwardCache(steps, final_state, batch_size) joins consecutive caches
     returned by `step` into one training cache with log_probs.
     """
+
+    log_probs = None
+    nll = None
+    input_grads = None
 
     def __init__(self, steps, final_state, batch_size):
         steps = list(steps)
@@ -402,21 +407,18 @@ class ForwardCache:
         self.c = [np.concatenate([steps[0].c[k][:1]] + [s.c[k][1:] for s in steps])
                   for k in (0, 1)]
         t_len, _, batch, hid = self.gates[0].shape
-        self.tc = [_one_step((t_len, batch, hid)) for _ in (0, 1)]
         self.log_probs = np.concatenate([s.log_probs for s in steps])
         self.buffer = np.empty(_window_buffer_size(t_len, batch, self.log_probs.shape[-1], hid))
         self.final_state = final_state
         self.batch_size = batch_size
-        self.nll = None
-        self.input_grads = None
 
     @classmethod
     def window(cls, model: LstmLm, state, ids, workspace: "ForwardCache" = None,
                train: bool = False) -> "ForwardCache":
         """Cache for token ids (T, B), with `state` copied into row 0;
         nothing is run yet. Copies the ids. A training cache with
-        train=True, else cells-only: no buffer and one step of gates, tc
-        and c.
+        train=True, else cells-only: no buffer and one step of gates and
+        c.
 
         With `workspace`, a cache of at least T steps over the same B
         rows and of the same kind, the arrays are leading-axis views of
@@ -432,24 +434,19 @@ class ForwardCache:
         if workspace is None:
             steps = np.empty if train else _one_step
             cache.gates = [steps((t_len, 4, batch, hid)) for _ in (0, 1)]
-            cache.tc = [_one_step((t_len, batch, hid)) for _ in (0, 1)]
             cache.h = [np.empty((t_len + 1, batch, hid)) for _ in (0, 1)]
             cache.c = [steps((t_len + 1, batch, hid)) for _ in (0, 1)]
             cache.buffer = np.empty(size) if train else None
         else:
             cache.gates = [a[:t_len] for a in workspace.gates]
-            cache.tc = [a[:t_len] for a in workspace.tc]
             cache.h = [a[:t_len + 1] for a in workspace.h]
             cache.c = [a[:t_len + 1] for a in workspace.c]
             cache.buffer = workspace.buffer[:size] if train else None
-        cache.log_probs = None
         for (h0, c0), h, c in zip(state, cache.h, cache.c):
             h[0] = h0
             c[0] = c0
         cache.final_state = [(h[0], c[0]) for h, c in zip(cache.h, cache.c)]
         cache.batch_size = batch
-        cache.nll = None
-        cache.input_grads = None
         return cache
 
     def __len__(self):
@@ -479,13 +476,13 @@ def forward_segment(model: LstmLm, cache: ForwardCache, lo: int, hi: int) -> For
     proj = None  # layer 2's projection reuses layer 1's (rows, 4H) array
     if cache.buffer is not None:
         proj = cache.buffer[:rows * 4 * model.hidden].reshape(rows, -1)
-    for layer, (gates, h, c, tc) in enumerate(zip(cache.gates, cache.h, cache.c, cache.tc), 1):
+    for layer, (gates, h, c) in enumerate(zip(cache.gates, cache.h, cache.c), 1):
         proj = np.matmul(inp.reshape(rows, -1), p["lstm%d_Wx" % layer], out=proj)
         proj += p["lstm%d_b" % layer]
         z = proj.reshape(hi - lo, cache.batch_size, -1)
         wh = p["lstm%d_Wh" % layer]
         for t in range(lo, hi):
-            _cell(z[t - lo], h[t], c[t], wh, gates[t], c[t + 1], tc[t], h[t + 1])
+            _cell(z[t - lo], h[t], c[t], wh, gates[t], c[t + 1], h[t + 1])
         inp = h[lo + 1:hi + 1]
     cache.final_state = [(h[hi], c[hi]) for h, c in zip(cache.h, cache.c)]
     return cache
@@ -524,13 +521,13 @@ def step_logits(model: LstmLm, cache: ForwardCache, t: int) -> np.ndarray:
     """Logits (B, |V|) of step t of a run cache of either kind, as a new
     array: h @ W_out + b_out over that step's top-layer rows alone, which
     at B = 1 run together with the row before (the step before, or the
-    initial state), as _row_blocks does. The rows scheduled sampling
+    initial state; _first_row). The rows scheduled sampling
     feeds back and greedy decoding reads; the bits equal the step's rows
     of a whole-window product."""
     b = cache.batch_size
     top = cache.h[1].reshape(-1, model.hidden)  # row block 0 is the initial state
     lo, hi = (t + 1) * b, (t + 2) * b
-    first = min(lo, hi - 2)
+    first = _first_row(lo, hi)
     return _logits(model, top[first:hi], np.empty((hi - first, model.vocab_size)))[lo - first:]
 
 

@@ -66,6 +66,12 @@ def check_positive_finite(name: str, value: float) -> None:
         raise ValueError("%s must be positive and finite, got %g" % (name, value))
 
 
+def check_unit_interval(name: str, value: float) -> None:
+    """Refuse a rate outside [0, 1]; NaN is refused too."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError("%s must be in [0, 1], got %g" % (name, value))
+
+
 def check_mode_rates(mode: str, epsilon_on: bool, gamma_on: bool) -> None:
     """The one mode/rate rule, from MODES: MLE takes neither rate, SS no
     gamma, NNRS, TPRS and GSNS no epsilon, SS_NNRS both. Unknown modes are refused.
@@ -103,9 +109,8 @@ class PolicyState:
         check_positive_finite("tau", self.tau)  # update_temperature turns inf into NaN
 
     def set_rates(self, epsilon: float, gamma: float) -> None:
-        for name, v in (("epsilon", epsilon), ("gamma", gamma)):
-            if not 0.0 <= v <= 1.0:
-                raise ValueError("%s must be in [0, 1], got %g" % (name, v))
+        check_unit_interval("epsilon", epsilon)
+        check_unit_interval("gamma", gamma)
         check_mode_rates(self.mode, epsilon != 0.0, gamma != 0.0)
         self.epsilon = float(epsilon)
         self.gamma = float(gamma)

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .policy import check_unit_interval
+
 KINDS = ("static", "linear", "sigmoid", "exponential")
 
 
@@ -47,10 +49,8 @@ class Schedule:
             raise ValueError(
                 "unknown schedule kind %r (expected one of %s)" % (self.kind, ", ".join(KINDS))
             )
-        for name in ("start_rate", "end_rate"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError("%s must be in [0, 1], got %g" % (name, v))
+        check_unit_interval("start_rate", self.start_rate)
+        check_unit_interval("end_rate", self.end_rate)
         if self.kind == "static":
             # a static schedule is end_rate everywhere, including z = 0
             object.__setattr__(self, "start_rate", self.end_rate)

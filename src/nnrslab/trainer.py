@@ -14,12 +14,16 @@ Because the streams are separate, a run at epsilon = gamma = 0 is
 float-identical to a plain teacher-forcing loop with the policy layer
 absent.
 
-run_training alone writes `out_dir`, after every completed epoch:
-checkpoint.bin unless that epoch diverged (its validation perplexity is
-NaN or above 10 |V|), then records.csv, so a run that fails or is killed
-in epoch N resumes from epoch N - 1, and every epoch in records.csv is
-in a checkpoint unless it diverged. On resume, the optional decision
-trace there loses the rows of the epochs run again, then is appended to.
+run_training writes its run files into `out_dir` after every completed
+epoch: checkpoint.bin unless that epoch diverged (its validation
+perplexity is NaN or above 10 |V|), then records.csv, so a run that
+fails or is killed in epoch N resumes from epoch N - 1, and every epoch
+in records.csv is in a checkpoint unless it diverged. It also writes the
+optional decision trace, decisions.csv, which on resume loses the rows
+of the epochs run again, then is appended to. The CLI's train command
+(cli.cmd_train) writes the other two files there: .lock, held while the
+command runs, and manifest.json, written before training starts and
+again when it ends.
 
 A run holds only what it still reads. Its inputs load in two steps: the
 vocabulary and the id splits (_load_run_splits, which draws nothing),
@@ -29,12 +33,10 @@ eval parses the matrix only for a WMD score, after decoding. Once the
 model and the replacement table are built, run_training drops the
 embedding matrix (the model's embed parameters are a copy of it) and
 the vocabulary (|V| and its hash are kept). Each epoch's windows run in
-one training cache and one gradient FlatParams, freed before
-validation. The cache keeps every step's gates, h and c but neither
-tanh(c) nor the embedded inputs, which model.backward recomputes with
-their bits. The only logit rows held across backward and sgd_step are
-the window's last step, which the next window feeds back in modes that
-take epsilon.
+one training cache (model.ForwardCache) and one gradient FlatParams,
+freed before validation. The only logit rows held across backward and
+sgd_step are the window's last step, which the next window feeds back
+in modes that take epsilon.
 """
 
 import csv
@@ -47,7 +49,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import __version__
-from .arrayio import load_arrays, replacing, save_arrays
+from .arrayio import load_arrays, replacing, save_arrays, write_csv
 from .embeddings import EmbeddingMatrix, load_embeddings
 from .model import (
     ForwardCache,
@@ -262,10 +264,7 @@ def _record_from_row(row) -> EpochRecord:
 
 def records_to_csv(records, path) -> None:
     """Header plus one row per record, replacing `path` atomically."""
-    with replacing(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_RECORD_FIELDS)
-        writer.writerows(_record_row(rec) for rec in records)  # str(float) is its repr
+    write_csv(path, _RECORD_FIELDS, (_record_row(rec) for rec in records))
 
 
 def records_from_csv(path):
@@ -320,9 +319,9 @@ def validate(model: LstmLm, val_batches) -> float:
     to the next, zeros for the first. A sub-window runs cells-only
     through model.forward_segment (one input projection per layer, the
     recurrence per step) in one reused cache, sized by the longest
-    sub-window run, which keeps one step of gates, tanh(c) and c and
-    every step of h. model.target_log_probs scores each sub-window's
-    top-layer rows in blocks of a fixed budget through one buffer, into
+    sub-window run, which keeps one step of gates and c and every step
+    of h. model.target_log_probs scores each sub-window's top-layer
+    rows in blocks of a fixed budget through one buffer, into
     the window's log-probs, whose negated sum in targets' (b, t) order
     is the window's NLL. So no (T, B, |V|) array is built, only those
     (T * B,) log-probs grow with B * T, and the result has the bits of

@@ -734,7 +734,7 @@ class TestTableWritersReplace:
 
             return Failing()
 
-        monkeypatch.setattr(cli_mod.csv, "writer", failing_writer)
+        monkeypatch.setattr(csv, "writer", failing_writer)
         assert main(argv) == 3
         assert "disk full" in capsys.readouterr().err
         assert out.read_bytes() == b"old contents\n"
