@@ -11,13 +11,18 @@
     nnrslab kl-diag  --p P.csv --q Q.csv --eps 0.5 --gamma 0.5 --out D.csv
 
 Exit codes: 0 success, 2 usage or validation problem, 3 runtime
-failure. Training output directories are guarded by a lockfile so two
-runs cannot write into the same place, and a manifest.json (config
-snapshot, seed, input hashes, output names) is written before training
-starts. Its `segments` list holds one entry per invocation (command,
-start time, --stop-after, --resume and the resumed checkpoint's
-sha256); a resumed run appends its entry to the manifest already there.
-When the invocation ends, however it ends, its entry is closed with the
+failure. `train` runs the trainer's setup phase (trainer.prepare_run:
+the config, the input files, the table, the model, the windows) before
+anything else, so a bad config or input exits 2 and writes nothing.
+Then training output directories are guarded by a lockfile so two runs
+cannot write into the same place, and a manifest.json (config
+snapshot, seed, input hashes, output names) is written before the
+resume and the epochs run; what fails from there on (a checkpoint that
+does not fit the config, divergence) exits 3. The manifest's
+`segments` list holds one entry per invocation (command, start time,
+--stop-after, --resume and the resumed checkpoint's sha256); a resumed
+run appends its entry to the manifest already there. When the
+invocation ends, however it ends, its entry is closed with the
 exit status, the last completed epoch (null when the run recorded
 none), the duration in seconds and, on failure, the error text.
 BLEU-style scores are printed and written x100 in eval output; every
@@ -46,14 +51,13 @@ from .trainer import (
     TRACE_FILE,
     _load_run_embeddings,
     _load_run_splits,
-    check_stop_after,
     config_from_dict,
     config_to_dict,
     make_batches,
     model_from_checkpoint,
     parse_config_file,
+    prepare_run,
     rng_streams,
-    run_training,
 )
 from .vocab import build_vocabulary, read_corpus
 
@@ -212,7 +216,7 @@ def cmd_train(args) -> int:
         raise UsageError("config must set out_dir")
     trace = args.trace or args.command == "trace"
     stop_after, resume = args.stop_after, args.resume
-    _checked(check_stop_after, stop_after, cfg.epochs)  # before the lock and the manifest
+    run = _checked(prepare_run, cfg, stop_after, resume, trace)  # before the lock and the manifest
     os.makedirs(cfg.out_dir, exist_ok=True)
 
     with _DirLock(cfg.out_dir):
@@ -245,7 +249,7 @@ def cmd_train(args) -> int:
         started = time.perf_counter()
         records, status, error = [], None, None
         try:
-            _, records = run_training(cfg, stop_after=stop_after, resume_from=resume, trace=trace)
+            _, records = run()
             status = 0
         except BaseException as exc:  # an interrupt leaves exit_status null
             records = getattr(exc, "records", records)  # a DivergenceError's

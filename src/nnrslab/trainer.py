@@ -14,29 +14,35 @@ Because the streams are separate, a run at epsilon = gamma = 0 is
 float-identical to a plain teacher-forcing loop with the policy layer
 absent.
 
-run_training writes its run files into `out_dir` after every completed
-epoch: checkpoint.bin unless that epoch diverged (its validation
-perplexity is NaN or above 10 |V|), then records.csv, so a run that
-fails or is killed in epoch N resumes from epoch N - 1, and every epoch
-in records.csv is in a checkpoint unless it diverged. It also writes the
+A run has a setup phase (prepare_run), which reads the config and the
+input files and writes nothing, then the resume and the epochs (the
+callable prepare_run returns). run_training runs both; the CLI's train
+command runs the setup before it takes the lock, so a bad input writes
+no file. The epochs write the run files into `out_dir` after every
+completed epoch: checkpoint.bin unless that epoch diverged (its
+validation perplexity is NaN or above 10 |V|), then records.csv, so a
+run that fails or is killed in epoch N resumes from epoch N - 1, and
+every epoch in records.csv is in a checkpoint unless it diverged. A run
+killed between the two writes of its last epoch resumes to no epoch:
+both files are written again from the checkpoint. The epochs also write the
 optional decision trace, decisions.csv, which on resume loses the rows
 of the epochs run again, then is appended to. The CLI's train command
 (cli.cmd_train) writes the other two files there: .lock, held while the
-command runs, and manifest.json, written before training starts and
-again when it ends.
+command runs, and manifest.json, written after the setup phase and
+before the resume, and again when the run ends.
 
 A run holds only what it still reads. Its inputs load in two steps: the
 vocabulary and the id splits (_load_run_splits, which draws nothing),
 then the embedding matrix (_load_run_embeddings: the file, or draws
 from the model stream when there is none). Training takes both at once;
 eval parses the matrix only for a WMD score, after decoding. Once the
-model and the replacement table are built, run_training drops the
-embedding matrix (the model's embed parameters are a copy of it) and
-the vocabulary (|V| and its hash are kept). Each epoch's windows run in
-one training cache (model.ForwardCache) and one gradient FlatParams,
-freed before validation. The only logit rows held across backward and
-sgd_step are the window's last step, which the next window feeds back
-in modes that take epsilon.
+model and the replacement table are built, the setup phase keeps
+neither the embedding matrix (the model's embed parameters are a copy
+of it) nor the vocabulary (|V| and its hash are kept). Each epoch's
+windows run in one training cache (model.ForwardCache) and one
+gradient FlatParams, freed before validation. The only logit rows held
+across backward and sgd_step are the window's last step, which the next
+window feeds back in modes that take epsilon.
 """
 
 import csv
@@ -594,36 +600,26 @@ def _train_epoch(model, state, cfg, table, gumbel, train_batches, lr,
     return total_nll / total_tokens, gsns_grad, gsns_rows
 
 
-def check_stop_after(stop_after, epochs: int) -> None:
-    """Refuse a stop_after outside [1, epochs]; None runs every epoch."""
-    if stop_after is not None and not 1 <= stop_after <= epochs:
-        raise ValueError("stop_after must be in [1, epochs = %d], got %d" % (epochs, stop_after))
+def prepare_run(config: TrainConfig, stop_after: int = None,
+                resume_from: str = None, trace: bool = False):
+    """The setup phase of run_training. Returns run(), which runs the
+    rest and returns (model, records); call it once.
 
-
-def run_training(config: TrainConfig, stop_after: int = None,
-                 resume_from: str = None, trace: bool = False):
-    """Run the full curriculum loop. Returns (model, records).
-
-    Epoch i in 1..epochs evaluates the schedules at z = i / epochs (the
-    final epoch sits on the schedule endpoints) and the learning rate
-    at cosine_lr(base_lr, i - 1, epochs) (the first epoch trains at
-    base_lr). A scheduled-sampling position at the very first step of
-    an epoch falls back to the teacher token since no prediction
-    exists yet. policy.MODES gives each mode's table, whose k must be
-    below |V|: neighbor tables are (re)built at the clamped temperature
-    and follow the controller (GSNS: its Gumbel logits), transition
-    tables are static. A resume
-    past stop_after is refused. A ValueError inside an epoch, such as a
-    non-finite gradient, is re-raised as DivergenceError carrying the
-    records of the epochs before it. An epoch whose validation
-    perplexity is NaN or above 10 |V| diverges alike in every mode: it
-    runs no controller step, is recorded with tau and best unchanged
-    (records.csv included, no checkpoint), and raises DivergenceError.
-    The run directory and `trace` are described in the module docstring.
+    Setup does every step that depends only on the config and the input
+    files: it checks the config, `stop_after` (None, or in [1, epochs])
+    and that a trace has an out_dir, reads the inputs, refuses a table
+    whose k is |V| or more, and builds the table, the model and both
+    window lists. It writes nothing, so a bad input fails here, before
+    any file of the run exists. run() does what depends on
+    `resume_from`'s checkpoint, then runs the epochs. The prepared state
+    holds neither the vocabulary nor the embedding matrix: the model's
+    embed parameters are a copy of the matrix, and run() reads only |V|
+    and the vocabulary hash.
     """
     cfg = config
     cfg.check()
-    check_stop_after(stop_after, cfg.epochs)
+    if stop_after is not None and not 1 <= stop_after <= cfg.epochs:
+        raise ValueError("stop_after must be in [1, epochs = %d], got %d" % (cfg.epochs, stop_after))
     if trace and not cfg.out_dir:
         raise ValueError("a decision trace needs out_dir")
 
@@ -644,94 +640,129 @@ def run_training(config: TrainConfig, stop_after: int = None,
         gumbel = GumbelLogits.from_table(table, beta=cfg.gumbel_beta)
 
     model = LstmLm.init(n_vocab, cfg.dim, cfg.hidden, rng_model, embed=emb.vectors)
-    del vocab, emb  # the model holds a copy of the matrix; only |V| and the hash are read below
-    state = PolicyState(mode=cfg.mode, rng=rng_policy, tau=cfg.tau_init,
-                        best_val_loss=float(n_vocab))
-    velocity = model.params.like() if cfg.momentum > 0.0 else None
-    records = []
-    start_epoch = 1
-
-    if resume_from:
-        ck = load_checkpoint(resume_from, vocab_hash)
-        stored_mode = ck["meta"]["config"]["mode"]
-        if stored_mode != cfg.mode:
-            raise ValueError("checkpoint mode %s does not match config mode %s"
-                             % (stored_mode, cfg.mode))
-        for key, view in model.params.items():  # refused before any epoch runs
-            if ck["params"][key].shape != view.shape:
-                raise ValueError("checkpoint parameter %s has shape %s, the config's model %s"
-                                 % (key, ck["params"][key].shape, view.shape))
-        model.params.flat[:] = ck["params"].flat
-        if ck["velocity"] is not None:
-            velocity = ck["velocity"]
-        records = ck["records"]
-        last = records[-1]
-        state.tau = last.tau
-        state.best_val_loss = last.best
-        state.rng.bit_generator.state = ck["meta"]["rng_policy"]
-        if ck["gumbel_log_alpha"] is not None:
-            gumbel = GumbelLogits(ck["gumbel_log_alpha"], beta=cfg.gumbel_beta)
-        del ck  # its parameters are in the model's now
-        if table_kind == "neighbor":
-            table = renormalize(table, clamp_tau(state.tau))
-        start_epoch = last.epoch + 1
-        if start_epoch > cfg.epochs:
-            raise ValueError("checkpoint already holds all %d epochs" % cfg.epochs)
-        if stop_after is not None and stop_after < start_epoch:
-            raise ValueError("stop_after %d is before the checkpoint's next epoch, %d"
-                             % (stop_after, start_epoch))
-
     train_batches = make_batches(train_ids, cfg.batch_size, cfg.bptt_len)
     val_batches = make_batches(val_ids, 1, cfg.bptt_len)
+    last_epoch = cfg.epochs if stop_after is None else stop_after
 
-    if cfg.out_dir:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-    tracer = _Trace(os.path.join(cfg.out_dir, TRACE_FILE), start_epoch) if trace else None
-    try:
-        for epoch in range(start_epoch, cfg.epochs + 1):
-            epsilon, gamma = rates_for_epoch(cfg.ss, cfg.nnrs, epoch, cfg.epochs)
-            state.set_rates(epsilon, gamma)
-            lr = cosine_lr(cfg.base_lr, epoch - 1, cfg.epochs)
-            started = time.perf_counter()
+    def run():
+        nonlocal table, gumbel
+        if cfg.out_dir:
+            os.makedirs(cfg.out_dir, exist_ok=True)
+        state = PolicyState(mode=cfg.mode, rng=rng_policy, tau=cfg.tau_init,
+                            best_val_loss=float(n_vocab))
+        velocity = model.params.like() if cfg.momentum > 0.0 else None
+        records = []
+        start_epoch = 1
 
-            try:
-                train_nll, gsns_grad, gsns_rows = _train_epoch(
-                    model, state, cfg, table, gumbel, train_batches, lr,
-                    velocity, tracer, epoch,
-                )
-                val_ppl = validate(model, val_batches)
-                diverged = math.isnan(val_ppl) or val_ppl > 10.0 * n_vocab
-                if not diverged:  # a diverged epoch keeps tau, the table and best
-                    if gumbel is not None:
-                        gumbel = gumbel_update(gumbel, gsns_grad, gsns_rows)
-                    elif table_kind == "neighbor":
-                        update_temperature(state, val_ppl)
-                        table = renormalize(table, state.tau)
-                    state.best_val_loss = min(state.best_val_loss, val_ppl)
-            except ValueError as exc:  # e.g. sgd_step refusing a non-finite gradient
-                raise DivergenceError("epoch %d failed: %s" % (epoch, exc), records) from exc
+        if resume_from:
+            ck = load_checkpoint(resume_from, vocab_hash)
+            stored_mode = ck["meta"]["config"]["mode"]
+            if stored_mode != cfg.mode:
+                raise ValueError("checkpoint mode %s does not match config mode %s"
+                                 % (stored_mode, cfg.mode))
+            for key, view in model.params.items():  # refused before any epoch runs
+                if ck["params"][key].shape != view.shape:
+                    raise ValueError("checkpoint parameter %s has shape %s, the config's model %s"
+                                     % (key, ck["params"][key].shape, view.shape))
+            model.params.flat[:] = ck["params"].flat
+            if ck["velocity"] is not None:
+                velocity = ck["velocity"]
+            records = ck["records"]
+            last = records[-1]
+            state.tau = last.tau
+            state.best_val_loss = last.best
+            state.rng.bit_generator.state = ck["meta"]["rng_policy"]
+            if ck["gumbel_log_alpha"] is not None:
+                gumbel = GumbelLogits(ck["gumbel_log_alpha"], beta=cfg.gumbel_beta)
+            del ck  # its parameters are in the model's now
+            if table_kind == "neighbor":
+                table = renormalize(table, clamp_tau(state.tau))
+            start_epoch = last.epoch + 1
+            if last_epoch < last.epoch:
+                raise ValueError("the run ends at epoch %d, before the checkpoint's last epoch, %d"
+                                 % (last_epoch, last.epoch))
+            if last_epoch == last.epoch:  # a kill before the last records.csv replace
+                if cfg.out_dir:  # the files that epoch leaves, in this run's out_dir
+                    save_checkpoint(os.path.join(cfg.out_dir, CHECKPOINT_FILE), model, state.rng,
+                                    records, vocab_hash, cfg, velocity=velocity, gumbel=gumbel)
+                    records_to_csv(records, os.path.join(cfg.out_dir, RECORDS_FILE))
+                return model, records
 
-            records.append(EpochRecord(
-                epoch=epoch, epsilon=epsilon, gamma=gamma, tau=state.tau,
-                train_loss=float(np.exp(train_nll)), val_loss=val_ppl,
-                best=state.best_val_loss, lr=lr,
-                wall_time=time.perf_counter() - started,
-            ))
+        tracer = _Trace(os.path.join(cfg.out_dir, TRACE_FILE), start_epoch) if trace else None
+        try:
+            for epoch in range(start_epoch, last_epoch + 1):
+                epsilon, gamma = rates_for_epoch(cfg.ss, cfg.nnrs, epoch, cfg.epochs)
+                state.set_rates(epsilon, gamma)
+                lr = cosine_lr(cfg.base_lr, epoch - 1, cfg.epochs)
+                started = time.perf_counter()
+
+                try:
+                    train_nll, gsns_grad, gsns_rows = _train_epoch(
+                        model, state, cfg, table, gumbel, train_batches, lr,
+                        velocity, tracer, epoch,
+                    )
+                    val_ppl = validate(model, val_batches)
+                    diverged = math.isnan(val_ppl) or val_ppl > 10.0 * n_vocab
+                    if not diverged:  # a diverged epoch keeps tau, the table and best
+                        if gumbel is not None:
+                            gumbel = gumbel_update(gumbel, gsns_grad, gsns_rows)
+                        elif table_kind == "neighbor":
+                            update_temperature(state, val_ppl)
+                            table = renormalize(table, state.tau)
+                        state.best_val_loss = min(state.best_val_loss, val_ppl)
+                except ValueError as exc:  # e.g. sgd_step refusing a non-finite gradient
+                    raise DivergenceError("epoch %d failed: %s" % (epoch, exc), records) from exc
+
+                records.append(EpochRecord(
+                    epoch=epoch, epsilon=epsilon, gamma=gamma, tau=state.tau,
+                    train_loss=float(np.exp(train_nll)), val_loss=val_ppl,
+                    best=state.best_val_loss, lr=lr,
+                    wall_time=time.perf_counter() - started,
+                ))
+                if tracer is not None:
+                    tracer.flush()  # before the checkpoint that resumes after this epoch
+                if cfg.out_dir:  # checkpoint first: no recorded epoch is missing from it
+                    if not diverged:
+                        save_checkpoint(os.path.join(cfg.out_dir, CHECKPOINT_FILE), model,
+                                        state.rng, records, vocab_hash, cfg,
+                                        velocity=velocity, gumbel=gumbel)
+                    records_to_csv(records, os.path.join(cfg.out_dir, RECORDS_FILE))
+                if diverged:
+                    reason = "is NaN" if math.isnan(val_ppl) else "exceeded 10x vocabulary size"
+                    raise DivergenceError("validation perplexity %.3g %s at epoch %d"
+                                          % (val_ppl, reason, epoch), records)
+        finally:
             if tracer is not None:
-                tracer.flush()  # before the checkpoint that resumes after this epoch
-            if cfg.out_dir:  # checkpoint first: no recorded epoch is missing from it
-                if not diverged:
-                    save_checkpoint(os.path.join(cfg.out_dir, CHECKPOINT_FILE), model,
-                                    state.rng, records, vocab_hash, cfg,
-                                    velocity=velocity, gumbel=gumbel)
-                records_to_csv(records, os.path.join(cfg.out_dir, RECORDS_FILE))
-            if diverged:
-                reason = "is NaN" if math.isnan(val_ppl) else "exceeded 10x vocabulary size"
-                raise DivergenceError("validation perplexity %.3g %s at epoch %d"
-                                      % (val_ppl, reason, epoch), records)
-            if stop_after is not None and epoch >= stop_after:
-                break
-    finally:
-        if tracer is not None:
-            tracer.close()
-    return model, records
+                tracer.close()
+        return model, records
+
+    return run
+
+
+def run_training(config: TrainConfig, stop_after: int = None,
+                 resume_from: str = None, trace: bool = False):
+    """Run the full curriculum loop: prepare_run's setup, then its run().
+    Returns (model, records).
+
+    Epoch i in 1..epochs evaluates the schedules at z = i / epochs (the
+    final epoch sits on the schedule endpoints) and the learning rate
+    at cosine_lr(base_lr, i - 1, epochs) (the first epoch trains at
+    base_lr); the run ends after epoch stop_after when one is given. A
+    scheduled-sampling position at the very first step of an epoch
+    falls back to the teacher token since no prediction exists yet.
+    policy.MODES gives each mode's table, whose k must be below |V|:
+    neighbor tables are (re)built at the clamped temperature and follow
+    the controller (GSNS: its Gumbel logits), transition tables are
+    static. A resume refuses a checkpoint of another mode or model
+    shape, or one past the run's last epoch (epochs, or stop_after). A
+    checkpoint that holds exactly that epoch runs no epoch: checkpoint.bin
+    and records.csv are written from it, as that epoch wrote them (its
+    records keep their wall times), and its records are returned. A ValueError inside an epoch, such as a
+    non-finite gradient, is re-raised as DivergenceError carrying the
+    records of the epochs before it. An epoch whose validation
+    perplexity is NaN or above 10 |V| diverges alike in every mode: it
+    runs no controller step, is recorded with tau and best unchanged
+    (records.csv included, no checkpoint), and raises DivergenceError.
+    The run directory and `trace` are described in the module docstring.
+    """
+    return prepare_run(config, stop_after, resume_from, trace)()

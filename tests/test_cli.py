@@ -6,10 +6,14 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nnrslab.cli as cli_mod
 import nnrslab.metrics as metrics_mod
@@ -234,18 +238,25 @@ class TestTrain:
         (dict(mode="TPRS", nnrs_kind="static", nnrs_start="0.3", nnrs_end="0.3", k="500"),
          "k must be below the vocabulary size"),
         (dict(min_count="100000"), "no corpus word besides <unk> and <eos> occurs"),
-    ], ids=["TPRS-k-500", "min_count-100000"])
+        (dict(mode="NNRS", nnrs_kind="static", nnrs_start="0.3", nnrs_end="0.3", k="500"),
+         "k must be below the vocabulary size"),
+        (dict(batch_size="100000"), "corpus too short: 594 ids for batch_size=100000"),
+        (dict(bptt_len="100000"), "corpus too short to split off a validation tail"),
+        (dict(embeddings="CORPUS"), "malformed embedding line 1: expected 8 values, got 9"),
+        (dict(val_corpus="THREE_IDS"), "corpus too short: 3 ids for batch_size=1, bptt_len=10"),
+    ], ids=["TPRS-k-500", "min_count-100000", "NNRS-k-500", "batch_size-100000",
+            "bptt_len-100000", "corpus-as-embeddings", "val_corpus-3-ids"])
     def test_bad_k_or_min_count_fails_the_run(self, corpus, tmp_path, capsys, bad, message):
-        # found while reading the inputs, inside run_training: exit 3, with
-        # the manifest segment holding the error, and no epoch run
+        # found while reading the inputs, in the setup phase before the lock:
+        # exit 2, nothing written
+        files = {"CORPUS": corpus,
+                 "THREE_IDS": write_lines(tmp_path / "val.txt", ["w0 w1"])}  # + <eos>
         out_dir = tmp_path / "run"
-        config = _write_config(tmp_path / "run.cfg", corpus, out_dir, **bad)
-        assert main(["train", "--config", config]) == 3
+        config = _write_config(tmp_path / "run.cfg", corpus, out_dir,
+                               **{key: files.get(value, value) for key, value in bad.items()})
+        assert main(["train", "--config", config]) == 2
         assert message in capsys.readouterr().err
-        segment = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))[
-            "segments"][-1]
-        assert segment["exit_status"] == 3 and message in segment["error"]
-        assert not (out_dir / "records.csv").exists()
+        assert not out_dir.exists()
 
     def test_missing_out_dir_is_usage_error(self, corpus, tmp_path, capsys):
         config = _write_config(tmp_path / "run.cfg", corpus, "")
@@ -353,7 +364,7 @@ class TestTrain:
         assert main(["train", "--config", config, "--resume", str(checkpoint),
                      "--stop-after", "1"]) == 3
         captured = capsys.readouterr()
-        assert "stop_after 1 is before the checkpoint's next epoch, 3" in captured.err
+        assert "the run ends at epoch 1, before the checkpoint's last epoch, 2" in captured.err
         assert "trained" not in captured.out
         segment = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))[
             "segments"][-1]
@@ -361,12 +372,22 @@ class TestTrain:
         assert segment["stop_after"] == 1
         assert (checkpoint.read_bytes(), (out_dir / "records.csv").read_bytes()) == saved
 
+        # at the checkpoint's last epoch, the resume trains nothing and exits 0
+        assert main(["train", "--config", config, "--resume", str(checkpoint),
+                     "--stop-after", "2"]) == 0
+        assert "trained 2 epoch(s)" in capsys.readouterr().out
+        assert (checkpoint.read_bytes(), (out_dir / "records.csv").read_bytes()) == saved
+
     def test_runtime_failure_exit_code(self, corpus, tmp_path, capsys, monkeypatch):
-        config = _write_config(tmp_path / "run.cfg", corpus, tmp_path / "run")
-        monkeypatch.setattr(cli_mod, "run_training",
+        out_dir = tmp_path / "run"
+        config = _write_config(tmp_path / "run.cfg", corpus, out_dir)
+        monkeypatch.setattr(trainer_mod, "_train_epoch",
                             lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom")))
         assert main(["train", "--config", config]) == 3
         capsys.readouterr()
+        segment = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))[
+            "segments"][-1]
+        assert segment["exit_status"] == 3 and segment["error"] == "boom"
 
     def test_divergence_writes_partial_records(self, corpus, tmp_path, capsys,
                                                monkeypatch):
@@ -443,6 +464,85 @@ class TestTrain:
         assert (records_from_csv(out_dir / "records.csv")
                 == records_from_csv(full_dir / "records.csv"))
         assert_same_checkpoint(checkpoint, full_dir / "checkpoint.bin")
+
+
+@pytest.fixture(scope="module")
+def drawn_inputs(tmp_path_factory):
+    """(scratch dir, corpus files by name) for TestTrainInputs."""
+    root = tmp_path_factory.mktemp("drawn")
+    return root, {
+        "cycle": write_lines(root / "cycle.txt", bigram_cycle_lines()),
+        "empty": write_lines(root / "empty.txt", []),
+        "one-line": write_lines(root / "one.txt", ["w0 w1 w2"]),
+        "all-oov": write_lines(root / "oov.txt", ["x y z"] * 20),  # no training word
+    }
+
+
+_BAD_NUMBERS = ["0", "-1", "nan", "inf", "1e300"]
+# per key: values a run can take, then values it may refuse. hidden and dim
+# get no huge value, which would ask for that much memory
+_DRAWN_VALUES = {
+    "epochs": ["1", "2", "1000000000"] + _BAD_NUMBERS,
+    "batch_size": ["1", "3", "1000000000"] + _BAD_NUMBERS,
+    "bptt_len": ["2", "7", "1000000000"] + _BAD_NUMBERS,
+    "hidden": ["2", "6", "0", "-1", "nan", "inf"],
+    "dim": ["1", "5", "0", "-1", "nan", "inf"],
+    "k": ["0", "2", "1000000000"] + _BAD_NUMBERS,
+    "min_count": ["2", "60", "1000000000"] + _BAD_NUMBERS,
+    "base_lr": ["0.5", "1e300"] + _BAD_NUMBERS,
+    "clip": ["0", "1"] + _BAD_NUMBERS,
+    "momentum": ["0.5", "1"] + _BAD_NUMBERS,
+    "tau_init": ["1.5"] + _BAD_NUMBERS,
+    "val_fraction": ["0.5", "0.99", "1"] + _BAD_NUMBERS,
+    "gumbel_beta": ["0.5", "1", "2"] + _BAD_NUMBERS,
+    "ss_end": ["0.5", "1", "2"] + _BAD_NUMBERS,
+    "nnrs_end": ["0.5", "1", "2"] + _BAD_NUMBERS,
+    "mode": ["MLE", "SS", "NNRS", "TPRS", "SS_NNRS", "GSNS", ""],
+    "corpus": ["cycle", "empty", "one-line", "all-oov"],
+    "val_corpus": ["cycle", "empty", "one-line", "all-oov"],
+}
+
+
+@st.composite
+def _drawn_config(draw):
+    """A few keys of a tiny one-epoch config set to drawn values."""
+    keys = draw(st.lists(st.sampled_from(sorted(_DRAWN_VALUES)), max_size=3, unique=True))
+    return {key: draw(st.sampled_from(_DRAWN_VALUES[key])) for key in keys}
+
+
+class TestTrainInputs:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a diverging run overflows
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=_drawn_config())
+    @example(drawn={"base_lr": "1e300"})  # diverges in its epoch
+    @example(drawn={"val_corpus": "all-oov", "mode": "SS_NNRS", "ss_end": "0.5",
+                    "nnrs_end": "0.5"})
+    def test_exit_code_and_what_it_leaves(self, drawn_inputs, drawn):
+        # exit 2 writes nothing. With no checkpoint to resume, exit 3 is an
+        # epoch that failed or diverged, closing its manifest segment with
+        # the error. Exit 0 recorded its one epoch
+        root, corpora = drawn_inputs
+        run_dir = Path(tempfile.mkdtemp(dir=root))
+        out_dir = run_dir / "run"
+        fields = {"corpus": "cycle", "epochs": "1", "batch_size": "2", "bptt_len": "5",
+                  "hidden": "4", "dim": "3", **drawn}
+        for key in ("corpus", "val_corpus"):
+            if key in fields:
+                fields[key] = corpora[fields[key]]
+        config = _write_config(run_dir / "run.cfg", fields.pop("corpus"), out_dir, **fields)
+        code = main(["train", "--config", config, "--stop-after", "1"])
+        assert code in (0, 2, 3)
+        if code == 2:
+            assert not out_dir.exists()
+            return
+        segment = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))[
+            "segments"][-1]
+        assert segment["exit_status"] == code
+        if code == 3:
+            assert "epoch 1" in segment["error"]
+        else:
+            assert segment["last_epoch"] == 1 and segment["error"] is None
+            assert [r.epoch for r in records_from_csv(out_dir / "records.csv")] == [1]
 
 
 class TestTrace:

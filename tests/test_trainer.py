@@ -951,11 +951,35 @@ class TestCheckpoint:
         assert_views_of_flat(ck["velocity"])
         assert loaded.params.flat.tobytes() == model.params.flat.tobytes()
 
-    def test_resume_of_finished_run_refused(self, cycle_corpus, tmp_path):
-        cfg = _quick_config(cycle_corpus, epochs=2, out_dir=str(tmp_path))
-        run_training(cfg)
-        with pytest.raises(ValueError, match="all 2 epochs"):
-            run_training(cfg, resume_from=str(tmp_path / "checkpoint.bin"))
+    def test_resume_of_finished_run_rewrites_records(self, cycle_corpus, tmp_path):
+        # a run killed after its last checkpoint replace, before its
+        # records.csv replace: records.csv lacks the last epoch and a
+        # temporary file is left. The resume runs no epoch and rewrites
+        # records.csv from the checkpoint, wall times included.
+        cfg = _quick_config(cycle_corpus, mode="SS_NNRS", momentum=0.3, predict_sample=True,
+                            out_dir=str(tmp_path), **_RESUME_POLICIES["SS_NNRS"])
+        checkpoint = str(tmp_path / CHECKPOINT_FILE)
+        files = (RECORDS_FILE, CHECKPOINT_FILE, TRACE_FILE)
+        for stop in (2, None):  # last epoch 2 by --stop-after, then 3 by epochs
+            _, records = run_training(cfg, stop_after=stop, trace=True,
+                                      resume_from=None if stop else checkpoint)
+            saved = {name: (tmp_path / name).read_bytes() for name in files}
+            records_to_csv(records[:-1], tmp_path / RECORDS_FILE)
+            (tmp_path / (RECORDS_FILE + ".99999.tmp")).write_bytes(saved[RECORDS_FILE][:40])
+            with mock.patch.object(trainer_mod, "_train_epoch",
+                                   mock.Mock(side_effect=AssertionError)):
+                _, repaired = run_training(cfg, stop_after=stop, resume_from=checkpoint,
+                                           trace=True)
+            assert [r.epoch for r in repaired] == [r.epoch for r in records] == list(
+                range(1, (stop or 3) + 1))
+            assert repaired == records
+            assert {name: (tmp_path / name).read_bytes() for name in files} == saved
+        # into another out_dir: both files, as if the run had been there
+        other = tmp_path / "other"
+        with mock.patch.object(trainer_mod, "_train_epoch", mock.Mock(side_effect=AssertionError)):
+            run_training(replace(cfg, out_dir=str(other)), resume_from=checkpoint)
+        assert (other / RECORDS_FILE).read_bytes() == saved[RECORDS_FILE]
+        assert_same_checkpoint(other / CHECKPOINT_FILE, tmp_path / CHECKPOINT_FILE)
 
     def test_resume_past_stop_after_refused_before_any_epoch(self, cycle_corpus, tmp_path,
                                                              monkeypatch):
@@ -963,8 +987,8 @@ class TestCheckpoint:
         run_training(cfg, stop_after=2)
         checkpoint = (tmp_path / CHECKPOINT_FILE).read_bytes()
         monkeypatch.setattr(trainer_mod, "_train_epoch", mock.Mock(side_effect=AssertionError))
-        with pytest.raises(ValueError, match="stop_after 1 is before the checkpoint's next "
-                                             "epoch, 3"):
+        with pytest.raises(ValueError, match="the run ends at epoch 1, before the checkpoint's "
+                                             "last epoch, 2"):
             run_training(cfg, stop_after=1, resume_from=str(tmp_path / CHECKPOINT_FILE))
         assert (tmp_path / CHECKPOINT_FILE).read_bytes() == checkpoint
 
