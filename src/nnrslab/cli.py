@@ -13,15 +13,19 @@
 Exit codes: 0 success, 2 usage or validation problem, 3 runtime
 failure. `train` runs the trainer's setup phase (trainer.prepare_run:
 the config, the input files, the table, the model, the windows) before
-anything else, so a bad config or input exits 2 and writes nothing.
-Then training output directories are guarded by a lockfile so two runs
-cannot write into the same place, and a manifest.json (config
-snapshot, seed, input hashes, output names) is written before the
-resume and the epochs run; what fails from there on (a checkpoint that
-does not fit the config, divergence) exits 3. The manifest's
-`segments` list holds one entry per invocation (command, start time,
---stop-after, --resume and the resumed checkpoint's sha256); a resumed
-run appends its entry to the manifest already there. When the
+anything else, so a bad config or input exits 2 and writes nothing. So
+does a model too large to allocate, a --resume file that cannot be read
+(it is hashed right after the setup phase, before training rewrites
+it) and, for `train` and `index` alike, an output directory that names
+an existing file. Then training output directories are guarded by a
+lockfile so two runs cannot write into the same place, and a
+manifest.json (config snapshot, seed, input hashes, output names) is
+written before the resume and the epochs run; what fails from there on
+(a checkpoint that does not fit the config, divergence) exits 3. The
+manifest's `segments` list holds one entry per invocation (command,
+start time, --stop-after, --resume and the resumed checkpoint's
+sha256); a resumed run appends its entry to the manifest already
+there. When the
 invocation ends, however it ends, its entry is closed with the
 exit status, the last completed epoch (null when the run recorded
 none), the duration in seconds and, on failure, the error text.
@@ -76,7 +80,7 @@ def _checked(fn, *args, **kwargs):
     """Run a setup-phase callable, converting failures to UsageError."""
     try:
         return fn(*args, **kwargs)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         raise UsageError(str(exc)) from exc
 
 
@@ -170,7 +174,7 @@ def cmd_index(args) -> int:
     table = _checked(build_neighbor_table, emb, k, args.tau)
     trans = _checked(build_transition_table, ids, vocab, k)
 
-    os.makedirs(args.out_dir, exist_ok=True)
+    _checked(os.makedirs, args.out_dir, exist_ok=True)
     with _DirLock(args.out_dir):
         base = args.out_dir
         vocab.save(os.path.join(base, "vocab.tsv"))
@@ -217,7 +221,8 @@ def cmd_train(args) -> int:
     trace = args.trace or args.command == "trace"
     stop_after, resume = args.stop_after, args.resume
     run = _checked(prepare_run, cfg, stop_after, resume, trace)  # before the lock and the manifest
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    resume_sha256 = _checked(_sha256, resume) if resume else None  # before run() rewrites it
+    _checked(os.makedirs, cfg.out_dir, exist_ok=True)
 
     with _DirLock(cfg.out_dir):
         segment = {
@@ -225,7 +230,7 @@ def cmd_train(args) -> int:
             "created_unix": time.time(),
             "stop_after": stop_after,
             "resume_from": resume,
-            "resume_sha256": _checked(_sha256, resume) if resume else None,
+            "resume_sha256": resume_sha256,
         }
         manifest_path = os.path.join(cfg.out_dir, "manifest.json")
         manifest = _read_manifest(manifest_path) if resume else None

@@ -54,10 +54,10 @@ class EmbeddingMatrix:
 def load_embeddings(path, vocab, dim: int, fallback_seed: int = 0) -> EmbeddingMatrix:
     """Load word2vec-text embeddings for `vocab` from `path`.
 
-    Vocabulary words absent from the file receive a fallback row drawn
-    uniformly from [-0.5/d, 0.5/d) with a generator seeded by
-    `fallback_seed`; draws happen in vocabulary-id order, so the result is
-    run-to-run identical for a fixed file, vocabulary and seed. Raises
+    Vocabulary words absent from the file receive a fallback row
+    (fallback_rows) from a generator seeded by `fallback_seed`, in
+    vocabulary-id order, so the result is run-to-run identical for a
+    fixed file, vocabulary and seed. Raises
     ValueError with the offending line number on malformed lines, on any
     dimensionality mismatch and, when no line is malformed, at the
     earliest kept line holding inf or NaN. The first line of a word wins.
@@ -103,10 +103,15 @@ def load_embeddings(path, vocab, dim: int, fallback_seed: int = 0) -> EmbeddingM
     if first_non_finite is not None:  # only file rows can be non-finite
         raise ValueError("non-finite value in embedding line %d" % first_non_finite)
 
-    rng = np.random.default_rng(fallback_seed)
-    for wid in np.flatnonzero(~found):
-        vectors[wid] = rng.uniform(-0.5 / dim, 0.5 / dim, size=dim)
+    missing = np.flatnonzero(~found)
+    vectors[missing] = fallback_rows(np.random.default_rng(fallback_seed), missing.size, dim)
     return EmbeddingMatrix.from_vectors(vectors)
+
+
+def fallback_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    """n embedding rows of width `dim` for words no file gives: uniform
+    draws from [-0.5/dim, 0.5/dim) by `rng`, one row after another."""
+    return rng.uniform(-0.5 / dim, 0.5 / dim, (n, dim))
 
 
 def _is_int(s: str) -> bool:

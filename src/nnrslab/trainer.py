@@ -18,18 +18,21 @@ A run has a setup phase (prepare_run), which reads the config and the
 input files and writes nothing, then the resume and the epochs (the
 callable prepare_run returns). run_training runs both; the CLI's train
 command runs the setup before it takes the lock, so a bad input writes
-no file. The epochs write the run files into `out_dir` after every
-completed epoch: checkpoint.bin unless that epoch diverged (its
-validation perplexity is NaN or above 10 |V|), then records.csv, so a
-run that fails or is killed in epoch N resumes from epoch N - 1, and
-every epoch in records.csv is in a checkpoint unless it diverged. A run
-killed between the two writes of its last epoch resumes to no epoch:
-both files are written again from the checkpoint. The epochs also write the
-optional decision trace, decisions.csv, which on resume loses the rows
-of the epochs run again, then is appended to. The CLI's train command
-(cli.cmd_train) writes the other two files there: .lock, held while the
-command runs, and manifest.json, written after the setup phase and
-before the resume, and again when the run ends.
+no file. One writer puts the run files into `out_dir`, after every
+completed epoch and once when a resume has restored its checkpoint,
+before its first epoch: it flushes the optional decision trace,
+decisions.csv, then writes checkpoint.bin unless the epoch diverged
+(its validation perplexity is NaN or above 10 |V|), then records.csv.
+So every epoch in records.csv is in a checkpoint unless it diverged,
+and a run that fails or is killed at any point resumes from its last
+checkpoint to the files an uninterrupted run leaves: the resume's own
+write first puts back what the kill cut short, and a checkpoint that
+already holds the run's last epoch is a resume of zero epochs. On
+resume the trace first loses the rows of the epochs run again, then is
+appended to. The CLI's train command (cli.cmd_train) writes the other
+two files there: .lock, held while the command runs, and manifest.json,
+written after the setup phase and before the resume, and again when the
+run ends.
 
 A run holds only what it still reads. Its inputs load in two steps: the
 vocabulary and the id splits (_load_run_splits, which draws nothing),
@@ -56,7 +59,7 @@ import numpy as np
 
 from . import __version__
 from .arrayio import load_arrays, replacing, save_arrays, write_csv
-from .embeddings import EmbeddingMatrix, load_embeddings
+from .embeddings import EmbeddingMatrix, fallback_rows, load_embeddings
 from .model import (
     ForwardCache,
     LstmLm,
@@ -383,11 +386,10 @@ def _load_run_splits(cfg: TrainConfig):
 
 def _load_run_embeddings(cfg: TrainConfig, vocab, rng_model: np.random.Generator):
     """The (|V|, dim) embedding matrix: cfg.embeddings parsed for `vocab`,
-    or, with no file, uniform draws from rng_model."""
+    or, with no file, every row a fallback row from rng_model."""
     if cfg.embeddings:
         return load_embeddings(cfg.embeddings, vocab, cfg.dim, fallback_seed=cfg.seed)
-    span = 0.5 / cfg.dim
-    return EmbeddingMatrix.from_vectors(rng_model.uniform(-span, span, (len(vocab), cfg.dim)))
+    return EmbeddingMatrix.from_vectors(fallback_rows(rng_model, len(vocab), cfg.dim))
 
 
 RECORDS_FILE = "records.csv"
@@ -646,8 +648,6 @@ def prepare_run(config: TrainConfig, stop_after: int = None,
 
     def run():
         nonlocal table, gumbel
-        if cfg.out_dir:
-            os.makedirs(cfg.out_dir, exist_ok=True)
         state = PolicyState(mode=cfg.mode, rng=rng_policy, tau=cfg.tau_init,
                             best_val_loss=float(n_vocab))
         velocity = model.params.like() if cfg.momentum > 0.0 else None
@@ -681,15 +681,25 @@ def prepare_run(config: TrainConfig, stop_after: int = None,
             if last_epoch < last.epoch:
                 raise ValueError("the run ends at epoch %d, before the checkpoint's last epoch, %d"
                                  % (last_epoch, last.epoch))
-            if last_epoch == last.epoch:  # a kill before the last records.csv replace
-                if cfg.out_dir:  # the files that epoch leaves, in this run's out_dir
-                    save_checkpoint(os.path.join(cfg.out_dir, CHECKPOINT_FILE), model, state.rng,
-                                    records, vocab_hash, cfg, velocity=velocity, gumbel=gumbel)
-                    records_to_csv(records, os.path.join(cfg.out_dir, RECORDS_FILE))
-                return model, records
 
+        if cfg.out_dir:
+            os.makedirs(cfg.out_dir, exist_ok=True)
         tracer = _Trace(os.path.join(cfg.out_dir, TRACE_FILE), start_epoch) if trace else None
+
+        def write_run_files(diverged=False):
+            """The run files as of records[-1] (the module docstring's rule)."""
+            if tracer is not None:
+                tracer.flush()  # before the checkpoint that resumes after these rows
+            if cfg.out_dir:  # checkpoint first: no recorded epoch is missing from it
+                if not diverged:
+                    save_checkpoint(os.path.join(cfg.out_dir, CHECKPOINT_FILE), model,
+                                    state.rng, records, vocab_hash, cfg,
+                                    velocity=velocity, gumbel=gumbel)
+                records_to_csv(records, os.path.join(cfg.out_dir, RECORDS_FILE))
+
         try:
+            if resume_from:  # whatever a kill left, the files now match the checkpoint
+                write_run_files()
             for epoch in range(start_epoch, last_epoch + 1):
                 epsilon, gamma = rates_for_epoch(cfg.ss, cfg.nnrs, epoch, cfg.epochs)
                 state.set_rates(epsilon, gamma)
@@ -719,14 +729,7 @@ def prepare_run(config: TrainConfig, stop_after: int = None,
                     best=state.best_val_loss, lr=lr,
                     wall_time=time.perf_counter() - started,
                 ))
-                if tracer is not None:
-                    tracer.flush()  # before the checkpoint that resumes after this epoch
-                if cfg.out_dir:  # checkpoint first: no recorded epoch is missing from it
-                    if not diverged:
-                        save_checkpoint(os.path.join(cfg.out_dir, CHECKPOINT_FILE), model,
-                                        state.rng, records, vocab_hash, cfg,
-                                        velocity=velocity, gumbel=gumbel)
-                    records_to_csv(records, os.path.join(cfg.out_dir, RECORDS_FILE))
+                write_run_files(diverged)
                 if diverged:
                     reason = "is NaN" if math.isnan(val_ppl) else "exceeded 10x vocabulary size"
                     raise DivergenceError("validation perplexity %.3g %s at epoch %d"
@@ -754,15 +757,14 @@ def run_training(config: TrainConfig, stop_after: int = None,
     neighbor tables are (re)built at the clamped temperature and follow
     the controller (GSNS: its Gumbel logits), transition tables are
     static. A resume refuses a checkpoint of another mode or model
-    shape, or one past the run's last epoch (epochs, or stop_after). A
-    checkpoint that holds exactly that epoch runs no epoch: checkpoint.bin
-    and records.csv are written from it, as that epoch wrote them (its
-    records keep their wall times), and its records are returned. A ValueError inside an epoch, such as a
+    shape, or one past the run's last epoch (epochs, or stop_after),
+    before it writes anything. A ValueError inside an epoch, such as a
     non-finite gradient, is re-raised as DivergenceError carrying the
     records of the epochs before it. An epoch whose validation
     perplexity is NaN or above 10 |V| diverges alike in every mode: it
     runs no controller step, is recorded with tau and best unchanged
     (records.csv included, no checkpoint), and raises DivergenceError.
-    The run directory and `trace` are described in the module docstring.
+    The run directory, what a resume writes and `trace` are described in
+    the module docstring.
     """
     return prepare_run(config, stop_after, resume_from, trace)()

@@ -164,14 +164,17 @@ def assert_like_step(batch: int):
 
 
 def assert_same_checkpoint(path_a, path_b):
-    """Records (wall times aside), the policy RNG state and every array
-    (parameters, velocity, Gumbel logits) equal, the arrays byte for byte."""
+    """Records (wall times aside), the rest of the meta (policy RNG state,
+    config but its out_dir, vocabulary) and every array (parameters,
+    velocity, Gumbel logits) equal, the arrays byte for byte."""
     from nnrslab.arrayio import load_arrays
     from nnrslab.trainer import load_checkpoint
 
     a, b = load_checkpoint(path_a), load_checkpoint(path_b)
     assert a["records"] == b["records"]
-    assert a["meta"]["rng_policy"] == b["meta"]["rng_policy"]
+    meta_a, meta_b = ({**ck["meta"], "records": None,
+                       "config": {**ck["meta"]["config"], "out_dir": None}} for ck in (a, b))
+    assert meta_a == meta_b
     arrays_a, arrays_b = load_arrays(path_a), load_arrays(path_b)
     del arrays_a["meta"], arrays_b["meta"]
     assert sorted(arrays_a) == sorted(arrays_b)

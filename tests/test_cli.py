@@ -1,14 +1,17 @@
 """Command-line surface: exit codes, artifacts, determinism."""
 
 import csv
+import itertools
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -545,6 +548,34 @@ class TestTrainInputs:
             assert [r.epoch for r in records_from_csv(out_dir / "records.csv")] == [1]
 
 
+    @pytest.mark.parametrize("case", ["model-too-large", "out_dir-is-a-file", "resume-missing",
+                                      "index-out_dir-is-a-file"])
+    def test_setup_failure_exits_2_and_writes_nothing(self, corpus, embeddings, tmp_path,
+                                                      capsys, monkeypatch, case):
+        # found outside the config and input checks, still before out_dir is
+        # made: exit 2, and no directory, manifest or lock
+        out_dir = tmp_path / "run"
+        argv = ["train", "--config", _write_config(tmp_path / "run.cfg", corpus, out_dir)]
+        message = "File exists"
+        if case == "model-too-large":  # as numpy refuses an allocation; none is made
+            monkeypatch.setattr(trainer_mod.LstmLm, "init",
+                                mock.Mock(side_effect=MemoryError("Unable to allocate 87.3 TiB")))
+            message = "Unable to allocate"
+        elif case == "resume-missing":
+            argv += ["--resume", str(tmp_path / "missing.bin")]
+            message = "No such file or directory"
+        elif case == "index-out_dir-is-a-file":
+            argv = ["index", "--corpus", corpus, "--embeddings", embeddings, "--dim", "4",
+                    "--out-dir", str(out_dir), "--k", "3"]
+        if "out_dir-is-a-file" in case:
+            out_dir.write_text("not a directory", encoding="utf-8")
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out_dir.is_dir()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["cycle.txt", "emb.txt", "run.cfg"] + (["run"] if out_dir.exists() else []))
+
+
 class TestTrace:
     def test_mle_trace_all_teacher(self, corpus, tmp_path, capsys):
         out_dir = tmp_path / "run"
@@ -629,6 +660,118 @@ class TestTrace:
         assert_same_checkpoint(checkpoint, full_dir / "checkpoint.bin")
         assert ((run_dir / "decisions.csv").read_bytes()
                 == (full_dir / "decisions.csv").read_bytes())
+
+
+_KILLED = 137
+# per run: its config keys, then the arguments of each `train` invocation
+# it makes; an invocation resumes from checkpoint.bin when there is one
+_KILL_RUNS = {
+    "SS_NNRS-trace": (dict(mode="SS_NNRS", ss_kind="linear", ss_end="0.5", nnrs_kind="static",
+                           nnrs_start="0.2", nnrs_end="0.2", predict_sample="true",
+                           tau_init="1.5"), [["--trace"]]),
+    "GSNS-momentum": (dict(mode="GSNS", nnrs_kind="static", nnrs_start="0.3", nnrs_end="0.3",
+                           k="3", momentum="0.3"), [[]]),
+    "NNRS-stop-after-2": (dict(mode="NNRS", nnrs_kind="static", nnrs_start="0.3",
+                               nnrs_end="0.3", momentum="0.3", tau_init="1.5"),
+                          [["--trace", "--stop-after", "2"], ["--trace"]]),
+}
+
+
+def _watch_writes(monkeypatch, watch):
+    """Route every os.replace and every decisions.csv flush through
+    watch(label, write), where write() does it and label names the file."""
+    real_replace, real_flush = os.replace, trainer_mod._Trace.flush
+    monkeypatch.setattr(os, "replace", lambda src, dst: watch(
+        "replace " + os.path.basename(dst), lambda: real_replace(src, dst)))
+    monkeypatch.setattr(trainer_mod._Trace, "flush", lambda self: watch(
+        "flush " + trainer_mod.TRACE_FILE, lambda: real_flush(self)))
+
+
+def _wait_for_child(pid, seconds=60.0) -> int:
+    """The exit code of the forked child `pid`, killed after `seconds`."""
+    deadline = time.monotonic() + seconds
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("child %d did not end in %g s" % (pid, seconds))
+        time.sleep(0.001)
+
+
+class TestKillPoints:
+    @pytest.mark.parametrize("run", sorted(_KILL_RUNS))
+    def test_killed_at_any_write_resumes_as_uninterrupted(self, corpus, tmp_path, capsys,
+                                                          monkeypatch, run):
+        # a 3-epoch run killed just before and just after each of its file
+        # replaces and trace flushes (a resume's own writes included) by
+        # os._exit in a forked child, so that a temporary file is left
+        # behind as a real kill leaves it, then run again from there: its
+        # run files equal those of the run never killed
+        keys, invocations = _KILL_RUNS[run]
+        run_dir, ref_dir = tmp_path / "run", tmp_path / "ref"
+        config = _write_config(tmp_path / "run.cfg", corpus, run_dir, **keys)
+        checkpoint = run_dir / "checkpoint.bin"
+
+        def invoke(args):
+            resume = ["--resume", str(checkpoint)] if checkpoint.exists() else []
+            return main(["train", "--config", config] + args + resume)
+
+        writes, ends = [], []  # every write's label; each invocation's end in it
+
+        def record(label, write):
+            writes.append(label)
+            write()
+
+        with monkeypatch.context() as patch:
+            _watch_writes(patch, record)
+            for args in invocations:
+                assert invoke(args) == 0
+                ends.append(len(writes))
+        run_dir.rename(ref_dir)
+
+        for n, label in enumerate(writes):
+            for when in ("before", "after"):
+                point = (n, label, when)
+                sys.stdout.flush()
+                sys.stderr.flush()
+                pid = os.fork()
+                if pid == 0:  # the child runs until the point, then dies there
+                    code = 1
+                    try:
+                        count = itertools.count()
+
+                        def kill(label, write):
+                            at = next(count) == n
+                            if at and when == "before":
+                                os._exit(_KILLED)
+                            write()
+                            if at and when == "after":
+                                os._exit(_KILLED)
+
+                        _watch_writes(monkeypatch, kill)
+                        for args in invocations:
+                            invoke(args)
+                        code = 0
+                    finally:
+                        os._exit(code)
+                assert _wait_for_child(pid) == _KILLED, point
+                if when == "before" and label.startswith("replace"):
+                    assert list(run_dir.glob("*.%d.tmp" % pid)), point
+
+                killed_in = sum(n >= end for end in ends)
+                for args in invocations[killed_in:]:
+                    assert invoke(args) == 0, point
+                assert (records_from_csv(run_dir / "records.csv")
+                        == records_from_csv(ref_dir / "records.csv")), point
+                assert_same_checkpoint(checkpoint, ref_dir / "checkpoint.bin")
+                if any("--trace" in args for args in invocations):
+                    assert ((run_dir / "decisions.csv").read_bytes()
+                            == (ref_dir / "decisions.csv").read_bytes()), point
+                shutil.rmtree(run_dir)
+        capsys.readouterr()
 
 
 class TestEval:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nnrslab.embeddings import EmbeddingMatrix, load_embeddings
+from nnrslab.trainer import TrainConfig, _load_run_embeddings, rng_streams
 from nnrslab.vocab import build_vocabulary
 
 
@@ -65,6 +66,30 @@ class TestLoadEmbeddings:
         assert np.abs(one.vectors[wid]).max() <= 0.5 / 2
         other = load_embeddings(path, vocab, dim=2, fallback_seed=8)
         assert not np.array_equal(one.vectors[wid], other.vectors[wid])
+
+    @pytest.mark.parametrize("dim", [1, 3, 8])
+    def test_fallback_rows_equal_per_row_draws(self, tmp_path, dim):
+        # both callers of the one fallback rule, each against one uniform
+        # draw per row in id order: the words an embeddings file lacks, from
+        # the fallback seed, and every row of a run without a file, from the
+        # model stream
+        words = ["w%d" % i for i in range(9)]
+        vocab = build_vocabulary(words, min_count=1)
+        given = {vocab.id(w) for w in words[::3]}
+        path = _write(tmp_path / "e.txt", "".join(
+            "w%d %s\n" % (i, " 1" * dim) for i in range(0, 9, 3)))
+        span = 0.5 / dim
+        loaded = load_embeddings(path, vocab, dim, fallback_seed=11).vectors
+        rng = np.random.default_rng(11)
+        for wid in range(len(vocab)):
+            expected = np.ones(dim) if wid in given else rng.uniform(-span, span, size=dim)
+            assert loaded[wid].tobytes() == expected.tobytes(), wid
+
+        cfg = TrainConfig(corpus=str(path), dim=dim, seed=11)
+        drawn = _load_run_embeddings(cfg, vocab, rng_streams(cfg.seed)[0]).vectors
+        rng = rng_streams(cfg.seed)[0]
+        for wid in range(len(vocab)):
+            assert drawn[wid].tobytes() == rng.uniform(-span, span, size=dim).tobytes(), wid
 
     def test_out_of_vocab_file_words_ignored(self, tmp_path):
         vocab = build_vocabulary(["a"], min_count=1)

@@ -981,6 +981,22 @@ class TestCheckpoint:
         assert (other / RECORDS_FILE).read_bytes() == saved[RECORDS_FILE]
         assert_same_checkpoint(other / CHECKPOINT_FILE, tmp_path / CHECKPOINT_FILE)
 
+    def test_resume_writes_its_checkpoints_files_first(self, cycle_corpus, tmp_path):
+        # before its first epoch, a resume puts back the files its checkpoint
+        # was written with, whatever it finds in out_dir
+        cfg = _quick_config(cycle_corpus, momentum=0.3, out_dir=str(tmp_path))
+        run_training(cfg, stop_after=1)
+        files = (RECORDS_FILE, CHECKPOINT_FILE)
+        saved = {name: (tmp_path / name).read_bytes() for name in files}
+        checkpoint = tmp_path / "kept.bin"
+        (tmp_path / CHECKPOINT_FILE).rename(checkpoint)
+        (tmp_path / RECORDS_FILE).write_bytes(saved[RECORDS_FILE][:40])
+        with mock.patch.object(trainer_mod, "_train_epoch",
+                               mock.Mock(side_effect=RuntimeError("killed in epoch 2"))):
+            with pytest.raises(RuntimeError, match="killed in epoch 2"):
+                run_training(cfg, resume_from=str(checkpoint))
+        assert {name: (tmp_path / name).read_bytes() for name in files} == saved
+
     def test_resume_past_stop_after_refused_before_any_epoch(self, cycle_corpus, tmp_path,
                                                              monkeypatch):
         cfg = _quick_config(cycle_corpus, epochs=3, out_dir=str(tmp_path))
