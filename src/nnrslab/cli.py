@@ -17,10 +17,13 @@ anything else, so a bad config or input exits 2 and writes nothing. So
 does a model too large to allocate, a --resume file that cannot be read
 (it is hashed right after the setup phase, before training rewrites
 it) and, for `train` and `index` alike, an output directory that names
-an existing file. Then training output directories are guarded by a
-lockfile so two runs cannot write into the same place, and a
-manifest.json (config snapshot, seed, input hashes, output names) is
-written before the resume and the epochs run; what fails from there on
+an existing file. Then `train` and `index` take an exclusive kernel lock
+on the output directory's .lock file, so two runs cannot write into the
+same place; the kernel releases it however the holder exits, and its
+new holder first removes the temporary files a killed write left
+behind. A directory locked by a running command exits 2. `train` then
+writes a manifest.json (config snapshot, seed, input hashes, output
+names) before the resume and the epochs run; what fails from there on
 (a checkpoint that does not fit the config, divergence) exits 3. The
 manifest's `segments` list holds one entry per invocation (command,
 start time, --stop-after, --resume and the resumed checkpoint's
@@ -34,6 +37,8 @@ other artifact keeps the internal [0, 1] scale.
 """
 
 import argparse
+import contextlib
+import fcntl
 import hashlib
 import json
 import os
@@ -44,7 +49,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .arrayio import replacing, write_csv
+from .arrayio import TMP_NAME, replacing, write_csv
 from .embeddings import load_embeddings
 from .metrics import EMBEDDING_METRICS, ToyChain, evaluate_model, kl_decomposition, reports_to_csv
 from .neighbors import build_neighbor_table, build_transition_table, default_k, save_table, save_table_csv
@@ -100,58 +105,47 @@ def _sha256(path) -> str:
 
 
 class _DirLock:
-    """O_EXCL lockfile holding the owner's pid; concurrent runs must use
-    distinct out dirs.
+    """An exclusive flock on out_dir/.lock while a command writes out_dir;
+    concurrent runs must use distinct out dirs. POSIX only.
 
-    A lock whose pid names no running process (a killed run) is stale
-    and is replaced. A live or unreadable pid refuses the directory. Two
-    runs that find the same stale lock at the same moment can both take
-    it over; the lock guards against mistakes, not against races.
+    The kernel drops the lock when its holder exits, however it exits, so
+    the .lock a killed run leaves refuses nothing. Once the lock is held
+    nothing else writes out_dir, so the temporary files a killed write
+    left there (arrayio.TMP_NAME) are removed.
     """
 
     def __init__(self, out_dir):
+        self.out_dir = out_dir
         self.path = os.path.join(out_dir, ".lock")
 
     def __enter__(self):
-        for retry in (False, True):
+        while True:
+            self.fd = os.open(self.path, os.O_CREAT | os.O_WRONLY)
             try:
-                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                break
-            except FileExistsError:
-                if retry or not self._remove_if_stale():
-                    raise UsageError(
-                        "output directory is locked (%s exists); another run may be active"
-                        % self.path
-                    ) from None
-        os.write(fd, ("%d\n" % os.getpid()).encode("ascii"))
-        os.close(fd)
+                fcntl.flock(self.fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                with contextlib.suppress(FileNotFoundError):
+                    if os.path.samestat(os.fstat(self.fd), os.stat(self.path)):
+                        break
+            except BaseException as exc:
+                os.close(self.fd)
+                if isinstance(exc, BlockingIOError):
+                    raise UsageError("output directory is locked (%s is held); another run "
+                                     "is active" % self.path) from None
+                raise
+            os.close(self.fd)  # its holder unlinked the file we locked: lock the new one
+        try:
+            for name in os.listdir(self.out_dir):
+                if TMP_NAME.match(name):
+                    os.unlink(os.path.join(self.out_dir, name))
+        except BaseException:
+            self.__exit__()
+            raise
         return self
 
-    def _remove_if_stale(self) -> bool:
-        try:
-            with open(self.path, encoding="ascii") as fh:
-                pid = int(fh.read().strip())
-        except (OSError, ValueError):
-            return False
-        if pid <= 0:
-            return False
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            try:
-                os.unlink(self.path)
-            except FileNotFoundError:
-                pass
-            return True
-        except OSError:  # PermissionError: alive, owned by another user
-            return False
-        return False
-
     def __exit__(self, *exc_info):
-        try:
-            os.unlink(self.path)
-        except FileNotFoundError:
-            pass
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(self.path)  # first: a run that opened it before then locks a new one
+        os.close(self.fd)
         return False
 
 

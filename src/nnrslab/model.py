@@ -136,17 +136,22 @@ class FlatParams(Mapping):
     """name -> array, each array a view into one contiguous float64 vector.
 
     `flat` holds the arrays back to back in key order; spans[i] is the
-    (lo, hi) slice of the i-th key. A new FlatParams is all zeros.
-    Assigning a key copies into its view, which must have the same shape.
+    (lo, hi) slice of the i-th key. A new FlatParams is all zeros unless
+    it is given `flat`, a float64 vector of the layout's size, which it
+    then views. Assigning a key copies into its view, which must have the
+    same shape.
     """
 
-    def __init__(self, shapes: dict):
+    def __init__(self, shapes: dict, flat=None):
         self.spans = []
         lo = 0
         for shape in shapes.values():
             self.spans.append((lo, lo + math.prod(shape)))
             lo = self.spans[-1][1]
-        self.flat = np.zeros(lo)
+        self.flat = np.zeros(lo) if flat is None else flat
+        if self.flat.shape != (lo,) or self.flat.dtype != np.float64:
+            raise ValueError("is a %s %s array, not the layout's (%d,) float64 vector"
+                             % (self.flat.shape, self.flat.dtype, lo))
         self._views = {key: self.flat[lo:hi].reshape(shape)
                        for (key, shape), (lo, hi) in zip(shapes.items(), self.spans)}
 
@@ -195,16 +200,21 @@ class LstmLm:
             params[key][hidden:2 * hidden] = 1.0  # forget gate bias
         return model
 
-    @classmethod
-    def zeros(cls, vocab_size: int, dim: int, hidden: int) -> "LstmLm":
-        """All-zero parameters: the output is uniform by symmetry."""
+    @staticmethod
+    def layout(vocab_size: int, dim: int, hidden: int) -> dict:
+        """name -> shape of every parameter, in key order."""
         h4 = 4 * hidden
-        return cls(vocab_size, dim, hidden, FlatParams({
+        return {
             "embed": (vocab_size, dim),
             "lstm1_Wx": (dim, h4), "lstm1_Wh": (hidden, h4), "lstm1_b": (h4,),
             "lstm2_Wx": (hidden, h4), "lstm2_Wh": (hidden, h4), "lstm2_b": (h4,),
             "W_out": (hidden, vocab_size), "b_out": (vocab_size,),
-        }))
+        }
+
+    @classmethod
+    def zeros(cls, vocab_size: int, dim: int, hidden: int) -> "LstmLm":
+        """All-zero parameters: the output is uniform by symmetry."""
+        return cls(vocab_size, dim, hidden, FlatParams(cls.layout(vocab_size, dim, hidden)))
 
     def zero_state(self, batch_size: int):
         return [(np.zeros((batch_size, self.hidden)), np.zeros((batch_size, self.hidden)))

@@ -61,6 +61,7 @@ from . import __version__
 from .arrayio import load_arrays, replacing, save_arrays, write_csv
 from .embeddings import EmbeddingMatrix, fallback_rows, load_embeddings
 from .model import (
+    FlatParams,
     ForwardCache,
     LstmLm,
     backward,
@@ -402,9 +403,11 @@ CHECKPOINT_MAGIC = "nnrslab-checkpoint"
 def save_checkpoint(path, model: LstmLm, rng_policy: np.random.Generator, records,
                     vocab_hash: str, config: TrainConfig,
                     velocity=None, gumbel=None) -> None:
-    """All state needed to continue the run exactly, each value once:
-    parameters, velocity, Gumbel logits, config, policy RNG, and the
-    records (the last holds the epoch, tau and best to resume from)."""
+    """All state needed to continue the run exactly, each value once: the
+    members params (model.params.flat), velocity (its flat vector, when
+    there is momentum) and gumbel_log_alpha (GSNS), and meta, the JSON of
+    the config, the policy RNG, |V| and the records (the last holds the
+    epoch, tau and best to resume from)."""
     meta = {
         "magic": CHECKPOINT_MAGIC,
         "version": __version__,
@@ -414,9 +417,9 @@ def save_checkpoint(path, model: LstmLm, rng_policy: np.random.Generator, record
         "rng_policy": rng_policy.bit_generator.state,
         "vocab_size": model.vocab_size,
     }
-    arrays = {"param_" + k: v for k, v in model.params.items()}
+    arrays = {"params": model.params.flat}
     if velocity is not None:
-        arrays.update({"vel_" + k: v for k, v in velocity.items()})
+        arrays["velocity"] = velocity.flat
     if gumbel is not None:
         arrays["gumbel_log_alpha"] = gumbel.log_alpha
     arrays["meta"] = np.frombuffer(
@@ -427,44 +430,40 @@ def save_checkpoint(path, model: LstmLm, rng_policy: np.random.Generator, record
 
 def load_checkpoint(path, vocab_hash: str = None) -> dict:
     """Read a checkpoint; refuses a vocab-hash mismatch outright. params
-    and velocity are FlatParams in the model's layout, each read straight
-    into its flat vector. velocity and gumbel_log_alpha are None when the
-    run had no momentum or GSNS. An archive that lacks one parameter, or
-    holds only part of the velocity, is refused, naming the first member
-    missing."""
-    flats = {}
-
-    def into(shapes):
-        if "param_embed" not in shapes or "param_lstm1_Wh" not in shapes:
-            return {}  # not a checkpoint: refused below
-        vocab_size, dim = shapes["param_embed"]
-        for prefix in ("param_", "vel_"):
-            if prefix + "embed" in shapes:
-                flats[prefix] = LstmLm.zeros(vocab_size, dim, shapes["param_lstm1_Wh"][0]).params
-        return {prefix + key: view for prefix, flat in flats.items() for key, view in flat.items()}
-
-    data = load_arrays(path, into)
+    and velocity are FlatParams views of the stored vectors, laid out from
+    the meta's |V| and its config's dim and hidden. velocity and
+    gumbel_log_alpha are None when the run had no momentum or GSNS. An
+    archive without params, or with a vector whose size is not the
+    layout's, is refused, naming the member; so is the per-member
+    parameter layout of earlier versions."""
+    data = load_arrays(path)
     if "meta" not in data:
         raise ValueError("%s is not a checkpoint (no meta entry)" % path)
     meta = json.loads(bytes(data["meta"]).decode("utf-8"))
     if meta.get("magic") != CHECKPOINT_MAGIC:
         raise ValueError("%s is not a checkpoint" % path)
-    keys = LstmLm.zeros(1, 1, 1).params  # the parameter names, in layout order
-    for prefix in ("param_", "vel_"):
-        missing = [prefix + key for key in keys if prefix + key not in data]
-        if prefix == "param_" and len(missing) == len(keys):
-            raise ValueError("%s holds no model parameters" % path)
-        if len(missing) not in (0, len(keys)):
-            raise ValueError("%s lacks checkpoint member %s" % (path, missing[0]))
+    if "params" not in data:
+        if "param_embed" in data:
+            raise ValueError("%s stores its parameters one member each, a layout this "
+                             "version does not read" % path)
+        raise ValueError("%s holds no model parameters" % path)
     if vocab_hash is not None and meta["vocab_hash"] != vocab_hash:
         raise ValueError(
             "checkpoint vocabulary hash %s does not match current vocabulary %s"
             % (meta["vocab_hash"][:12], vocab_hash[:12])
         )
+    layout = LstmLm.layout(meta["vocab_size"], meta["config"]["dim"], meta["config"]["hidden"])
+    flats = {}
+    for name in ("params", "velocity"):
+        if name in data:
+            try:
+                flats[name] = FlatParams(layout, data[name])
+            except ValueError as exc:
+                raise ValueError("%s: checkpoint member %s %s" % (path, name, exc)) from None
     return {
         "meta": meta,
-        "params": flats.get("param_"),
-        "velocity": flats.get("vel_"),
+        "params": flats["params"],
+        "velocity": flats.get("velocity"),
         "gumbel_log_alpha": data.get("gumbel_log_alpha"),
         "records": [_record_from_row(row) for row in meta["records"]],
     }

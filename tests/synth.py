@@ -284,10 +284,11 @@ def reference_backward(model, cache, targets):
 
 def assert_views_of_flat(params):
     """Every array of a FlatParams is the view of its own span of `flat`,
-    the spans back to back in key order."""
+    the spans back to back in key order. `flat` may itself be a view, as
+    a vector read from a checkpoint is."""
     end = 0
     for (key, view), (lo, hi) in zip(params.items(), params.spans):
-        assert view.base is params.flat, key
+        assert np.shares_memory(view, params.flat), key
         assert (lo, hi) == (end, end + view.size), key
         assert view.ctypes.data == params.flat[lo:].ctypes.data, key
         end = hi

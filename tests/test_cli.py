@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, artifacts, determinism."""
 
 import csv
+import fcntl
 import itertools
 import json
 import os
@@ -140,30 +141,83 @@ class TestIndex:
     def test_locked_dir_is_usage_error(self, corpus, embeddings, tmp_path, capsys):
         out = tmp_path / "index"
         out.mkdir()
-        (out / ".lock").write_text("%d\n" % os.getpid())  # a live owner
-        assert self._run(corpus, embeddings, out) == 2
-        capsys.readouterr()
-
-    def test_unreadable_lock_is_usage_error(self, corpus, embeddings, tmp_path, capsys):
-        out = tmp_path / "index"
-        out.mkdir()
-        for text in ("not a pid\n", "", "0\n", "-1\n"):
-            (out / ".lock").write_text(text)
+        with open(out / ".lock", "w") as held:  # another open file: flock refuses it
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
             assert self._run(corpus, embeddings, out) == 2
-            assert (out / ".lock").read_text() == text
-        capsys.readouterr()
+            assert "is locked" in capsys.readouterr().err
+        assert not (out / "neighbors.bin").exists()
 
-    def test_lock_of_other_users_process_is_usage_error(self, corpus, embeddings, tmp_path,
-                                                        capsys, monkeypatch):
+    def test_lock_holding_own_pid_does_not_refuse(self, corpus, embeddings, tmp_path, capsys):
+        # a run restarted under the pid of the run that left the .lock
         out = tmp_path / "index"
         out.mkdir()
-        (out / ".lock").write_text("4242\n")
+        (out / ".lock").write_text("%d\n" % os.getpid())
+        assert self._run(corpus, embeddings, out) == 0
+        assert not (out / ".lock").exists()
+        capsys.readouterr()
 
-        def kill(pid, sig):
-            raise PermissionError("not permitted")  # alive, owned by someone else
+    def test_unreadable_lock_refuses_nothing(self, corpus, embeddings, tmp_path, capsys):
+        out = tmp_path / "index"
+        out.mkdir()
+        for text in ("not a pid\n", "", "0\n", "-1\n"):  # nothing reads it
+            (out / ".lock").write_text(text)
+            assert self._run(corpus, embeddings, out) == 0
+            assert not (out / ".lock").exists()
+        capsys.readouterr()
 
-        monkeypatch.setattr(cli_mod.os, "kill", kill)
-        assert self._run(corpus, embeddings, out) == 2
+    def test_lock_removes_killed_writes_temporary_files_only(self, corpus, embeddings,
+                                                              tmp_path, capsys):
+        out = tmp_path / "index"
+        out.mkdir()
+        left = ["stats.json.4242.tmp", "checkpoint.bin.7.tmp"]  # arrayio.replacing's names
+        kept = ["notes.tmp", "stats.json.tmp", "a.b.tmp", "x.12.tmpx", "x.12a.tmp", ".12.tmp"]
+        for name in left + kept:
+            (out / name).write_text("x")
+        assert self._run(corpus, embeddings, out) == 0
+        assert sorted(p.name for p in out.glob("*tmp*")) == sorted(kept)
+        capsys.readouterr()
+
+    @staticmethod
+    def _lock_in_child(path, text):
+        """A child process that holds the flock on `path`, having written
+        `text` there, until a line arrives on its stdin; it then dies by
+        os._exit, closing nothing itself."""
+        child = subprocess.Popen([sys.executable, "-c", (
+            "import fcntl, os, sys\n"
+            "fd = os.open(sys.argv[1], os.O_CREAT | os.O_WRONLY | os.O_TRUNC)\n"
+            "fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)\n"
+            "os.write(fd, sys.argv[2].encode())\n"
+            "print('locked', flush=True)\n"
+            "sys.stdin.readline()\n"
+            "os._exit(0)\n"), str(path), text],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        assert child.stdout.readline() == "locked\n"
+        return child
+
+    def test_lock_held_by_live_child_refuses(self, corpus, embeddings, tmp_path, capsys):
+        # whatever the file says: here the pid of a process already reaped
+        out = tmp_path / "index"
+        out.mkdir()
+        reaped = subprocess.Popen([sys.executable, "-c", "pass"])
+        assert reaped.wait(timeout=60) == 0
+        with self._lock_in_child(out / ".lock", "%d\n" % reaped.pid) as child:
+            assert self._run(corpus, embeddings, out) == 2
+            assert "is locked" in capsys.readouterr().err
+            child.communicate("\n", timeout=60)
+        assert child.returncode == 0
+        assert not (out / "neighbors.bin").exists()
+
+    def test_lock_free_once_holder_killed(self, corpus, embeddings, tmp_path, capsys):
+        # the killed holder's pid is now this live process's, as after a restart
+        out = tmp_path / "index"
+        out.mkdir()
+        with self._lock_in_child(out / ".lock", "%d\n" % os.getpid()) as child:
+            child.communicate("\n", timeout=60)
+        assert child.returncode == 0
+        assert (out / ".lock").exists()
+        assert self._run(corpus, embeddings, out) == 0
+        assert not (out / ".lock").exists()
+        assert (out / "neighbors.bin").exists()
         capsys.readouterr()
 
     def test_stale_lock_is_replaced(self, corpus, embeddings, tmp_path, capsys):
@@ -709,7 +763,8 @@ class TestKillPoints:
         # replaces and trace flushes (a resume's own writes included) by
         # os._exit in a forked child, so that a temporary file is left
         # behind as a real kill leaves it, then run again from there: its
-        # run files equal those of the run never killed
+        # run files equal those of the run never killed, and the lock the
+        # rerun took removed the temporary file
         keys, invocations = _KILL_RUNS[run]
         run_dir, ref_dir = tmp_path / "run", tmp_path / "ref"
         config = _write_config(tmp_path / "run.cfg", corpus, run_dir, **keys)
@@ -764,6 +819,7 @@ class TestKillPoints:
                 killed_in = sum(n >= end for end in ends)
                 for args in invocations[killed_in:]:
                     assert invoke(args) == 0, point
+                assert not list(run_dir.glob("*.tmp")), point  # the rerun's lock removed it
                 assert (records_from_csv(run_dir / "records.csv")
                         == records_from_csv(ref_dir / "records.csv")), point
                 assert_same_checkpoint(checkpoint, ref_dir / "checkpoint.bin")
@@ -833,17 +889,35 @@ class TestEval:
         assert "holds no model parameters" in capsys.readouterr().err
 
     def test_checkpoint_missing_a_parameter_is_usage_error(self, corpus, tmp_path, capsys):
+        # the params member gone, the velocity and the meta kept
         out_dir = tmp_path / "run"
-        config = _write_config(tmp_path / "run.cfg", corpus, out_dir, epochs=1)
+        config = _write_config(tmp_path / "run.cfg", corpus, out_dir, epochs=1, momentum=0.3)
         assert main(["train", "--config", config]) == 0
         arrays = load_arrays(out_dir / "checkpoint.bin")
-        del arrays["param_W_out"]
+        del arrays["params"]
         partial = tmp_path / "partial.bin"
         save_arrays(partial, **arrays)
         capsys.readouterr()
         assert main(["eval", "--checkpoint", str(partial), "--out",
                      str(tmp_path / "r.csv")]) == 2
-        assert "lacks checkpoint member param_W_out" in capsys.readouterr().err
+        assert "partial.bin holds no model parameters" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("member", ["params", "velocity"])
+    def test_checkpoint_member_of_wrong_size_is_usage_error(self, corpus, tmp_path, capsys,
+                                                            member):
+        out_dir = tmp_path / "run"
+        config = _write_config(tmp_path / "run.cfg", corpus, out_dir, epochs=1, momentum=0.3)
+        assert main(["train", "--config", config]) == 0
+        arrays = load_arrays(out_dir / "checkpoint.bin")
+        size = arrays[member].size
+        arrays[member] = arrays[member][:-3]
+        cut = tmp_path / "cut.bin"
+        save_arrays(cut, **arrays)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(cut), "--out", str(tmp_path / "r.csv")]) == 2
+        assert ("cut.bin: checkpoint member %s is a (%d,) float64 array, not the layout's "
+                "(%d,) float64 vector" % (member, size - 3, size)) in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
     @staticmethod
     def _train_with_embeddings(corpus, embeddings, tmp_path):

@@ -875,7 +875,7 @@ class TestCheckpoint:
         state = PolicyState(mode="NNRS", rng=np.random.default_rng(1),
                             gamma=0.2, tau=1.5, best_val_loss=8.0)
         records = [EpochRecord(1, 0.0, 0.2, 1.5, 9.0, 8.0, 8.0, 1.0)]
-        cfg = _quick_config(cycle_corpus, mode="NNRS",
+        cfg = _quick_config(cycle_corpus, mode="NNRS", dim=3, hidden=4,  # the model's
                             nnrs=Schedule("static", 0.2, 0.2))
         path = tmp_path / "ck.bin"
         save_checkpoint(path, model, state.rng, records, "hash123", cfg)
@@ -1018,16 +1018,69 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="holds no model parameters"):
             run_training(cfg, resume_from=str(path))
 
-    @pytest.mark.parametrize("member", ["param_W_out", "param_embed", "vel_lstm2_b", "vel_embed"])
+    @pytest.mark.parametrize("member", ["params", "param_embed", "param_W_out",
+                                        "vel_embed", "vel_lstm2_b"])
     def test_archive_missing_a_member_refused(self, cycle_corpus, tmp_path, member):
-        # a deleted member was left as the zeros of its flat view
+        # neither the velocity and the meta alone nor a params or velocity
+        # vector short of one parameter's block is a checkpoint to resume from
         cfg = _quick_config(cycle_corpus, epochs=2, momentum=0.3, out_dir=str(tmp_path / "run"))
         run_training(cfg, stop_after=1)
         arrays = load_arrays(tmp_path / "run" / CHECKPOINT_FILE)
-        del arrays[member]
+        if member == "params":
+            del arrays["params"]
+            message = "partial.bin holds no model parameters"
+        else:
+            sizes = {key: math.prod(shape) for key, shape in LstmLm.layout(12, 8, 16).items()}
+            keys = list(sizes)
+            prefix, key = member.split("_", 1)
+            vector = {"param": "params", "vel": "velocity"}[prefix]
+            start = sum(sizes[k] for k in keys[:keys.index(key)])
+            arrays[vector] = np.delete(arrays[vector], np.s_[start:start + sizes[key]])
+            total = sum(sizes.values())
+            message = re.escape("partial.bin: checkpoint member %s is a (%d,) float64 "
+                                "array, not the layout's (%d,) float64 vector"
+                                % (vector, total - sizes[key], total))
         path = tmp_path / "partial.bin"
         save_arrays(path, **arrays)
-        message = "partial.bin lacks checkpoint member " + member
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(path)
+        with pytest.raises(ValueError, match=message):
+            run_training(cfg, resume_from=str(path))
+
+    @pytest.mark.parametrize("member", ["params", "velocity"])
+    @pytest.mark.parametrize("change", ["truncated", "extended"])
+    def test_member_of_wrong_size_refused(self, cycle_corpus, tmp_path, member, change):
+        # the layout comes from the meta (|V| = 12, d = 8, H = 16), not from
+        # the vector, so a vector one value short or long is refused
+        cfg = _quick_config(cycle_corpus, epochs=2, momentum=0.3, out_dir=str(tmp_path / "run"))
+        run_training(cfg, stop_after=1)
+        arrays = load_arrays(tmp_path / "run" / CHECKPOINT_FILE)
+        size = sum(math.prod(shape) for shape in LstmLm.layout(12, 8, 16).values())
+        assert arrays[member].shape == (size,)
+        arrays[member] = (arrays[member][:-1] if change == "truncated"
+                          else np.append(arrays[member], 0.0))
+        path = tmp_path / "resized.bin"
+        save_arrays(path, **arrays)
+        message = re.escape("resized.bin: checkpoint member %s is a (%d,) float64 array, not "
+                            "the layout's (%d,) float64 vector"
+                            % (member, arrays[member].size, size))
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(path)
+        with pytest.raises(ValueError, match=message):
+            run_training(cfg, resume_from=str(path))
+
+    def test_per_member_layout_refused(self, cycle_corpus, tmp_path):
+        # earlier versions stored one param_<key> and one vel_<key> member
+        # per parameter; such a checkpoint is refused, not read
+        cfg = _quick_config(cycle_corpus, epochs=2, momentum=0.3, out_dir=str(tmp_path / "run"))
+        run_training(cfg, stop_after=1)
+        ck = load_checkpoint(tmp_path / "run" / CHECKPOINT_FILE)
+        arrays = {"meta": load_arrays(tmp_path / "run" / CHECKPOINT_FILE)["meta"]}
+        for prefix, flat in (("param_", ck["params"]), ("vel_", ck["velocity"])):
+            arrays.update({prefix + key: view for key, view in flat.items()})
+        path = tmp_path / "old.bin"
+        save_arrays(path, **arrays)
+        message = "old.bin stores its parameters one member each, a layout this version does not read"
         with pytest.raises(ValueError, match=message):
             load_checkpoint(path)
         with pytest.raises(ValueError, match=message):
