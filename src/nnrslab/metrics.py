@@ -25,7 +25,6 @@ after decoding, so the matrix is never held alongside the decode or
 validation arrays.
 """
 
-import csv
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -316,16 +315,6 @@ def reports_to_csv(reports, path) -> None:
     """Write the report rows; a write that fails keeps the previous file."""
     write_csv(path, ["metric", "split", "value", "config_id"],
               ([rep.metric, rep.split, float(rep.value), rep.config_id] for rep in reports))
-
-
-def reports_from_csv(path):
-    reports = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            reports.append(ScoreReport(row[0], row[1], float(row[2]), row[3]))
-    return reports
 
 
 def _greedy_continuations(model, inputs: np.ndarray, prefix_len: int) -> np.ndarray:

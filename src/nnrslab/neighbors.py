@@ -27,13 +27,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arrayio import load_arrays, replacing, save_arrays
+from .arrayio import replacing, save_arrays
 from .embeddings import EmbeddingMatrix
 
 TAU_MIN = 0.5
 TAU_MAX = 10.0
-
-_ROW_SUM_TOL = 1e-9
 
 # Similarities scored per block in build_neighbor_table (8 MiB of float64).
 # Fixed, not tunable: sims bits depend on the block shape.
@@ -275,13 +273,6 @@ def build_transition_table(corpus_ids, vocab, k: int) -> TransitionTable:
     return TransitionTable(k=k, ids=ids, probs=probs)
 
 
-def _check_row_sums(probs: np.ndarray, what: str) -> None:
-    sums = probs.sum(axis=1)
-    worst = float(np.abs(sums - 1.0).max())
-    if not worst <= _ROW_SUM_TOL:  # NaN rows fail too
-        raise ValueError("%s row sums off by %.3g (tolerance %g)" % (what, worst, _ROW_SUM_TOL))
-
-
 def save_table(path, table) -> None:
     """Binary (zip-of-npy) serialization for either table kind."""
     fields = dict(ids=table.ids, probs=table.probs, k=np.int64(table.k),
@@ -289,20 +280,6 @@ def save_table(path, table) -> None:
     if isinstance(table, NeighborTable):
         fields.update(sims=table.sims, tau=np.float64(table.tau))
     save_arrays(path, **fields)
-
-
-def load_table(path):
-    """Load a table saved by :func:`save_table`, validating row sums."""
-    data = load_arrays(path)
-    _check_row_sums(data["probs"], "table")
-    flagged = frozenset(int(i) for i in data["flagged"])
-    if "sims" in data:
-        return NeighborTable(
-            k=int(data["k"]), ids=data["ids"], sims=data["sims"],
-            probs=data["probs"], tau=float(data["tau"]), flagged=flagged,
-        )
-    return TransitionTable(k=int(data["k"]), ids=data["ids"], probs=data["probs"],
-                           flagged=flagged)
 
 
 def save_table_csv(path, table) -> None:

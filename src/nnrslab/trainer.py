@@ -407,7 +407,12 @@ def save_checkpoint(path, model: LstmLm, rng_policy: np.random.Generator, record
     members params (model.params.flat), velocity (its flat vector, when
     there is momentum) and gumbel_log_alpha (GSNS), and meta, the JSON of
     the config, the policy RNG, |V| and the records (the last holds the
-    epoch, tau and best to resume from)."""
+    epoch, tau and best to resume from). A model whose dim or hidden is
+    not the config's is refused before anything is written, since the
+    checkpoint is laid out from the config when it is loaded."""
+    if (model.dim, model.hidden) != (config.dim, config.hidden):
+        raise ValueError("model has dim %d, hidden %d but the config says dim %d, hidden %d"
+                         % (model.dim, model.hidden, config.dim, config.hidden))
     meta = {
         "magic": CHECKPOINT_MAGIC,
         "version": __version__,
@@ -469,10 +474,10 @@ def load_checkpoint(path, vocab_hash: str = None) -> dict:
     }
 
 
-def model_from_checkpoint(path, vocab_hash: str = None):
+def model_from_checkpoint(path):
     """(model, checkpoint dict) for evaluation-style consumers; the model's
     params are the checkpoint's."""
-    ck = load_checkpoint(path, vocab_hash)
+    ck = load_checkpoint(path)
     params = ck["params"]
     vocab_size, dim = params["embed"].shape
     model = LstmLm(vocab_size, dim, params["lstm1_Wh"].shape[0], params)

